@@ -28,14 +28,23 @@ from .parser import parse_expr
 PROG = "skewpoly"
 
 
+def positive_int(text: str) -> int:
+    """A sample count: zero samples would certify any claim vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", required=True, metavar="PATH",
                         help="ring configuration file (JSON)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for sampled certificates")
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                        help="sample count for sampled certificates")
+    common.add_argument("--samples", type=positive_int,
+                        default=DEFAULT_SAMPLES,
+                        help="sample count for sampled certificates (>= 1)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")

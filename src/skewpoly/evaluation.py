@@ -22,6 +22,7 @@ from .maps import (
     DEFAULT_SEED,
     CheckRecord,
     RingMap,
+    check_sample_count,
     commutation_record,
     derivation_record,
     in_fixed_subfield,
@@ -62,6 +63,7 @@ def is_automorphic(s: SkewPoly, aut: RingMap, der: RingMap,
                    samples: int = DEFAULT_SAMPLES,
                    seed: int = DEFAULT_SEED) -> bool:
     """Whether ``s*r = aut(r)*s + der(r)`` holds for all sampled scalars."""
+    check_sample_count(samples)
     ring = s.ring
     for r in sample_scalars(ring.domain, seed, samples):
         lhs = s * ring.constant(r)
@@ -88,6 +90,7 @@ def certify_tuple(ambient: OreRing, elements, twists,
                   samples: int = DEFAULT_SAMPLES,
                   seed: int = DEFAULT_SEED) -> AutomorphicTuple:
     """Build a tuple and record its commutation / automorphic-law checks."""
+    check_sample_count(samples)
     elements = tuple(elements)
     twists = tuple((a, d) for a, d in twists)
     if len(elements) != len(twists):

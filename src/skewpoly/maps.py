@@ -16,10 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExhaustedCandidates, NotInF, UnsupportedRing
-from .scalars import RationalFunction, Scalar, ScalarDomain
+from .scalars import DOMAINS, RationalFunction, Scalar, ScalarDomain
 
 DEFAULT_SEED = 12345
 DEFAULT_SAMPLES = 64
+LAW_CACHE_SIZE = 1024  # law records kept per process
 
 
 class RingMap:
@@ -358,8 +359,6 @@ class CheckRecord:
 
 @lru_cache(maxsize=None)
 def _sample_cache(domain_name: str, seed: int, count: int):
-    from .scalars import DOMAINS
-
     rng = random.Random(seed)
     domain = DOMAINS[domain_name]
     return tuple(domain.random(rng) for _ in range(count))
@@ -422,8 +421,13 @@ def analytic_commutation(m1: RingMap, m2: RingMap):
     return None
 
 
-def derivation_record(domain, aut, der, samples=DEFAULT_SAMPLES,
-                      seed=DEFAULT_SEED) -> CheckRecord:
+def check_sample_count(samples: int) -> None:
+    """Refuse a sample count that would let a sampled check pass vacuously."""
+    if samples < 1:
+        raise ValueError(f"law checks need at least one sample, got {samples}")
+
+
+def _compute_derivation_record(domain, aut, der, samples, seed) -> CheckRecord:
     pool = sample_scalars(domain, seed, 2 * samples)
     failures = 0
     for a, b in zip(pool[:samples], pool[samples:]):
@@ -435,12 +439,40 @@ def derivation_record(domain, aut, der, samples=DEFAULT_SAMPLES,
                        analytic_derivation(aut, der))
 
 
-def commutation_record(domain, m1, m2, samples=DEFAULT_SAMPLES,
-                       seed=DEFAULT_SEED) -> CheckRecord:
+def _compute_commutation_record(domain, m1, m2, samples, seed) -> CheckRecord:
     pool = sample_scalars(domain, seed, samples)
     failures = sum(1 for r in pool if m1(m2(r)) != m2(m1(r)))
     law = f"commute({m1.describe()}, {m2.describe()})"
     return CheckRecord(law, samples, failures, analytic_commutation(m1, m2))
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def _law_cache(compute, domain_name: str, m1, m2, samples: int, seed: int):
+    return compute(DOMAINS[domain_name], m1, m2, samples, seed)
+
+
+def _record(compute, domain, m1, m2, samples, seed) -> CheckRecord:
+    """A law record computed once per process for each (domain, maps,
+    samples, seed); records are pure functions of that key.  Maps that
+    cannot be hashed are sampled on every call."""
+    check_sample_count(samples)
+    try:
+        hash((m1, m2))
+    except TypeError:
+        return compute(domain, m1, m2, samples, seed)
+    return _law_cache(compute, domain.name, m1, m2, samples, seed)
+
+
+def derivation_record(domain, aut, der, samples=DEFAULT_SAMPLES,
+                      seed=DEFAULT_SEED) -> CheckRecord:
+    return _record(_compute_derivation_record, domain, aut, der,
+                   samples, seed)
+
+
+def commutation_record(domain, m1, m2, samples=DEFAULT_SAMPLES,
+                       seed=DEFAULT_SEED) -> CheckRecord:
+    return _record(_compute_commutation_record, domain, m1, m2,
+                   samples, seed)
 
 
 def check_derivation(domain, aut, der, samples=DEFAULT_SAMPLES,

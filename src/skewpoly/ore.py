@@ -27,6 +27,7 @@ from .maps import (
     IdentityAut,
     RingMap,
     ZeroDer,
+    check_sample_count,
     commutation_record,
     derivation_record,
 )
@@ -84,7 +85,7 @@ class OreRing:
     derivation is checked against its automorphism and, for multi-variable
     rings, all map pairs are checked for commutation (analytically for the
     closed constructor family, on seeded samples otherwise).  Multiplication
-    in the commuting flavor refuses to run on a failed certificate.
+    refuses to run on a failed certificate, whatever the flavor.
     """
 
     def __init__(self, domain: ScalarDomain, variables, flavor=Flavor.COMMUTING,
@@ -94,6 +95,7 @@ class OreRing:
         names = [v.name for v in vs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
+        check_sample_count(samples)
         self.domain = domain
         self.variables = vs
         self.flavor = Flavor(flavor)
@@ -338,7 +340,7 @@ class SkewPoly:
             other = self.ring.constant(other)
         self._match(other)
         ring = self.ring
-        if ring.flavor is Flavor.COMMUTING and not ring.certificate.ok:
+        if not ring.certificate.ok:
             raise IncompatibleMaps(
                 "multiplication refused: compatibility certificate failed"
             )

@@ -1,6 +1,8 @@
 """Command front-end: configs, subcommands, formats, exit codes."""
 
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +11,8 @@ import pytest
 from skewpoly.cli import main
 from skewpoly.config import load_ring, ring_from_data, ring_to_data
 from skewpoly.errors import ConfigError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 WEYL = {
     "ring": "Qx",
@@ -20,6 +24,14 @@ WEYL2 = {
     "vars": [
         {"name": "t1", "aut": {"kind": "identity"}, "der": {"kind": "ddx"}},
         {"name": "t2", "aut": {"kind": "identity"}, "der": {"kind": "ddx"}},
+    ],
+}
+TWISTED_PAIR = {
+    "ring": "Qx",
+    "vars": [
+        {"name": "a", "aut": {"kind": "q_shift", "q": "2"},
+         "der": {"kind": "zero"}},
+        {"name": "b", "aut": {"kind": "identity"}, "der": {"kind": "ddx"}},
     ],
 }
 QUAT = {
@@ -231,6 +243,23 @@ class TestExitCodes:
             main(["normalform"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("flavor", ["commuting", "tower"])
+    def test_failed_ring_certificate_is_1(self, write, capsys, flavor):
+        # unguarded, "b*a" "x" and "b" "a*x" print different products
+        ring_path = write("r.json", dict(TWISTED_PAIR, flavor=flavor))
+        assert main(["multiply", "--ring", ring_path, "b*a", "x"]) == 1
+        assert main(["multiply", "--ring", ring_path, "b", "a*x"]) == 1
+        assert "IncompatibleMaps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_non_positive_samples_is_2(self, write, capsys, samples):
+        # x*t is not automorphic for (id, d/dx); zero samples would pass it
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "--ring", write("r.json", WEYL), "t",
+                  "--at", "x*t", f"--samples={samples}"])
+        assert info.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_json_byte_stable(self, write, capsys):
@@ -253,6 +282,25 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert first == capsys.readouterr().out
+
+
+def _readme_commands():
+    """The example command lines of the README, as argument lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line, comments=True)[1:]
+            for line in text.splitlines() if line.startswith("skewpoly ")]
+
+
+def test_readme_lists_every_command():
+    assert len(_readme_commands()) == 9
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_json_is_byte_identical(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(argv + ["--format", "json"]) == 0
+    expected = (ROOT / "perfbench" / "expected" / f"{argv[0]}.json")
+    assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
 
 
 def test_shipped_configs_load():

@@ -58,6 +58,16 @@ class TestCertify:
         laws = {r.law for r in tup.certificate.records}
         assert "commute(s1, s2)" in laws
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_non_positive_samples_rejected(self, weyl, samples):
+        # x*t does not satisfy the (id, d/dx) law; no samples would hide it
+        s = weyl.monomial((1,), X)
+        v = weyl.variables[0]
+        with pytest.raises(ValueError):
+            certify_tuple(weyl, [s], weyl.twists(), samples)
+        with pytest.raises(ValueError):
+            is_automorphic(s, v.aut, v.der, samples)
+
     def test_linear_form_flag(self, weyl2):
         t1, t2 = weyl2.variable(0), weyl2.variable(1)
         s1 = t1 + t2.scale_left(QX.from_int(3))

@@ -1,11 +1,15 @@
 """Map application, law checking and the central fixed stream."""
 
 import itertools
+import pathlib
 
 import pytest
 
+from skewpoly import maps, ore
+from skewpoly.config import load_ring
 from skewpoly.errors import ExhaustedCandidates, NotInF, UnsupportedRing
 from skewpoly.maps import (
+    LAW_CACHE_SIZE,
     DdxDer,
     IdentityAut,
     InnerAut,
@@ -17,6 +21,8 @@ from skewpoly.maps import (
     central_fixed_stream,
     check_commutation,
     check_derivation,
+    commutation_record,
+    derivation_record,
     in_fixed_subfield,
     inner_aut,
     lin_comb,
@@ -24,10 +30,12 @@ from skewpoly.maps import (
     sample_scalars,
     zero_der,
 )
+from skewpoly.ore import OreRing
 from skewpoly.scalars import HQ, Q, QX
 
 I, J, K = HQ.i(), HQ.j(), HQ.k()
 X = QX.x()
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 class SquareMap:
@@ -41,6 +49,16 @@ class SquareMap:
 
     def describe(self):
         return "square"
+
+
+class UnhashableSquareMap(SquareMap):
+    """Equal to every other instance but unhashable, so its law records
+    cannot be memoized."""
+
+    def __eq__(self, other):
+        return isinstance(other, UnhashableSquareMap)
+
+    __hash__ = None
 
 
 class TestApply:
@@ -261,3 +279,55 @@ def test_descriptor_round_trip():
     assert der_from_data(qd.to_data(), QX, shift) == qd
     inner = InnerDer(HQ.make(0, 1, 1), inner_aut(I))
     assert der_from_data(inner.to_data(), HQ, inner_aut(I)) == inner
+
+
+class TestLawRecordMemo:
+    def test_warm_certificates_match_uncached(self, monkeypatch):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            load_ring(path)
+            hits = maps._law_cache.cache_info().hits
+            warm = load_ring(path)
+            assert maps._law_cache.cache_info().hits > hits, path.name
+            with monkeypatch.context() as patch:
+                patch.setattr(ore, "derivation_record",
+                              maps._compute_derivation_record)
+                patch.setattr(ore, "commutation_record",
+                              maps._compute_commutation_record)
+                cold = load_ring(path)
+            assert warm.certificate == cold.certificate, path.name
+
+    def test_unhashable_map_is_sampled_every_time(self):
+        with pytest.raises(TypeError):
+            hash(UnhashableSquareMap())
+        for _ in range(2):
+            record = derivation_record(QX, IdentityAut(),
+                                       UnhashableSquareMap(), 20)
+            assert record.samples == 20 and record.failures > 0
+            assert not record.ok
+            ring = OreRing(QX, [("t", IdentityAut(), UnhashableSquareMap())],
+                           samples=20)
+            assert not ring.certificate.ok
+
+    def test_cache_size_is_bounded(self):
+        for q in range(2, LAW_CACHE_SIZE + 12):
+            commutation_record(QX, q_shift(q), IdentityAut(), 1)
+            assert maps._law_cache.cache_info().currsize <= LAW_CACHE_SIZE
+        assert maps._law_cache.cache_info().currsize == LAW_CACHE_SIZE
+
+    def test_repeated_rings_have_equal_certificates(self):
+        shift = q_shift(2)
+        variables = [("t1", IdentityAut(), DdxDer()),
+                     ("t2", shift, QDiffDer(shift))]
+        first = OreRing(QX, variables, samples=24)
+        second = OreRing(QX, variables, samples=24)
+        assert not first.certificate.ok
+        assert first.certificate == second.certificate
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_non_positive_samples_rejected(self, samples):
+        misses = maps._law_cache.cache_info().misses
+        with pytest.raises(ValueError):
+            derivation_record(QX, IdentityAut(), DdxDer(), samples)
+        with pytest.raises(ValueError):
+            commutation_record(QX, IdentityAut(), DdxDer(), samples)
+        assert maps._law_cache.cache_info().misses == misses

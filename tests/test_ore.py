@@ -195,6 +195,23 @@ class TestMul:
         with pytest.raises(IncompatibleMaps):
             ring.to_tower()
 
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_failed_certificate_refused_in_every_flavor(self, flavor):
+        # the q-shift of a does not commute with d/dx of b: unrefused,
+        # (b*a)*x = 2*x*a*b + a but b*(a*x) = 2*x*a*b + 2*a
+        ring = OreRing(QX, [("a", q_shift(2), zero_der(q_shift(2))),
+                            ("b", IdentityAut(), DdxDer())], flavor)
+        assert not ring.certificate.ok
+        with pytest.raises(IncompatibleMaps):
+            ring.variable(1) * ring.variable(0)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_non_positive_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            OreRing(QX, [("t", IdentityAut(), DdxDer())], samples=samples)
+        with pytest.raises(ValueError):
+            OreRing(QX, [], samples=samples)
+
 
 class TestModuleOps:
     def test_add_zero(self, weyl):
