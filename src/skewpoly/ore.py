@@ -9,15 +9,21 @@ basis ``t_1^{i_1} ... t_n^{i_n}``.  ``SkewPoly`` stores that expansion as a
 sparse map from exponent vectors to non-zero coefficients.
 
 Multiplication distributes the right factor's monomials through the left
-one, commuting scalars variable by variable; the closed-form commutation
-identities are exercised by the test suite as independent oracles rather
-than used as the implementation path.
+one, commuting scalars variable by variable.  Each product builds one
+private power table (``_PowerTable``) so that every ``t_i^k * r`` it needs
+is stepped once, however many left terms ask for it: a variable twisted by
+the identity reads ``t^k * r = sum_j C(k, j) der^j(r) t^(k-j)`` off a
+derivative list of r, and any other variable extends the last stored
+power of r by one single step (aut, der).  The test suite checks both
+paths against a literal single-step recurrence that shares no code with
+this module, and Weyl products against sympy's differential operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
 from .maps import (
@@ -113,6 +119,12 @@ class OreRing:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
+    def _require_certificate(self, action: str) -> None:
+        if not self.certificate.ok:
+            raise IncompatibleMaps(
+                f"{action} refused: compatibility certificate failed"
+            )
+
     def twists(self) -> tuple[tuple[RingMap, RingMap], ...]:
         return tuple((v.aut, v.der) for v in self.variables)
 
@@ -180,68 +192,115 @@ class OreRing:
 
     # -- commutation kernels ----------------------------------------------
 
-    def _var_power_on_scalar(self, i: int, k: int, r: Scalar) -> dict:
-        """t_i^k * r as a map power -> coefficient, by k single steps."""
-        aut, der = self.variables[i].aut, self.variables[i].der
-        if isinstance(aut, IdentityAut) and isinstance(der, ZeroDer):
-            return {k: r}
-        cur = {0: r}
-        for _ in range(k):
-            nxt: dict = {}
-            for p, c in cur.items():
-                up = aut(c)
-                if not up.is_zero():
-                    nxt[p + 1] = nxt[p + 1] + up if p + 1 in nxt else up
-                down = der(c)
-                if not down.is_zero():
-                    nxt[p] = nxt[p] + down if p in nxt else down
-            cur = {p: c for p, c in nxt.items() if not c.is_zero()}
-        return cur
-
-    def _monomial_on_scalar(self, exponents, r: Scalar) -> dict:
-        """t^I * r as a map exponent-vector -> coefficient.
-
-        Processes variables right to left; t_i^p commutes freely past the
-        already-normalized higher variables.
-        """
-        n = self.nvars
-        cur = {(0,) * n: r}
-        for i in range(n - 1, -1, -1):
-            k = exponents[i]
-            if k == 0:
-                continue
-            nxt: dict = {}
-            for key, c in cur.items():
-                for p, d in self._var_power_on_scalar(i, k, c).items():
-                    out = key[:i] + (p,) + key[i + 1:]
-                    nxt[out] = nxt[out] + d if out in nxt else d
-            cur = {e: c for e, c in nxt.items() if not c.is_zero()}
-        return cur
-
     def var_power_times_scalar(self, i: int, k: int, r: Scalar) -> "SkewPoly":
         """Normal form of ``t_i^k * r`` (k >= 0)."""
-        if k < 0:
-            raise ValueError("exponent must be non-negative")
-        n = self.nvars
-        terms = {}
-        for p, c in self._var_power_on_scalar(i, k, r).items():
-            terms[tuple(p if t == i else 0 for t in range(n))] = c
-        return SkewPoly(self, terms)
+        return self.monomial_times_scalar(
+            tuple(k if t == i else 0 for t in range(self.nvars)), r)
 
     def monomial_times_scalar(self, exponents, r: Scalar) -> "SkewPoly":
-        """Normal form of ``t_1^{i_1} ... t_n^{i_n} * r``."""
-        return SkewPoly(self, self._monomial_on_scalar(tuple(exponents), r))
+        """Normal form of ``t_1^{i_1} ... t_n^{i_n} * r``.
+
+        Refused, as products are, on a failed compatibility certificate: the
+        Leibniz form of the power table needs an additive derivation.
+        """
+        exponents = tuple(exponents)
+        _check_exponents(exponents, self.nvars, self)
+        self._require_certificate("commutation")
+        table = _PowerTable(self)
+        return SkewPoly(self, {exps: table.scaled(m, c)
+                               for exps, m, c in table.monomial(exponents, r)})
 
     def scalar_var_power(self, r: Scalar, j: int, m: int) -> "SkewPoly":
         """Normal form of ``(r * t_j)^m`` (m >= 1)."""
         if m < 1:
             raise ValueError("power must be at least 1")
-        base = self.monomial(tuple(1 if t == j else 0
-                                   for t in range(self.nvars)), r)
-        out = base
-        for _ in range(m - 1):
-            out = out * base
-        return out
+        return self.monomial(tuple(1 if t == j else 0
+                                   for t in range(self.nvars)), r) ** m
+
+
+class _PowerTable:
+    """The powers ``t_i^k * r`` met during one product, each computed once.
+
+    Rows are keyed on (variable index, scalar).  A variable twisted by the
+    identity keeps the derivative list r, der(r), der^2(r), ... (ended by
+    its first zero; none for the zero derivation, where ``t^k * r = r t^k``)
+    and reads ``t^k * r`` off the Leibniz closed form
+    ``sum_j C(k, j) der^j(r) t^(k-j)``, which needs only additivity of the
+    derivation.  Any other variable keeps the normal forms of t^0 * r,
+    t^1 * r, ..., each one single step (aut, der) from the last.  A table
+    lives for one call; nothing is kept between products.
+    """
+
+    __slots__ = ("ring", "rows", "ints")
+
+    def __init__(self, ring: OreRing):
+        self.ring = ring
+        self.rows: dict = {}
+        self.ints: dict = {}
+
+    def power(self, i: int, k: int, r: Scalar) -> list:
+        """t_i^k * r as (power, integer factor, scalar) triples."""
+        var = self.ring.variables[i]
+        if isinstance(var.aut, IdentityAut) and isinstance(var.der, ZeroDer):
+            return [(k, 1, r)]  # the j = 0 term alone; no row to keep
+        row = self.rows.get((i, r))
+        if isinstance(var.aut, IdentityAut):
+            if row is None:
+                row = self.rows[(i, r)] = [r]
+            while len(row) <= k and not row[-1].is_zero():
+                row.append(var.der(row[-1]))
+            return [(k - j, comb(k, j), d)
+                    for j, d in enumerate(row[:k + 1]) if not d.is_zero()]
+        if row is None:
+            row = self.rows[(i, r)] = [{0: r}]
+        while len(row) <= k:
+            row.append(_single_step(var.aut, var.der, row[-1]))
+        return [(p, 1, c) for p, c in row[k].items()]
+
+    def monomial(self, exponents, r: Scalar) -> list:
+        """t^I * r as (exponent vector, integer factor, scalar) triples.
+
+        Variables are processed right to left; t_i^p commutes freely past
+        the already-normalized higher variables.  Distinct paths end in
+        distinct exponent vectors, so no two triples share one.
+        """
+        cur = [((0,) * len(exponents), 1, r)]
+        for i in range(len(exponents) - 1, -1, -1):
+            k = exponents[i]
+            if k:
+                cur = [(key[:i] + (p,) + key[i + 1:], m * f, d)
+                       for key, m, c in cur
+                       for p, f, d in self.power(i, k, c)]
+        return cur
+
+    def scaled(self, m: int, c: Scalar) -> Scalar:
+        """m * c for an integer m, with each integer converted once."""
+        if m == 1:
+            return c
+        n = self.ints.get(m)
+        if n is None:
+            n = self.ints[m] = self.ring.domain.from_int(m)
+        return n * c
+
+
+def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
+    """t * (sum_p c_p t^p) in normal form, from t*c = aut(c)*t + der(c)."""
+    nxt: dict = {}
+    for p, c in cur.items():
+        up = aut(c)
+        if not up.is_zero():
+            nxt[p + 1] = nxt[p + 1] + up if p + 1 in nxt else up
+        down = der(c)
+        if not down.is_zero():
+            nxt[p] = nxt[p] + down if p in nxt else down
+    return {p: c for p, c in nxt.items() if not c.is_zero()}
+
+
+def _check_exponents(exps, n: int, ring: OreRing) -> None:
+    if len(exps) != n:
+        raise ValueError(f"exponent vector {exps} has wrong arity for {ring!r}")
+    if min(exps, default=0) < 0:
+        raise ValueError(f"exponent vector {exps} has a negative entry")
 
 
 def evaluation_context(domain: ScalarDomain, names) -> OreRing:
@@ -263,10 +322,7 @@ class SkewPoly:
         n = ring.nvars
         clean = {}
         for exps, c in terms.items():
-            if len(exps) != n:
-                raise ValueError(
-                    f"exponent vector {exps} has wrong arity for {ring!r}"
-                )
+            _check_exponents(exps, n, ring)
             if not c.is_zero():
                 clean[tuple(exps)] = c
         self.ring = ring
@@ -340,24 +396,30 @@ class SkewPoly:
             other = self.ring.constant(other)
         self._match(other)
         ring = self.ring
-        if not ring.certificate.ok:
-            raise IncompatibleMaps(
-                "multiplication refused: compatibility certificate failed"
-            )
+        ring._require_certificate("multiplication")
+        table = _PowerTable(ring)
         out: dict = {}
         for right_exp, b in other.terms.items():
             for left_exp, a in self.terms.items():
-                for mid_exp, c in ring._monomial_on_scalar(left_exp, b).items():
-                    exps = tuple(m + r for m, r in zip(mid_exp, right_exp))
-                    v = a * c
+                for mid_exp, m, c in table.monomial(left_exp, b):
+                    exps = tuple(p + q for p, q in zip(mid_exp, right_exp))
+                    v = a * c if m == 1 else table.scaled(m, a * c)
                     out[exps] = out[exps] + v if exps in out else v
         return SkewPoly(ring, out)
 
     def __pow__(self, k: int):
+        """``k - 1`` products ``(f * f) * f ...``, starting from ``self``.
+
+        Not square-and-multiply: for a dense operator, multiplying by the
+        small base each time is cheaper than multiplying two halves whose
+        coefficients have already grown.
+        """
         if k < 0:
             raise ValueError("negative powers are not defined")
-        out = self.ring.one()
-        for _ in range(k):
+        if k == 0:
+            return self.ring.one()
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -1,6 +1,7 @@
 """Expression parser producing normal-form polynomials.
 
-Grammar (whitespace insignificant, ``^`` takes a natural number)::
+Grammar (whitespace insignificant, ``^`` takes a natural number of at most
+``MAX_EXPONENT``)::
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -25,6 +26,7 @@ from .ore import OreRing, SkewPoly, evaluation_context
 from .scalars import Scalar, ScalarDomain
 
 _LITERALS = {"x", "i", "j", "k"}
+MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +139,11 @@ class _Parser:
             if tok.kind != "num":
                 self.fail("exponent must be a natural number")
             self.advance()
-            return base ** int(tok.text)
+            k = int(tok.text)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
+                                 tok.line, tok.column)
+            return base ** k
         return base
 
     def atom(self) -> SkewPoly:

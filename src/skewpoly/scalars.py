@@ -157,11 +157,20 @@ class Scalar:
         return self._mul(other.inv())
 
     def __pow__(self, k: int):
+        """Left-to-right square-and-multiply, starting from ``self``.
+
+        A scalar product costs about the same whatever its factors' origin,
+        so squaring's fewer products win here, unlike for operators.
+        """
         if k < 0:
             return self.inv() ** (-k)
-        out = self.domain.one()
-        for _ in range(k):
-            out = out * self
+        if k == 0:
+            return self.domain.one()
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def inv(self):

@@ -218,6 +218,11 @@ class TestExitCodes:
                      "t*"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_exponent_above_bound_is_2(self, write, capsys):
+        assert main(["normalform", "--ring", write("r.json", WEYL),
+                     "x^2000"]) == 2
+        assert "exceeds 1000 (line 1, column 3)" in capsys.readouterr().err
+
     def test_config_error_is_2(self, write, capsys):
         assert main(["normalform", "--ring", write("r.json", "{broken"),
                      "t"]) == 2

@@ -1,16 +1,23 @@
 """Normal-form arithmetic against the closed-form commutation oracles."""
 
+import itertools
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
+from skewpoly.config import load_ring
 from skewpoly.errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
+from skewpoly.evaluation import mix_derivations
 from skewpoly.maps import (
     DdxDer,
     IdentityAut,
+    InnerDer,
     QDiffDer,
     apply_power,
     inner_aut,
+    lin_comb,
     q_shift,
     zero_der,
 )
@@ -24,8 +31,12 @@ from skewpoly.ore import (
 )
 from skewpoly.scalars import HQ, Q, QX
 
+from test_maps import UnhashableSquareMap
+
 I, J, K = HQ.i(), HQ.j(), HQ.k()
 X = QX.x()
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent
+                  / "configs").glob("*.json"))
 
 
 def single_step_oracle(ring, i, k, r):
@@ -205,6 +216,16 @@ class TestMul:
         with pytest.raises(IncompatibleMaps):
             ring.variable(1) * ring.variable(0)
 
+    def test_failed_certificate_refused_by_kernel(self):
+        # a non-additive "derivation" breaks the Leibniz form, so the
+        # kernel entry points refuse it as products do
+        ring = OreRing(QX, [("t", IdentityAut(), UnhashableSquareMap())])
+        assert not ring.certificate.ok
+        with pytest.raises(IncompatibleMaps):
+            ring.monomial_times_scalar((3,), X)
+        with pytest.raises(IncompatibleMaps):
+            ring.var_power_times_scalar(0, 3, X)
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_non_positive_samples_rejected(self, samples):
         with pytest.raises(ValueError):
@@ -314,3 +335,263 @@ class TestRepresentation:
         assert str(t * xc) == "x*t + 1"
         assert str((t + weyl.one()) * (t - weyl.one())) == "t^2 - 1"
         assert str(weyl.zero()) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the commutation kernel against a literal recurrence that shares no code
+# with ore.py
+# ---------------------------------------------------------------------------
+
+def literal_powers(aut, der, kmax, r):
+    """[t^k * r for k = 0..kmax], each a map power -> coefficient, by
+    applying t*c = aut(c)*t + der(c) literally, one step at a time."""
+    cur = {0: r} if not r.is_zero() else {}
+    out = [cur]
+    for _ in range(kmax):
+        nxt = {}
+        for p, c in cur.items():
+            for q, d in ((p + 1, aut(c)), (p, der(c))):
+                nxt[q] = nxt[q] + d if q in nxt else d
+        cur = {p: c for p, c in nxt.items() if not c.is_zero()}
+        out.append(cur)
+    return out
+
+
+def literal_monomial(ring, exps, r):
+    """t^I * r as exponent vector -> coefficient, right to left through
+    :func:`literal_powers`."""
+    n = ring.nvars
+    cur = {(0,) * n: r}
+    for i in range(n - 1, -1, -1):
+        var = ring.variables[i]
+        nxt = {}
+        for key, c in cur.items():
+            for p, d in literal_powers(var.aut, var.der, exps[i], c)[-1].items():
+                out = key[:i] + (p,) + key[i + 1:]
+                nxt[out] = nxt[out] + d if out in nxt else d
+        cur = {e: c for e, c in nxt.items() if not c.is_zero()}
+    return cur
+
+
+def kernel_scalars(domain, rng):
+    """(scalar, kmax) pairs: a random scalar, taken to k = 24, and over Q(x)
+    a rational function with a non-unit denominator, whose derivatives
+    never vanish, taken to k = 8 (each step there costs gcds of growing
+    polynomials)."""
+    if domain is QX:
+        return [(QX.from_coeffs([rng.randint(-3, 3) for _ in range(3)] + [1]),
+                 24),
+                (QX.from_coeffs((1, 0, 1), (-2, 1)), 8)]
+    return [(domain.random_nonzero(rng), 24)]
+
+
+def assert_var_powers_match(ring, i, r, kmax=24):
+    var = ring.variables[i]
+    for k, expected in enumerate(literal_powers(var.aut, var.der, kmax, r)):
+        got = ring.var_power_times_scalar(i, k, r).terms
+        assert got == {tuple(p if t == i else 0 for t in range(ring.nvars)): c
+                       for p, c in expected.items()}, (ring, i, k, r)
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_var_power_every_config(self, path):
+        ring = load_ring(path)
+        rng = random.Random(path.stem)
+        for i in range(ring.nvars):
+            for r, kmax in kernel_scalars(ring.domain, rng):
+                assert_var_powers_match(ring, i, r, kmax)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_monomial_every_config(self, path):
+        ring = load_ring(path)
+        rng = random.Random(path.stem)
+        for r, kmax in kernel_scalars(ring.domain, rng):
+            for _ in range(3):
+                exps = tuple(rng.randint(0, kmax // ring.nvars)
+                             for _ in range(ring.nvars))
+                got = ring.monomial_times_scalar(exps, r).terms
+                assert got == literal_monomial(ring, exps, r), (exps, r)
+
+    def test_weyl_non_unit_denominator_to_24(self, weyl):
+        # the derivative list never ends, so every k reads a fresh entry
+        assert_var_powers_match(weyl, 0, QX.from_coeffs((1,), (1, 1)))
+
+    def test_identity_twisted_lin_comb(self):
+        # 4*d/dx, as mixing d/dx with 3*d/dx produces it
+        der = mix_derivations(QX, [DdxDer(), DdxDer()], [QX.from_int(3)])[0]
+        ring = OreRing(QX, [("t", IdentityAut(), der)])
+        assert ring.certificate.ok
+        for r, kmax in kernel_scalars(QX, random.Random(3)):
+            assert_var_powers_match(ring, 0, r, kmax)
+
+    def test_identity_twisted_euler_operator(self):
+        # x*d/dx never kills x^m: it multiplies it by m
+        ring = OreRing(QX, [("t", IdentityAut(), lin_comb([(X, DdxDer())]))])
+        assert ring.certificate.ok
+        assert_var_powers_match(ring, 0, QX.from_coeffs((0, 0, 0, 5)))
+
+    def test_identity_twisted_inner_derivation(self):
+        # r -> c*r - r*c over H(Q): its powers on a generic r never vanish
+        ident = IdentityAut()
+        ring = OreRing(HQ, [("t", ident, InnerDer(HQ.make(1, 2, -1), ident)),
+                            ("u", ident, zero_der())])
+        assert ring.certificate.ok
+        for r, kmax in kernel_scalars(HQ, random.Random(5)):
+            assert_var_powers_match(ring, 0, r, kmax)
+            assert (ring.monomial_times_scalar((7, 3), r).terms
+                    == literal_monomial(ring, (7, 3), r))
+
+    def test_zero_scalar(self, weyl, qdiff_ring):
+        for ring in (weyl, qdiff_ring):
+            assert ring.var_power_times_scalar(0, 5, ring.domain.zero()).is_zero()
+
+
+def dense_operator(ring, order, rng):
+    """Every monomial of total degree <= order, each with a coefficient of
+    x-degree exactly 3."""
+    terms = {}
+    for exps in itertools.product(range(order + 1), repeat=ring.nvars):
+        if sum(exps) <= order:
+            coeffs = [rng.randint(-4, 4) for _ in range(3)]
+            terms[exps] = QX.from_coeffs(coeffs + [rng.choice((-1, 1))])
+    return SkewPoly(ring, terms)
+
+
+class TestWorkCount:
+    """d/dx applications per product, counted rather than timed."""
+
+    @pytest.fixture
+    def ddx_calls(self, monkeypatch):
+        calls = [0]
+        original = DdxDer.__call__
+
+        def counted(self, r):
+            calls[0] += 1
+            return original(self, r)
+
+        monkeypatch.setattr(DdxDer, "__call__", counted)
+        return calls
+
+    def test_weyl_square_order_24(self, weyl, ddx_calls):
+        f = dense_operator(weyl, 24, random.Random(24))
+        assert len(f.terms) == 25
+        f * f
+        # each of the 25 right coefficients is differentiated at most 4
+        # times: the fourth derivative of a cubic is zero
+        assert ddx_calls[0] <= 25 * 4
+
+    def test_weyl2_product(self, weyl2, ddx_calls):
+        rng = random.Random(6)
+        f = dense_operator(weyl2, 6, rng)
+        g = dense_operator(weyl2, 6, rng)
+        f * g
+        # per right coefficient b: 4 derivatives of b for t2, then at most
+        # 4 + 3 + 2 + 1 for t1 on b and its first three derivatives
+        assert ddx_calls[0] <= len(g.terms) * (4 + 10)
+
+
+def test_random_weyl_products_match_sympy(weyl):
+    sympy = pytest.importorskip("sympy")
+    from sympy.holonomic.holonomic import (
+        DifferentialOperator,
+        DifferentialOperators,
+    )
+
+    x = sympy.Symbol("x")
+    algebra, _ = DifferentialOperators(sympy.QQ.old_poly_ring(x), "Dx")
+    base = algebra.base
+
+    def to_sympy(f):
+        polys = [base.zero] * (f.degree_in(0) + 1)
+        for (k,), c in f.terms.items():
+            polys[k] = base.from_sympy(sum(
+                sympy.Rational(q.numerator, q.denominator) * x**i
+                for i, q in enumerate(c.num)))
+        return DifferentialOperator(polys, algebra)
+
+    def from_sympy(op):
+        out = {}
+        for k, p in enumerate(op.listofpoly):
+            coeffs = sympy.Poly(base.to_sympy(p), x).all_coeffs()[::-1]
+            c = QX.from_coeffs([Fraction(int(q.p), int(q.q)) for q in coeffs])
+            if not c.is_zero():
+                out[(k,)] = c
+        return out
+
+    rng = random.Random(71)
+    for _ in range(12):
+        f = dense_operator(weyl, rng.randint(0, 6), rng)
+        g = dense_operator(weyl, rng.randint(0, 6), rng)
+        assert (f * g).terms == from_sympy(to_sympy(f) * to_sympy(g))
+
+
+# ---------------------------------------------------------------------------
+# exponents and powers
+# ---------------------------------------------------------------------------
+
+class TestNegativeExponents:
+    def test_monomial_times_scalar(self, weyl):
+        with pytest.raises(ValueError):
+            weyl.monomial_times_scalar((-1,), X)
+
+    def test_monomial(self, weyl, weyl2):
+        with pytest.raises(ValueError):
+            weyl.monomial((-1,), X)
+        with pytest.raises(ValueError):
+            weyl2.monomial((2, -3), X)
+
+    def test_constructor(self, weyl2):
+        with pytest.raises(ValueError):
+            SkewPoly(weyl2, {(0, -1): QX.one()})
+
+    def test_var_power_times_scalar(self, weyl):
+        with pytest.raises(ValueError):
+            weyl.var_power_times_scalar(0, -2, X)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("fixture", ["weyl", "weyl2", "quat_inner2",
+                                         "qdiff_ring"])
+    def test_pow_matches_repeated_products(self, fixture, request):
+        ring = request.getfixturevalue(fixture)
+        f = random_poly(ring, random.Random(fixture), 1, 2, nonzero=True)
+        repeated = ring.one()
+        for k in range(13):
+            assert f ** k == repeated, k
+            repeated = repeated * f
+
+    def test_pow_product_count(self, weyl, monkeypatch):
+        count = [0]
+        original = SkewPoly.__mul__
+
+        def counted(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(SkewPoly, "__mul__", counted)
+        weyl.variable(0) ** 14
+        assert count[0] == 13
+        count[0] = 0
+        assert weyl.variable(0) ** 0 == weyl.one()
+        assert count[0] == 0
+
+    @pytest.mark.parametrize("domain", [Q, QX, HQ], ids=lambda d: d.name)
+    def test_scalar_pow_matches_repeated_products(self, domain):
+        rng = random.Random(domain.name)
+        for _ in range(3):
+            s = domain.random_nonzero(rng)
+            up, down = domain.one(), domain.one()
+            for k in range(13):
+                assert s ** k == up and s ** -k == down, k
+                up, down = up * s, down * s.inv()
+
+    @pytest.mark.parametrize("fixture", ["weyl", "quat_inner", "qdiff_ring"])
+    def test_scalar_var_power_matches_repeated_products(self, fixture, request):
+        ring = request.getfixturevalue(fixture)
+        r = ring.domain.random_nonzero(random.Random(fixture))
+        base = ring.monomial((1,), r)
+        repeated = base
+        for m in range(1, 13):
+            assert ring.scalar_var_power(r, 0, m) == repeated, m
+            repeated = repeated * base

@@ -11,7 +11,7 @@ from skewpoly.errors import (
     UnknownVariable,
 )
 from skewpoly.ore import random_poly
-from skewpoly.parser import parse_expr, parse_scalar
+from skewpoly.parser import MAX_EXPONENT, parse_expr, parse_scalar
 from skewpoly.scalars import HQ, Q, QX
 
 
@@ -87,6 +87,15 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_expr("t +\n *", weyl)
         assert info.value.line == 2
+
+    def test_exponent_bound(self, weyl):
+        t = weyl.variable(0)
+        assert parse_expr(f"t^{MAX_EXPONENT}", weyl) == t ** MAX_EXPONENT
+        with pytest.raises(ParseError) as info:
+            parse_expr(f"t +\n (x + 1)^{MAX_EXPONENT + 1}", weyl)
+        assert (info.value.line, info.value.column) == (2, 10)
+        with pytest.raises(ParseError):
+            parse_expr("x^2000", weyl)
 
     def test_stray_character(self, weyl):
         with pytest.raises(ParseError):
