@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import load_ring, scalar_from_text
+from .config import load_ring
 from .errors import ConfigError, ParseError, SkewError
 from .evaluation import certify_tuple, evaluate, mix_derivations, mix_elements
 from .maps import DEFAULT_SAMPLES, DEFAULT_SEED
@@ -23,7 +23,7 @@ from .nullstellensatz import (
     make_evaluation_set,
     validate_sets,
 )
-from .parser import parse_expr
+from .parser import parse_expr, parse_scalar
 
 PROG = "skewpoly"
 
@@ -187,7 +187,7 @@ def _run_evaluate(ring, args):
 
 
 def _run_mix(ring, args):
-    coeffs = [scalar_from_text(c, ring.domain) for c in args.coeff]
+    coeffs = [parse_scalar(c, ring.domain) for c in args.coeff]
     ders = [v.der for v in ring.variables]
     mixed = mix_derivations(ring.domain, ders, coeffs,
                             args.samples, args.seed)
@@ -235,7 +235,7 @@ def _run_cns_search(ring, args):
     f = parse_expr(args.expr, ring)
     sets = []
     for line in _read_lines(args.sets):
-        elements = [scalar_from_text(part, ring.domain)
+        elements = [parse_scalar(part, ring.domain)
                     for part in line.split(",")]
         sets.append(make_evaluation_set(elements))
     degree = f.total_degree()
@@ -260,7 +260,7 @@ def _run_cns_search(ring, args):
 
 def _run_gm_check(ring, args):
     f = parse_expr(args.expr, ring)
-    roots = [scalar_from_text(part, ring.domain)
+    roots = [parse_scalar(part, ring.domain)
              for part in args.roots.split(",")]
     report = gordon_motzkin_check(f, roots)
     data = {"command": "gm-check", "input": args.expr}

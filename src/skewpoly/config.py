@@ -38,13 +38,9 @@ from .maps import (
 )
 from .ore import Flavor, OreRing
 from .parser import parse_scalar
-from .scalars import DOMAINS, Scalar, ScalarDomain
+from .scalars import DOMAINS, ScalarDomain
 
 _RESERVED = {"Q": set(), "Qx": {"x"}, "HQ": {"i", "j", "k"}}
-
-
-def scalar_from_text(text: str, domain: ScalarDomain) -> Scalar:
-    return parse_scalar(str(text), domain)
 
 
 def aut_from_data(data, domain: ScalarDomain) -> RingMap:
@@ -54,7 +50,7 @@ def aut_from_data(data, domain: ScalarDomain) -> RingMap:
     if kind == "identity":
         return IdentityAut()
     if kind == "inner_aut":
-        return inner_aut(scalar_from_text(data["c"], domain))
+        return inner_aut(parse_scalar(str(data["c"]), domain))
     if kind == "q_shift":
         if domain.name != "Qx":
             raise ConfigError("q_shift is only available over Qx")
@@ -75,14 +71,14 @@ def der_from_data(data, domain: ScalarDomain, aut: RingMap) -> RingMap:
             raise ConfigError("ddx pairs with the identity automorphism")
         return DdxDer()
     if kind == "inner_der":
-        return InnerDer(scalar_from_text(data["c"], domain), aut)
+        return InnerDer(parse_scalar(str(data["c"]), domain), aut)
     if kind == "q_diff":
         if not isinstance(aut, QShiftAut):
             raise ConfigError("q_diff pairs with a q_shift automorphism")
         return QDiffDer(aut)
     if kind == "lin_comb":
         terms = [
-            (scalar_from_text(t["coeff"], domain),
+            (parse_scalar(str(t["coeff"]), domain),
              der_from_data(t["der"], domain, aut))
             for t in data["terms"]
         ]

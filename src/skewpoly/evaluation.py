@@ -59,18 +59,20 @@ class AutomorphicTuple:
         return len(self.elements)
 
 
+def _law_holds(s: SkewPoly, aut: RingMap, der: RingMap, pool):
+    """Per sampled scalar r, lazily: whether ``s*r = aut(r)*s + der(r)``."""
+    ring = s.ring
+    return (s * ring.constant(r)
+            == s.scale_left(aut(r)) + ring.constant(der(r)) for r in pool)
+
+
 def is_automorphic(s: SkewPoly, aut: RingMap, der: RingMap,
                    samples: int = DEFAULT_SAMPLES,
                    seed: int = DEFAULT_SEED) -> bool:
     """Whether ``s*r = aut(r)*s + der(r)`` holds for all sampled scalars."""
     check_sample_count(samples)
-    ring = s.ring
-    for r in sample_scalars(ring.domain, seed, samples):
-        lhs = s * ring.constant(r)
-        rhs = s.scale_left(aut(r)) + ring.constant(der(r))
-        if lhs != rhs:
-            return False
-    return True
+    return all(_law_holds(s, aut, der,
+                          sample_scalars(s.ring.domain, seed, samples)))
 
 
 def _linear_form_flag(ambient: OreRing, s: SkewPoly, claimed_aut: RingMap):
@@ -106,12 +108,7 @@ def certify_tuple(ambient: OreRing, elements, twists,
                                        1, 0 if equal else 1))
     pool = sample_scalars(ambient.domain, seed, samples)
     for idx, (s, (aut, der)) in enumerate(zip(elements, twists)):
-        failures = 0
-        for r in pool:
-            lhs = s * ambient.constant(r)
-            rhs = s.scale_left(aut(r)) + ambient.constant(der(r))
-            if lhs != rhs:
-                failures += 1
+        failures = sum(not ok for ok in _law_holds(s, aut, der, pool))
         records.append(CheckRecord(f"automorphic(s{idx + 1})", samples,
                                    failures,
                                    _linear_form_flag(ambient, s, aut)))

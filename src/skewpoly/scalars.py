@@ -5,7 +5,11 @@ equality and the zero test are structural:
 
 * ``Q``   -- rational numbers, reduced fractions;
 * ``Qx``  -- rational functions in one commuting indeterminate ``x``,
-  stored as a gcd-reduced fraction of polynomials with a monic denominator;
+  stored as a fraction of coprime integer-coefficient polynomials with
+  jointly primitive contents and a positive leading denominator
+  coefficient, so arithmetic needs no ``Fraction``; gcds are primitive
+  PRS over Python integers.  Printing (and ``num``/``den``) divides
+  through to the monic denominator;
 * ``HQ``  -- the rational quaternions (the (-1,-1 / Q) algebra), the only
   noncommutative ring of the three.
 
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import gcd, lcm
 
 from .errors import DivisionByZero, VariantMismatch
 
@@ -26,10 +30,11 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, used internally by RationalFunction
+# dense univariate polynomials over Z, used internally by RationalFunction
 # ---------------------------------------------------------------------------
+# Coefficient tuples, lowest degree first, with no trailing zero.
 
-def _trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
+def _trim(coeffs) -> tuple:
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
@@ -37,63 +42,71 @@ def _trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO)
-        for i in range(n)
-    )
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
 
 
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
+def _pexquo(a, b):
+    """The quotient a/b, when b divides a with an integer quotient."""
+    if len(b) == 1:
+        return tuple(c // b[0] for c in a)
     r = list(a)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b) and _trim(r):
-        r = list(_trim(r))
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = r[-1] * inv_lead
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        r.pop()
-    return _trim(q), _trim(r)
+    n, lead = len(b) - 1, b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n] // lead
+        if c:
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return tuple(q)
+
+
+def _primitive(a):
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return tuple(a) if g == 1 else tuple(c // g for c in a)
 
 
 def _pgcd(a, b):
-    # Euclid over Q; result is monic (or () when both inputs are zero).
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _pderiv(a):
-    return _trim(Fraction(i) * a[i] for i in range(1, len(a)))
-
-
-def _pscale_arg(a, q: Fraction):
-    # f(x) -> f(q*x)
-    return _trim(c * q**i for i, c in enumerate(a))
+    """Primitive gcd of non-zero a and b with a positive leading coefficient
+    (primitive PRS: pseudo-remainders with their content removed)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return (1,)
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r, n, lead = list(a), len(b) - 1, b[-1]
+        while len(r) > n:
+            top = r.pop()
+            g = gcd(top, lead)
+            scale, top = lead // g, top // g
+            shift = len(r) - n
+            r = [c * scale for c in r]
+            for i in range(n):
+                r[shift + i] -= top * b[i]
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
 
 
 def _pstr(a) -> str:
@@ -237,88 +250,137 @@ class Rational(Scalar):
         return f"Rational({self.value})"
 
 
+def _qx(n, d) -> "RationalFunction":
+    """``n/d`` from coprime integer polynomials, divided by their joint
+    content and with the sign making the denominator's lead positive."""
+    if not n:
+        return RationalFunction((), (1,))
+    g = gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g != 1:
+        n, d = tuple(c // g for c in n), tuple(c // g for c in d)
+    return RationalFunction(n, d)
+
+
+def _reduced(n, d) -> "RationalFunction":
+    """``n/d`` in lowest terms, from integer polynomials with ``d != 0``."""
+    if n and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            n, d = _pexquo(n, g), _pexquo(d, g)
+    return _qx(n, d)
+
+
 @dataclass(frozen=True, slots=True)
 class RationalFunction(Scalar):
-    """Element of Q(x): ``num/den`` gcd-reduced with monic denominator."""
+    """Element of Q(x): ``ints_num/ints_den``, integer coefficients lowest
+    degree first, coprime, jointly primitive, with a positive leading
+    denominator coefficient.  ``num`` and ``den`` give the same fraction
+    over Q with a monic denominator."""
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
+    ints_num: tuple[int, ...]
+    ints_den: tuple[int, ...]
 
     @staticmethod
-    def make(num, den=(_ONE,)) -> "RationalFunction":
+    def make(num, den=(1,)) -> "RationalFunction":
         num = _trim(Fraction(c) for c in num)
         den = _trim(Fraction(c) for c in den)
         if not den:
             raise DivisionByZero("rational function with zero denominator")
-        if not num:
-            return RationalFunction((), (_ONE,))
-        if den == (_ONE,):
-            return RationalFunction(num, den)
-        g = _pgcd(num, den)
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        return RationalFunction(num, den)
+        m = lcm(*(c.denominator for c in num + den))
+        return _reduced(tuple(c.numerator * (m // c.denominator) for c in num),
+                        tuple(c.numerator * (m // c.denominator) for c in den))
+
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        lead = self.ints_den[-1]
+        return tuple(Fraction(c, lead) for c in self.ints_num)
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        lead = self.ints_den[-1]
+        return tuple(Fraction(c, lead) for c in self.ints_den)
 
     def _add(self, other):
-        if self.den == other.den == (_ONE,):
-            return RationalFunction(_padd(self.num, other.num), (_ONE,))
-        return RationalFunction.make(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        # with g = gcd(d1, d2), the sum's common factor divides g (Henrici)
+        n1, d1 = self.ints_num, self.ints_den
+        n2, d2 = other.ints_num, other.ints_den
+        if not n1 or not n2:
+            return other if not n1 else self
+        g = d1 if d1 == d2 else _pgcd(d1, d2)
+        d2g = _pexquo(d2, g)
+        n = _padd(_pmul(n1, d2g), _pmul(n2, _pexquo(d1, g)))
+        h = _pgcd(n, g) if n else (1,)
+        if len(h) > 1:
+            n, d1 = _pexquo(n, h), _pexquo(d1, h)
+        return _qx(n, _pmul(d1, d2g))
 
     def _mul(self, other):
-        if self.den == other.den == (_ONE,):
-            return RationalFunction(_pmul(self.num, other.num), (_ONE,))
-        return RationalFunction.make(
-            _pmul(self.num, other.num), _pmul(self.den, other.den)
-        )
+        # cross-cancel: gcd(n1, d2) and gcd(n2, d1); a square needs neither
+        n1, d1 = self.ints_num, self.ints_den
+        n2, d2 = other.ints_num, other.ints_den
+        if n1 and n2 and self is not other:
+            g = _pgcd(n1, d2)
+            if len(g) > 1:
+                n1, d2 = _pexquo(n1, g), _pexquo(d2, g)
+            g = _pgcd(n2, d1)
+            if len(g) > 1:
+                n2, d1 = _pexquo(n2, g), _pexquo(d1, g)
+        return _qx(_pmul(n1, n2), _pmul(d1, d2))
 
     def __neg__(self):
-        return RationalFunction(_pneg(self.num), self.den)
+        return RationalFunction(tuple(-c for c in self.ints_num),
+                                self.ints_den)
 
     def _inv(self):
-        return RationalFunction.make(self.den, self.num)
+        return _qx(self.ints_den, self.ints_num)
 
     def is_zero(self):
-        return not self.num
+        return not self.ints_num
 
     def is_central(self):
         return True
 
     def is_constant(self):
-        return len(self.num) <= 1 and self.den == (_ONE,)
+        return len(self.ints_num) <= 1 and len(self.ints_den) == 1
 
     def is_display_negative(self):
-        return bool(self.num) and self.num[-1] < 0
+        return bool(self.ints_num) and self.ints_num[-1] < 0
 
     def is_atomic_factor(self):
-        return self.den == (_ONE,) and sum(1 for c in self.num if c != 0) <= 1
+        return (len(self.ints_den) == 1
+                and sum(1 for c in self.ints_num if c != 0) <= 1)
 
     def derivative(self) -> "RationalFunction":
-        # (p/q)' = (p'q - pq') / q^2
-        return RationalFunction.make(
-            _padd(_pmul(_pderiv(self.num), self.den),
-                  _pneg(_pmul(self.num, _pderiv(self.den)))),
-            _pmul(self.den, self.den),
-        )
+        # with g = gcd(d, d'): (n/d)' = (n'(d/g) - n(d'/g)) / (d(d/g)),
+        # already in lowest terms
+        n, d = self.ints_num, self.ints_den
+        dn = tuple(i * c for i, c in enumerate(n))[1:]
+        if len(d) == 1:
+            return _qx(dn, d)
+        dd = tuple(i * c for i, c in enumerate(d))[1:]
+        g = _pgcd(d, dd)
+        dg = _pexquo(d, g)
+        minus = tuple(-c for c in _pexquo(dd, g))
+        return _qx(_padd(_pmul(dn, dg), _pmul(n, minus)), _pmul(d, dg))
 
     def scale_argument(self, q: Fraction) -> "RationalFunction":
-        """f(x) -> f(q*x)."""
-        return RationalFunction.make(
-            _pscale_arg(self.num, q), _pscale_arg(self.den, q)
-        )
+        """f(x) -> f(q*x); for q != 0 an automorphism, so no gcd is needed."""
+        q = Fraction(q)
+        if not q:
+            return RationalFunction.make(self.num[:1], self.den[:1])
+        a, b = q.numerator, q.denominator
+        top = max(len(self.ints_num), len(self.ints_den)) - 1
+        return _qx(*(tuple(c * a**i * b**(top - i) for i, c in enumerate(p))
+                     for p in (self.ints_num, self.ints_den)))
 
     @property
     def domain(self):
         return QX
 
     def __str__(self):
-        if self.den == (_ONE,):
+        if len(self.ints_den) == 1:
             return _pstr(self.num)
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
 
@@ -470,7 +532,7 @@ class _FunctionFieldDomain(ScalarDomain):
     name = "Qx"
 
     def from_int(self, n):
-        return RationalFunction.make((Fraction(n),))
+        return RationalFunction((n,) if n else (), (1,))
 
     def from_fraction(self, q):
         return RationalFunction.make((Fraction(q),))
@@ -482,12 +544,9 @@ class _FunctionFieldDomain(ScalarDomain):
         return RationalFunction.make(num, den)
 
     def random(self, rng):
-        num = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.3:
-            den = (Fraction(rng.randint(1, 3)), _ONE)
-        else:
-            den = (_ONE,)
-        return RationalFunction.make(num, den)
+        num = _trim([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        den = (rng.randint(1, 3), 1) if rng.random() < 0.3 else (1,)
+        return _reduced(num, den)
 
     def central_probes(self):
         return (self.x(),)

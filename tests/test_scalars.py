@@ -1,10 +1,12 @@
 """Exact arithmetic in the three coefficient rings."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from skewpoly import scalars
 from skewpoly.errors import DivisionByZero, VariantMismatch
 from skewpoly.scalars import (
     HQ,
@@ -187,3 +189,237 @@ class TestConjugacy:
 def test_is_central_matches_probe_oracle(a):
     probes = HQ.central_probes()
     assert a.is_central() == all(a * p == p * a for p in probes)
+
+
+# ---------------------------------------------------------------------------
+# reference Q(x): Euclid over Fraction coefficients, monic denominators
+# ---------------------------------------------------------------------------
+# RationalFunction computes over integer polynomials with primitive gcds; this
+# is the Fraction arithmetic it replaced, kept as an oracle that shares no
+# code with skewpoly.  An element is a (num, den) pair of Fraction tuples,
+# lowest degree first, gcd-reduced with a monic denominator.
+
+def ref_trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_padd(a, b):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                    for i in range(n))
+
+
+def ref_pmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref_trim(out)
+
+
+def ref_pdivmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(ref_trim(r)) >= len(b):
+        r = list(ref_trim(r))
+        k = len(r) - len(b)
+        c = q[k] = r[-1] / b[-1]
+        for i, cb in enumerate(b):
+            r[k + i] -= c * cb
+        r.pop()
+    return ref_trim(q), ref_trim(r)
+
+
+def ref_pgcd(a, b):
+    while b:
+        a, b = b, ref_pdivmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_make(num, den=(1,)):
+    num = ref_trim(Fraction(c) for c in num)
+    den = ref_trim(Fraction(c) for c in den)
+    if not num:
+        return (), (Fraction(1),)
+    g = ref_pgcd(num, den)
+    num, den = ref_pdivmod(num, g)[0], ref_pdivmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def ref_neg(f):
+    return tuple(-c for c in f[0]), f[1]
+
+
+def ref_add(f, g):
+    return ref_make(ref_padd(ref_pmul(f[0], g[1]), ref_pmul(g[0], f[1])),
+                    ref_pmul(f[1], g[1]))
+
+
+def ref_mul(f, g):
+    return ref_make(ref_pmul(f[0], g[0]), ref_pmul(f[1], g[1]))
+
+
+def ref_inv(f):
+    return ref_make(f[1], f[0])
+
+
+def ref_derivative(f):
+    def deriv(a):
+        return ref_trim(i * a[i] for i in range(1, len(a)))
+    num, den = f
+    minus = tuple(-c for c in ref_pmul(num, deriv(den)))
+    return ref_make(ref_padd(ref_pmul(deriv(num), den), minus),
+                    ref_pmul(den, den))
+
+
+def ref_scale_argument(f, q):
+    return ref_make(*(tuple(c * q**i for i, c in enumerate(a)) for a in f))
+
+
+def ref_str(f):
+    def poly(a):
+        parts = []
+        for i in range(len(a) - 1, -1, -1):
+            c = a[i]
+            if c == 0:
+                continue
+            xpow = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            if not xpow:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(xpow if c == 1 else "-" + xpow)
+            else:
+                parts.append(f"{c}*{xpow}")
+        text = parts[0] if parts else "0"
+        for part in parts[1:]:
+            text += (" - " + part[1:] if part.startswith("-")
+                     else " + " + part)
+        return text
+    num, den = f
+    return poly(num) if den == (1,) else f"({poly(num)})/({poly(den)})"
+
+
+def assert_matches(got, want):
+    num, den = want
+    assert (got.num, got.den) == want
+    assert str(got) == ref_str(want)
+    assert got.is_display_negative() == (bool(num) and num[-1] < 0)
+    assert got.is_atomic_factor() == (den == (1,)
+                                      and sum(c != 0 for c in num) <= 1)
+    assert got.is_constant() == (len(num) <= 1 and den == (1,))
+    rebuilt = RationalFunction.make(num, den)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+qx_pairs = st.tuples(
+    st.lists(fractions_st, max_size=4),
+    st.lists(fractions_st, min_size=1, max_size=4).filter(any),
+)
+nonzero_q = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=4).filter(lambda q: q != 0)
+
+
+@given(qx_pairs, qx_pairs, nonzero_q)
+def test_ratfunc_matches_fraction_euclid(p, r, q):
+    a, b = RationalFunction.make(*p), RationalFunction.make(*r)
+    shared = RationalFunction.make(r[0], p[1])
+    ra, rb, rs = ref_make(*p), ref_make(*r), ref_make(r[0], p[1])
+    for got, want in ((a, ra), (b, rb), (shared, rs)):
+        assert_matches(got, want)
+    assert (a == b) == (ra == rb)
+    for other, ref_other in ((b, rb), (shared, rs), (a, ra)):
+        assert_matches(a + other, ref_add(ra, ref_other))
+        assert_matches(a - other, ref_add(ra, ref_neg(ref_other)))
+        assert_matches(a * other, ref_mul(ra, ref_other))
+        if not other.is_zero():
+            assert_matches(other.inv(), ref_inv(ref_other))
+            assert_matches(a / other, ref_mul(ra, ref_inv(ref_other)))
+    assert_matches(a.scale_argument(q), ref_scale_argument(ra, q))
+    d, rd = a, ra
+    for _ in range(4):
+        d, rd = d.derivative(), ref_derivative(rd)
+        assert_matches(d, rd)
+
+
+@pytest.mark.parametrize("p, r, total", [
+    # 1/(x^2 + x) + 1/(x^2 - x) = 2/(x^2 - 1): the denominators share x,
+    # and so does the numerator formed over their lcm
+    (((1,), (0, 1, 1)), ((1,), (0, -1, 1)), ((2,), (-1, 0, 1))),
+    # equal denominators: x/(x^2 - 1) + 1/(x^2 - 1) = 1/(x - 1)
+    (((0, 1), (-1, 0, 1)), ((1,), (-1, 0, 1)), ((1,), (-1, 1))),
+    # (x + 2)/(x + 1)^2 - 1/(x + 1)^2 = 1/(x + 1)
+    (((2, 1), (1, 2, 1)), ((-1,), (1, 2, 1)), ((1,), (1, 1))),
+    # a sum that cancels to zero over unequal denominators
+    (((1,), (0, 2)), ((-3,), (0, 6)), ((), (1,))),
+])
+def test_ratfunc_sum_cancels_the_shared_factor(p, r, total):
+    want = ref_make(*total)
+    assert ref_add(ref_make(*p), ref_make(*r)) == want
+    assert_matches(RationalFunction.make(*p) + RationalFunction.make(*r), want)
+
+
+def test_ratfunc_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        num, den = (sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                        for i, c in enumerate(a)) for a in (f.num, f.den))
+        return num / den
+
+    def canonical(expr):
+        num, den = (sympy.Poly(e, x)
+                    for e in sympy.fraction(sympy.cancel(expr)))
+        lead = den.LC()
+        return tuple(ref_trim(Fraction(int(c.p), int(c.q))
+                              for c in reversed([c / lead
+                                                 for c in p.all_coeffs()]))
+                     for p in (num, den))
+
+    rng = random.Random(7)
+
+    def draw():
+        num = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 4))]
+        den = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 4))]
+        return RationalFunction.make(num, den if any(den) else (1,))
+
+    for _ in range(30):
+        a, b = draw(), draw()
+        sa, sb = to_sympy(a), to_sympy(b)
+        cases = [(a + b, sa + sb), (a * b, sa * sb), (a.derivative(),
+                 sympy.diff(sa, x)), (a.scale_argument(Fraction(-2, 3)),
+                 sa.subs(x, sympy.Rational(-2, 3) * x))]
+        if not b.is_zero():
+            cases.append((a / b, sa / sb))
+        for got, expr in cases:
+            assert (got.num, got.den) == canonical(expr)
+
+
+def test_derivative_gcds_stay_within_the_denominator(monkeypatch):
+    # (n/d)' needs gcd(d, d') only; cancelling against d^2 is the waste
+    degrees = []
+    original = scalars._pgcd
+
+    def recording(a, b):
+        degrees.append(max(len(a), len(b)) - 1)
+        return original(a, b)
+
+    monkeypatch.setattr(scalars, "_pgcd", recording)
+    f = QX.from_coeffs((0, 3), (1, 1, 1))
+    for _ in range(24):
+        bound = len(f.den) - 1
+        degrees.clear()
+        f = f.derivative()
+        assert degrees and max(degrees) <= bound
+
+
+def test_scale_argument_by_zero_evaluates_at_zero():
+    f = QX.from_coeffs((3, 1), (2, 0, 5))
+    assert f.scale_argument(0) == QX.from_coeffs((Fraction(3, 2),))
+    with pytest.raises(DivisionByZero):
+        QX.from_coeffs((3, 1), (0, 1)).scale_argument(0)
