@@ -65,7 +65,6 @@ from .maps import (
 )
 from .ore import (
     Flavor,
-    MINUS_INFINITY,
     OreRing,
     SkewPoly,
     Variable,
@@ -106,5 +105,4 @@ from .normalize import (
 from .parser import parse_expr, parse_scalar
 from .config import load_ring, ring_from_data, ring_to_data
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

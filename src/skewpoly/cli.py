@@ -130,23 +130,6 @@ def _read_lines(path) -> list[str]:
             if ln.strip() and not ln.strip().startswith("#")]
 
 
-def _relation_from_poly(poly, var: int) -> MonicRelation:
-    ring = poly.ring
-    m = poly.degree_in(var)
-    if poly.is_zero() or m < 1:
-        raise SkewError("the relation must involve the monic variable")
-    m = int(m)
-    buckets = poly.split_by_var(var)
-    top = buckets[m]
-    if top != ring.one():
-        raise SkewError(
-            f"relation is not monic in {ring.names[var]!r} "
-            f"(leading coefficient {top})"
-        )
-    tails = tuple(buckets.get(m - j, ring.zero()) for j in range(1, m + 1))
-    return MonicRelation(ring, var, m, tails)
-
-
 def _var_index(ring, name: str) -> int:
     if name not in ring.names:
         raise SkewError(f"no variable named {name!r} in the ring")
@@ -239,14 +222,14 @@ def _run_cns_search(ring, args):
                     for part in line.split(",")]
         sets.append(make_evaluation_set(elements))
     degree = f.total_degree()
-    if not validate_sets(sets, int(degree)):
+    if not validate_sets(sets, degree):
         raise SkewError(
             "evaluation sets failed validation (pairwise non-conjugacy "
             f"and size > deg = {degree})"
         )
     witness = cns_witness(f, sets)
     data = {"command": "cns-search", "input": args.expr,
-            "degree": int(degree),
+            "degree": degree,
             "sets": [s.to_data() for s in sets]}
     data.update(witness.to_data())
     point = ", ".join(str(a) for a in witness.point)
@@ -300,7 +283,7 @@ def _run_normalize(ring, args):
 def _run_reduce(ring, args):
     e = parse_expr(args.expr, ring)
     rel_poly = parse_expr(args.relation, ring)
-    rel = _relation_from_poly(rel_poly, _var_index(ring, args.var))
+    rel = MonicRelation.read(rel_poly, _var_index(ring, args.var))
     quotient, remainder = divmod_by_monic(e, rel)
     data = {
         "command": "reduce",
@@ -343,7 +326,7 @@ def main(argv=None) -> int:
     except (ParseError, ConfigError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except SkewError as exc:
+    except (SkewError, ValueError) as exc:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

@@ -20,6 +20,7 @@ from .errors import CertificateFailed, RingMismatch, TwistMismatch
 from .maps import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    Certificate,
     CheckRecord,
     RingMap,
     check_sample_count,
@@ -33,18 +34,6 @@ from .maps import (
 from .ore import OreRing, SkewPoly
 
 
-@dataclass(frozen=True, slots=True)
-class TupleCertificate:
-    records: tuple[CheckRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-    def to_data(self) -> list:
-        return [r.to_data() for r in self.records]
-
-
 @dataclass(frozen=True, eq=False)
 class AutomorphicTuple:
     """Elements of an ambient ring with their claimed twists and the
@@ -53,7 +42,7 @@ class AutomorphicTuple:
     ambient: OreRing
     elements: tuple[SkewPoly, ...]
     twists: tuple[tuple[RingMap, RingMap], ...]
-    certificate: TupleCertificate
+    certificate: Certificate
 
     def __len__(self):
         return len(self.elements)
@@ -113,7 +102,7 @@ def certify_tuple(ambient: OreRing, elements, twists,
                                    failures,
                                    _linear_form_flag(ambient, s, aut)))
     return AutomorphicTuple(ambient, elements, twists,
-                            TupleCertificate(tuple(records)))
+                            Certificate(tuple(records)))
 
 
 def evaluate(f: SkewPoly, tup: AutomorphicTuple) -> SkewPoly:

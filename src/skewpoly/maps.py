@@ -357,6 +357,20 @@ class CheckRecord:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class Certificate:
+    """The law checks of a ring or a tuple; it passes when every one does."""
+
+    records: tuple[CheckRecord, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.records)
+
+    def to_data(self) -> list:
+        return [r.to_data() for r in self.records]
+
+
 @lru_cache(maxsize=None)
 def _sample_cache(domain_name: str, seed: int, count: int):
     rng = random.Random(seed)

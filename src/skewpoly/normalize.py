@@ -89,6 +89,24 @@ class MonicRelation:
             if t.degree_in(self.var) > 0:
                 raise ValueError("tails must not involve the monic variable")
 
+    @classmethod
+    def read(cls, poly: SkewPoly, var: int) -> "MonicRelation":
+        """The relation ``poly = 0``, whose leading coefficient in ``var``
+        must be exactly 1."""
+        ring = poly.ring
+        m = poly.degree_in(var)
+        if m < 1:
+            raise SkewError("the relation must involve the monic variable")
+        buckets = poly.split_by_var(var)
+        top = buckets[m]
+        if top != ring.one():
+            raise SkewError(
+                f"relation is not monic in {ring.names[var]!r} "
+                f"(leading coefficient {top})"
+            )
+        tails = tuple(buckets.get(m - j, ring.zero()) for j in range(1, m + 1))
+        return cls(ring, var, m, tails)
+
     def polynomial(self) -> SkewPoly:
         one = self.ring.domain.one()
         n = self.ring.nvars
@@ -140,7 +158,7 @@ def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
     """
     if h.is_zero():
         raise ZeroPolynomial("no non-vanishing point for the zero polynomial")
-    budget = int(h.total_degree()) + 1
+    budget = h.total_degree() + 1
     candidates = list(islice(stream, budget))
     point = []
     tests = 0
@@ -164,8 +182,7 @@ def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
 def _require_normalizable(ring: OreRing):
     if ring.flavor is not Flavor.COMMUTING:
         raise ValueError("a commuting-variable ring is required")
-    if not ring.certificate.ok:
-        raise IncompatibleMaps("ring compatibility certificate failed")
+    ring._require_certificate("normalization")
     auts = {v.aut for v in ring.variables}
     if len(auts) > 1:
         raise IncompatibleMaps(
@@ -221,7 +238,7 @@ def monicize(f: SkewPoly, target: int | None = None,
     tup = certify_tuple(ring, elements, mixed_ring.twists(), samples, seed)
     g = evaluate(reinterpret(f, mixed_ring), tup).scale_left(scale)
 
-    top = tuple(int(degree) if t == target else 0 for t in range(ring.nvars))
+    top = tuple(degree if t == target else 0 for t in range(ring.nvars))
     if g.degree_in(target) != degree or g.coeff(top) != one:
         raise SkewError(
             "internal error: monicization postcondition failed"
@@ -272,13 +289,7 @@ def normalize_step(f: SkewPoly, samples: int = DEFAULT_SAMPLES,
         [(v.name, aut, d) for v, d in zip(ring.variables, mixed)],
         Flavor.COMMUTING, samples=samples, seed=seed)
 
-    m = int(g.degree_in(target))
-    buckets = g.split_by_var(target)
-    tails = tuple(
-        reinterpret(buckets.get(m - j, ring.zero()), new_ring)
-        for j in range(1, m + 1)
-    )
-    relation = MonicRelation(new_ring, target, m, tails)
+    relation = MonicRelation.read(reinterpret(g, new_ring), target)
 
     t_last = ring.variable(target)
     t_elements = [ring.variable(i) - t_last.scale_left(u)
@@ -305,7 +316,7 @@ def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly
         if k < m:
             break
         top = {
-            exp[:v] + (int(k) - m,) + exp[v + 1:]: c
+            exp[:v] + (k - m,) + exp[v + 1:]: c
             for exp, c in r.terms.items() if exp[v] == k
         }
         quo = SkewPoly(e.ring, top)

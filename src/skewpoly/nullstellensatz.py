@@ -172,7 +172,7 @@ def gordon_motzkin_check(f: SkewPoly, roots) -> ClassPartition:
                 break
         else:
             classes.append([r])
-    degree = int(f.total_degree())
+    degree = f.total_degree()
     if len(classes) > degree:
         raise BoundViolated(
             f"{len(classes)} conjugacy classes exceed degree {degree}"

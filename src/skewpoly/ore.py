@@ -6,7 +6,8 @@ defining relation ``t_i * r = aut_i(r) * t_i + der_i(r)``.  Variables fix
 each other (the tower flavor is the converted commuting-variable ring), so
 every element has a unique expansion with left coefficients in the monomial
 basis ``t_1^{i_1} ... t_n^{i_n}``.  ``SkewPoly`` stores that expansion as a
-sparse map from exponent vectors to non-zero coefficients.
+sparse map from exponent vectors to non-zero coefficients.  Degrees are
+integers; the zero polynomial has degree -1.
 
 Multiplication distributes the right factor's monomials through the left
 one, commuting scalars variable by variable.  Each product builds one
@@ -29,6 +30,7 @@ from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
 from .maps import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    Certificate,
     CheckRecord,
     IdentityAut,
     RingMap,
@@ -38,8 +40,6 @@ from .maps import (
     derivation_record,
 )
 from .scalars import Scalar, ScalarDomain
-
-MINUS_INFINITY = float("-inf")
 
 
 class Flavor(str, Enum):
@@ -54,21 +54,8 @@ class Variable:
     der: RingMap
 
 
-@dataclass(frozen=True, slots=True)
-class RingCertificate:
+def _certify(domain, variables, samples, seed) -> Certificate:
     """Leibniz certification per variable plus pairwise map commutation."""
-
-    records: tuple[CheckRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-    def to_data(self) -> list:
-        return [r.to_data() for r in self.records]
-
-
-def _certify(domain, variables, samples, seed) -> RingCertificate:
     records = []
     for v in variables:
         rec = derivation_record(domain, v.aut, v.der, samples, seed)
@@ -81,7 +68,7 @@ def _certify(domain, variables, samples, seed) -> RingCertificate:
                            (a.der, b.aut), (a.der, b.der)):
                 records.append(commutation_record(domain, m1, m2,
                                                   samples, seed))
-    return RingCertificate(tuple(records))
+    return Certificate(tuple(records))
 
 
 class OreRing:
@@ -161,10 +148,7 @@ class OreRing:
         them, so the normal form and products are unchanged; the conversion
         is gated on the compatibility certificate.
         """
-        if not self.certificate.ok:
-            raise IncompatibleMaps(
-                "cannot convert: compatibility certificate failed"
-            )
+        self._require_certificate("conversion")
         return OreRing(self.domain, self.variables, Flavor.TOWER,
                        samples=self.samples, seed=self.seed)
 
@@ -198,17 +182,9 @@ class OreRing:
             tuple(k if t == i else 0 for t in range(self.nvars)), r)
 
     def monomial_times_scalar(self, exponents, r: Scalar) -> "SkewPoly":
-        """Normal form of ``t_1^{i_1} ... t_n^{i_n} * r``.
-
-        Refused, as products are, on a failed compatibility certificate: the
-        Leibniz form of the power table needs an additive derivation.
-        """
-        exponents = tuple(exponents)
-        _check_exponents(exponents, self.nvars, self)
-        self._require_certificate("commutation")
-        table = _PowerTable(self)
-        return SkewPoly(self, {exps: table.scaled(m, c)
-                               for exps, m, c in table.monomial(exponents, r)})
+        """Normal form of ``t_1^{i_1} ... t_n^{i_n} * r``, by one product,
+        which checks the exponents and the certificate."""
+        return self.monomial(exponents, self.domain.one()) * r
 
     def scalar_var_power(self, r: Scalar, j: int, m: int) -> "SkewPoly":
         """Normal form of ``(r * t_j)^m`` (m >= 1)."""
@@ -296,13 +272,6 @@ def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
     return {p: c for p, c in nxt.items() if not c.is_zero()}
 
 
-def _check_exponents(exps, n: int, ring: OreRing) -> None:
-    if len(exps) != n:
-        raise ValueError(f"exponent vector {exps} has wrong arity for {ring!r}")
-    if min(exps, default=0) < 0:
-        raise ValueError(f"exponent vector {exps} has a negative entry")
-
-
 def evaluation_context(domain: ScalarDomain, names) -> OreRing:
     """A trivially twisted commuting ring used for leading forms, whose
     variables stand for central arguments."""
@@ -322,7 +291,11 @@ class SkewPoly:
         n = ring.nvars
         clean = {}
         for exps, c in terms.items():
-            _check_exponents(exps, n, ring)
+            if len(exps) != n:
+                raise ValueError(
+                    f"exponent vector {exps} has wrong arity for {ring!r}")
+            if min(exps, default=0) < 0:
+                raise ValueError(f"exponent vector {exps} has a negative entry")
             if not c.is_zero():
                 clean[tuple(exps)] = c
         self.ring = ring
@@ -333,23 +306,19 @@ class SkewPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self):
-        """Maximal total exponent; the zero polynomial gets -inf."""
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(sum(e) for e in self.terms)
+    def total_degree(self) -> int:
+        """Maximal total exponent; the zero polynomial gets -1."""
+        return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, var: int):
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(e[var] for e in self.terms)
+    def degree_in(self, var: int) -> int:
+        return max((e[var] for e in self.terms), default=-1)
 
     def coeff(self, exponents) -> Scalar:
         return self.terms.get(tuple(exponents), self.ring.domain.zero())
 
     def constant_value(self) -> Scalar:
         """The scalar value of a constant polynomial."""
-        if self.total_degree() not in (MINUS_INFINITY, 0):
+        if self.total_degree() > 0:
             raise ValueError(f"{self} is not constant")
         return self.coeff((0,) * self.ring.nvars)
 

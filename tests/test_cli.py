@@ -243,6 +243,30 @@ class TestExitCodes:
                      "t^2", "--at", "x"]) == 1
         assert "CertificateFailed" in capsys.readouterr().err
 
+    def test_zero_relation_search_is_1(self, capsys):
+        # a zero degree used to be -inf, and int(-inf) raised OverflowError
+        configs = ROOT / "configs"
+        assert main(["cns-search", "--ring", str(configs / "quat.json"),
+                     "--sets", str(configs / "example_sets.txt"), "0"]) == 1
+        assert "ZeroPolynomial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["monicize", "--ring", "weyl2.json", "1"],
+        ["gm-check", "--ring", "weyl.json", "--roots", "1", "t"],
+        ["evaluate", "--ring", "weyl2.json", "t1", "--at", "t1"],
+        ["mix", "--ring", "weyl.json", "--coeff", "1"],
+        ["reduce", "--ring", "weyl.json", "--relation", "0", "--var", "t",
+         "t"],
+    ])
+    def test_library_error_is_one_line(self, capsys, argv):
+        argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a
+                for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("skewpoly: ")
+        assert "Traceback" not in err
+
     def test_usage_error_is_2(self, write):
         with pytest.raises(SystemExit) as info:
             main(["normalform"])

@@ -15,6 +15,7 @@ from skewpoly.maps import (
     DdxDer,
     IdentityAut,
     central_fixed_stream,
+    lin_comb,
     q_shift,
     QDiffDer,
     zero_der,
@@ -149,6 +150,19 @@ class TestMonicize:
                             ("t2", shift, zero_der(shift))])
         with pytest.raises(IncompatibleMaps):
             monicize(ring.monomial((1, 1), QX.one()))
+
+    def test_requires_passing_certificate(self):
+        # one shared automorphism, but d/dx and x*d/dx do not commute
+        ring = OreRing(QX, [("t1", IdentityAut(), DdxDer()),
+                            ("t2", IdentityAut(), lin_comb([(X, DdxDer())]))])
+        assert len({v.aut for v in ring.variables}) == 1
+        failed = [r.law for r in ring.certificate.records if not r.ok]
+        assert failed == ["commute(d/dx, lin_comb((x)*d/dx))"]
+        f = ring.monomial((1, 1), QX.one())
+        with pytest.raises(IncompatibleMaps):
+            monicize(f)
+        with pytest.raises(IncompatibleMaps):
+            normalize(ring, [f])
 
 
 class TestNormalizeStep:

@@ -23,7 +23,6 @@ from skewpoly.maps import (
 )
 from skewpoly.ore import (
     Flavor,
-    MINUS_INFINITY,
     OreRing,
     SkewPoly,
     random_poly,
@@ -281,9 +280,12 @@ class TestConversion:
 
 class TestDegreesAndForms:
     def test_zero_degree_sentinel(self, weyl):
-        assert weyl.zero().total_degree() == MINUS_INFINITY
-        assert weyl.zero().degree_in(0) == MINUS_INFINITY
+        assert weyl.zero().total_degree() == -1
+        assert weyl.zero().degree_in(0) == -1
         assert weyl.one().total_degree() == 0
+        assert type(weyl.zero().total_degree()) is int
+        assert type(weyl.variable(0).degree_in(0)) is int
+        assert weyl.zero().constant_value() == QX.zero()
 
     def test_leading_form_product(self, weyl2):
         f = weyl2.monomial((1, 1), QX.one())
