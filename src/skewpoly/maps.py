@@ -74,6 +74,7 @@ class InnerAut(RingMap):
     """Conjugation r -> c r c^-1 by a non-central witness c."""
 
     c: Scalar
+    c_inv: Scalar = field(init=False, repr=False, compare=False)
     role = "automorphism"
 
     def __post_init__(self):
@@ -83,13 +84,14 @@ class InnerAut(RingMap):
             raise ValueError(
                 "central witness gives the identity; use inner_aut()"
             )
+        object.__setattr__(self, "c_inv", self.c.inv())
 
     def __call__(self, r):
         _expect(r, type(self.c), "this inner automorphism")
-        return self.c * r * self.c.inv()
+        return self.c * r * self.c_inv
 
     def inverse(self):
-        return InnerAut(self.c.inv())
+        return InnerAut(self.c_inv)
 
     def describe(self):
         return f"inner_aut({self.c})"

@@ -11,7 +11,9 @@ equality and the zero test are structural:
   PRS over Python integers.  Printing (and ``num``/``den``) divides
   through to the monic denominator;
 * ``HQ``  -- the rational quaternions (the (-1,-1 / Q) algebra), the only
-  noncommutative ring of the three.
+  noncommutative ring of the three, stored as four integer numerators over
+  one positive common denominator, all five jointly primitive; each
+  operation works on Python integers and ends in one 5-way gcd.
 
 Mixing scalars from different rings raises :class:`VariantMismatch`; every
 computation is tagged with exactly one active ring.
@@ -24,9 +26,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DivisionByZero, VariantMismatch
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,66 +387,85 @@ class RationalFunction(Scalar):
         return f"RationalFunction({self})"
 
 
+def _hq(a, b, c, d, m) -> "Quaternion":
+    """``(a + b i + c j + d k)/m`` from integers with ``m > 0``, divided by
+    their joint content."""
+    g = gcd(a, b, c, d, m)
+    if g != 1:
+        a, b, c, d, m = a // g, b // g, c // g, d // g, m // g
+    return Quaternion((a, b, c, d), m)
+
+
 @dataclass(frozen=True, slots=True)
 class Quaternion(Scalar):
-    """Element of the (-1,-1 / Q) quaternion division algebra."""
+    """Element of the (-1,-1 / Q) quaternion division algebra:
+    ``(a + b i + c j + d k)/den`` with ``ints = (a, b, c, d)``, the five
+    integers jointly primitive and ``den > 0``.  ``w``, ``x``, ``y`` and
+    ``z`` give the four coordinates as ``Fraction``s."""
 
-    w: Fraction
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    ints: tuple[int, int, int, int]
+    den: int
 
-    def __post_init__(self):
-        for f in ("w", "x", "y", "z"):
-            v = getattr(self, f)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, f, Fraction(v))
+    w = property(lambda self: Fraction(self.ints[0], self.den))
+    x = property(lambda self: Fraction(self.ints[1], self.den))
+    y = property(lambda self: Fraction(self.ints[2], self.den))
+    z = property(lambda self: Fraction(self.ints[3], self.den))
 
     def _add(self, other):
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        a, b, c, d = self.ints
+        e, f, g, h = other.ints
+        m, n = self.den, other.den
+        if m == n:
+            return _hq(a + e, b + f, c + g, d + h, m)
+        return _hq(a * n + e * m, b * n + f * m, c * n + g * m,
+                   d * n + h * m, m * n)
 
     def _mul(self, other):
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        a, b, c, d = self.ints
+        e, f, g, h = other.ints
+        return _hq(a * e - b * f - c * g - d * h,
+                   a * f + b * e + c * h - d * g,
+                   a * g - b * h + c * e + d * f,
+                   a * h + b * g - c * f + d * e,
+                   self.den * other.den)
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        a, b, c, d = self.ints
+        return Quaternion((-a, -b, -c, -d), self.den)
 
     def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        a, b, c, d = self.ints
+        return Quaternion((a, -b, -c, -d), self.den)
 
     def reduced_trace(self) -> Fraction:
-        return 2 * self.w
+        return Fraction(2 * self.ints[0], self.den)
 
     def reduced_norm(self) -> Fraction:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
+        a, b, c, d = self.ints
+        return Fraction(a * a + b * b + c * c + d * d, self.den * self.den)
 
     def _inv(self):
-        n = self.reduced_norm()
-        c = self.conjugate()
-        return Quaternion(c.w / n, c.x / n, c.y / n, c.z / n)
+        # conj(q)/N(q) = (a, -b, -c, -d) m / (a^2 + b^2 + c^2 + d^2)
+        a, b, c, d = self.ints
+        m = self.den
+        return _hq(a * m, -b * m, -c * m, -d * m,
+                   a * a + b * b + c * c + d * d)
 
     def is_zero(self):
-        return self.w == 0 and self.x == 0 and self.y == 0 and self.z == 0
+        return self.ints == (0, 0, 0, 0)
 
     def is_central(self):
-        return self.x == 0 and self.y == 0 and self.z == 0
+        _, b, c, d = self.ints
+        return b == 0 and c == 0 and d == 0
 
     def is_display_negative(self):
-        for comp in (self.w, self.x, self.y, self.z):
-            if comp != 0:
-                return comp < 0
+        for n in self.ints:
+            if n != 0:
+                return n < 0
         return False
 
     def is_atomic_factor(self):
-        return sum(1 for c in (self.w, self.x, self.y, self.z) if c != 0) <= 1
+        return sum(1 for n in self.ints if n != 0) <= 1
 
     @property
     def domain(self):
@@ -455,17 +473,18 @@ class Quaternion(Scalar):
 
     def __str__(self):
         parts = []
-        for comp, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
-            if comp == 0:
+        m = self.den
+        for n, unit in zip(self.ints, ("", "i", "j", "k")):
+            if n == 0:
                 continue
             if not unit:
-                parts.append(str(comp))
-            elif comp == 1:
+                parts.append(str(Fraction(n, m)))
+            elif n == m:
                 parts.append(unit)
-            elif comp == -1:
+            elif n == -m:
                 parts.append(f"-{unit}")
             else:
-                parts.append(f"{comp}*{unit}")
+                parts.append(f"{Fraction(n, m)}*{unit}")
         if not parts:
             return "0"
         text = parts[0]
@@ -538,7 +557,7 @@ class _FunctionFieldDomain(ScalarDomain):
         return RationalFunction.make((Fraction(q),))
 
     def x(self) -> RationalFunction:
-        return RationalFunction.make((_ZERO, _ONE))
+        return RationalFunction.make((0, 1))
 
     def from_coeffs(self, num, den=(1,)) -> RationalFunction:
         return RationalFunction.make(num, den)
@@ -556,26 +575,33 @@ class _QuaternionDomain(ScalarDomain):
     name = "HQ"
 
     def from_int(self, n):
-        return Quaternion(Fraction(n), _ZERO, _ZERO, _ZERO)
+        return Quaternion((n, 0, 0, 0), 1)
 
     def from_fraction(self, q):
-        return Quaternion(Fraction(q), _ZERO, _ZERO, _ZERO)
+        q = Fraction(q)
+        return Quaternion((q.numerator, 0, 0, 0), q.denominator)
 
     def i(self):
-        return Quaternion(_ZERO, _ONE, _ZERO, _ZERO)
+        return Quaternion((0, 1, 0, 0), 1)
 
     def j(self):
-        return Quaternion(_ZERO, _ZERO, _ONE, _ZERO)
+        return Quaternion((0, 0, 1, 0), 1)
 
     def k(self):
-        return Quaternion(_ZERO, _ZERO, _ZERO, _ONE)
+        return Quaternion((0, 0, 0, 1), 1)
 
     def make(self, w, x=0, y=0, z=0) -> Quaternion:
-        return Quaternion(Fraction(w), Fraction(x), Fraction(y), Fraction(z))
+        # over the lcm of reduced denominators the five are jointly primitive
+        parts = [Fraction(v) for v in (w, x, y, z)]
+        m = lcm(*(p.denominator for p in parts))
+        return Quaternion(tuple(p.numerator * (m // p.denominator)
+                                for p in parts), m)
 
     def random(self, rng):
-        return Quaternion(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                            for _ in range(4)))
+        # the draws of four Fraction(randint(-5, 5), randint(1, 3))
+        parts = [(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+        m = lcm(*(d for _, d in parts))
+        return _hq(*(n * (m // d) for n, d in parts), m)
 
     def central_probes(self):
         # commuting with i and j forces the j,k and i,k parts to vanish

@@ -2,6 +2,7 @@
 
 import itertools
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +78,25 @@ class TestApply:
         oracle = (shift(f) - f) * X.inv()
         assert oracle == QX.from_coeffs((0, 3))
         assert QDiffDer(shift)(f) == oracle
+
+    def test_inner_aut_inverts_its_witness_once(self, monkeypatch):
+        # c^-1 is computed at construction, and is not part of the map's
+        # identity: equality, hash, repr and descriptors see c alone
+        c = HQ.make(1, 2, 0, 1)
+        aut = InnerAut(c)
+        assert aut.c_inv == c.inv()
+        twin = InnerAut(HQ.make(2, 4, 0, 2) * HQ.make(Fraction(1, 2)))
+        assert aut == twin and hash(aut) == hash(twin)
+        assert repr(aut) == "InnerAut(c=Quaternion(1 + 2*i + k))"
+        assert aut.describe() == "inner_aut(1 + 2*i + k)"
+        assert aut.to_data() == {"kind": "inner_aut", "c": "1 + 2*i + k"}
+        inversions = []
+        original = type(c)._inv
+        monkeypatch.setattr(type(c), "_inv",
+                            lambda q: inversions.append(q) or original(q))
+        for r in (I, J, K, HQ.make(Fraction(1, 3), 2, -1, 5)):
+            assert aut(r) == c * r * original(c)
+        assert inversions == []
 
     def test_inner_der(self):
         d = InnerDer(J, inner_aut(I))

@@ -1,5 +1,6 @@
 """Exact arithmetic in the three coefficient rings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from skewpoly import scalars
 from skewpoly.errors import DivisionByZero, VariantMismatch
+from skewpoly.parser import parse_scalar
 from skewpoly.scalars import (
     HQ,
     Q,
@@ -21,7 +23,7 @@ from skewpoly.scalars import (
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 rationals = fractions_st.map(Rational)
 quaternions = st.tuples(fractions_st, fractions_st, fractions_st,
-                        fractions_st).map(lambda t: Quaternion(*t))
+                        fractions_st).map(lambda t: HQ.make(*t))
 ratfuncs = st.builds(
     RationalFunction.make,
     st.lists(fractions_st, min_size=1, max_size=3),
@@ -423,3 +425,198 @@ def test_scale_argument_by_zero_evaluates_at_zero():
     assert f.scale_argument(0) == QX.from_coeffs((Fraction(3, 2),))
     with pytest.raises(DivisionByZero):
         QX.from_coeffs((3, 1), (0, 1)).scale_argument(0)
+
+
+# ---------------------------------------------------------------------------
+# reference H(Q): four Fraction coordinates
+# ---------------------------------------------------------------------------
+# Quaternion computes over four integer numerators and one common
+# denominator; this is the Fraction arithmetic it replaced, kept as an oracle
+# that shares no code with skewpoly.  An element is a (w, x, y, z) tuple of
+# Fractions.
+
+def ref_q_add(p, r):
+    return tuple(a + b for a, b in zip(p, r))
+
+
+def ref_q_neg(p):
+    return tuple(-c for c in p)
+
+
+def ref_q_mul(p, r):
+    a, b, c, d = p
+    e, f, g, h = r
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def ref_q_conj(p):
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+def ref_q_trace(p):
+    return 2 * p[0]
+
+
+def ref_q_norm(p):
+    return sum(c * c for c in p)
+
+
+def ref_q_inv(p):
+    n = ref_q_norm(p)
+    return tuple(c / n for c in ref_q_conj(p))
+
+
+def ref_q_are_conjugate(p, r):
+    if not any(p[1:]) or not any(r[1:]):
+        return p == r
+    return ref_q_trace(p) == ref_q_trace(r) and ref_q_norm(p) == ref_q_norm(r)
+
+
+def ref_q_str(p):
+    parts = []
+    for c, unit in zip(p, ("", "i", "j", "k")):
+        if c == 0:
+            continue
+        if not unit:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(unit if c == 1 else "-" + unit)
+        else:
+            parts.append(f"{c}*{unit}")
+    text = parts[0] if parts else "0"
+    for part in parts[1:]:
+        text += " - " + part[1:] if part.startswith("-") else " + " + part
+    return text
+
+
+def assert_canonical(q):
+    """Four integer numerators and a positive denominator, jointly
+    primitive: the one form of each value."""
+    assert type(q) is Quaternion
+    assert type(q.den) is int and q.den > 0
+    assert len(q.ints) == 4 and all(type(n) is int for n in q.ints)
+    assert math.gcd(*q.ints, q.den) == 1
+
+
+def assert_q_matches(got, want):
+    assert (got.w, got.x, got.y, got.z) == want
+    assert_canonical(got)
+    assert str(got) == ref_q_str(want)
+    nonzero = [c for c in want if c != 0]
+    assert got.is_zero() == (not nonzero)
+    assert got.is_central() == (not any(want[1:]))
+    assert got.is_display_negative() == (bool(nonzero) and nonzero[0] < 0)
+    assert got.is_atomic_factor() == (len(nonzero) <= 1)
+    rebuilt = HQ.make(*want)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+# denominators 1 to 6, so common denominators are mostly not 1
+hq_coords = st.tuples(*[st.builds(Fraction, st.integers(-6, 6),
+                                  st.integers(1, 6))] * 4)
+
+
+@given(hq_coords, hq_coords)
+def test_quaternion_matches_fraction_reference(p, r):
+    a, b = HQ.make(*p), HQ.make(*r)
+    # the same common denominator as a, for the equal-denominator sum
+    rs = tuple(c + 1 for c in p)
+    shared = HQ.make(*rs)
+    for got, want in ((a, p), (b, r), (shared, rs)):
+        assert_q_matches(got, want)
+    assert (a == b) == (p == r)
+    pairs = [(b, r), (shared, rs), (a, p)]
+    if any(r):
+        # a conjugate of a by b, so that the conjugacy test meets a True
+        moved = ref_q_mul(ref_q_mul(r, p), ref_q_inv(r))
+        assert_q_matches(b * a * b.inv(), moved)
+        pairs.append((HQ.make(*moved), moved))
+    for other, ro in pairs:
+        assert_q_matches(a + other, ref_q_add(p, ro))
+        assert_q_matches(a - other, ref_q_add(p, ref_q_neg(ro)))
+        assert_q_matches(a * other, ref_q_mul(p, ro))
+        assert are_conjugate(a, other) == ref_q_are_conjugate(p, ro)
+        if any(ro):
+            assert_q_matches(other.inv(), ref_q_inv(ro))
+            assert_q_matches(a / other, ref_q_mul(p, ref_q_inv(ro)))
+    assert_q_matches(-a, ref_q_neg(p))
+    assert_q_matches(a.conjugate(), ref_q_conj(p))
+    for got, want in ((a.reduced_trace(), ref_q_trace(p)),
+                      (a.reduced_norm(), ref_q_norm(p))):
+        assert type(got) is Fraction and got == want
+
+
+def test_quaternion_product_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    sq = pytest.importorskip("sympy.algebras.quaternion")
+    rng = random.Random(11)
+
+    def draw():
+        return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                     for _ in range(4))
+
+    def to_sympy(p):
+        return sq.Quaternion(*(sympy.Rational(c.numerator, c.denominator)
+                               for c in p))
+
+    def coords(s):
+        return tuple(Fraction(int(c.p), int(c.q))
+                     for c in (s.a, s.b, s.c, s.d))
+
+    def parts(q):
+        return (q.w, q.x, q.y, q.z)
+
+    for _ in range(60):
+        p, r = draw(), draw()
+        a, b = HQ.make(*p), HQ.make(*r)
+        assert parts(a * b) == coords(to_sympy(p) * to_sympy(r))
+        if any(r):
+            assert parts(b.inv()) == coords(to_sympy(r).inverse())
+
+
+def test_quaternion_constructors_are_canonical():
+    rng = random.Random(3)
+    built = [HQ.zero(), HQ.one(), HQ.i(), HQ.j(), HQ.k(), HQ.from_int(-6),
+             HQ.from_fraction(Fraction(6, 4)), HQ.from_fraction("-3/9"),
+             HQ.make(Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6)),
+             HQ.make("2/4", 0, "6/3"), HQ.make(0, 0, 0, 0)]
+    built += [parse_scalar(text, HQ) for text in (
+        "0", "2/4", "(2 + 2*i)/4", "1/2*i + 1/3*j - 5/6*k", "i*j",
+        "6/3 - 4/2*k", "1/(i + j)", "(1 + i)^3/6")]
+    built += [HQ.random(rng) for _ in range(20)]
+    for q in built:
+        assert_canonical(q)
+    for a in built:
+        for b in built:
+            for q in (a + b, a - b, a * b, -a, a.conjugate()):
+                assert_canonical(q)
+            if not b.is_zero():
+                assert_canonical(a / b)
+                assert_canonical(b.inv())
+
+
+@pytest.mark.parametrize("left, right", [
+    (HQ.make(Fraction(1, 2), Fraction(1, 2)) * HQ.from_int(2), HQ.make(1, 1)),
+    (HQ.make(Fraction(1, 3)) + HQ.make(Fraction(2, 3)), HQ.one()),
+    (HQ.make(Fraction(1, 6), 0, Fraction(1, 4))
+     + HQ.make(Fraction(1, 3), 0, Fraction(-1, 4)), HQ.make(Fraction(1, 2))),
+    (HQ.i() * HQ.i() + HQ.one(), HQ.zero()),
+    (HQ.from_fraction(Fraction(4, 2)), HQ.from_int(2)),
+    (HQ.make(1, 1).inv(), HQ.make(Fraction(1, 2), Fraction(-1, 2))),
+    (parse_scalar("(2 + 2*i)/4", HQ), HQ.make(Fraction(1, 2), Fraction(1, 2))),
+])
+def test_equal_quaternions_are_equal_and_hash_equal(left, right):
+    assert left == right and hash(left) == hash(right)
+    assert (left.ints, left.den) == (right.ints, right.den)
+
+
+def test_random_quaternion_makes_the_reference_draws():
+    for seed in range(200):
+        ref, rng = random.Random(seed), random.Random(seed)
+        want = tuple(Fraction(ref.randint(-5, 5), ref.randint(1, 3))
+                     for _ in range(4))
+        assert_q_matches(HQ.random(rng), want)
+        assert rng.getstate() == ref.getstate()
