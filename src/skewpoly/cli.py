@@ -311,11 +311,14 @@ _HANDLERS = {
 
 
 def _emit(text: str, output):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -323,16 +326,16 @@ def main(argv=None) -> int:
     try:
         ring = load_ring(args.ring, samples=args.samples, seed=args.seed)
         lines, data = _HANDLERS[args.command](ring, args)
+        if args.format == "json":
+            _emit(json.dumps(data, indent=2) + "\n", args.output)
+        else:
+            _emit("".join(line + "\n" for line in lines), args.output)
     except (ParseError, ConfigError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except (SkewError, ValueError) as exc:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.output)
-    else:
-        _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 

@@ -3,9 +3,9 @@
 ``monicize`` makes a non-zero relation monic in a chosen variable through a
 central linear change of variables ``y_k -> y_k + u_k * y_m`` and a left
 scale; the shifts come from the central fixed subfield and are found by
-recursive univariate specialization of the relation's leading form (a
-non-zero left polynomial of degree d has at most d central roots, so d+1
-candidates per coordinate always suffice).
+the witness search's coordinate-by-coordinate specialization of the
+relation's leading form (a non-zero left polynomial of degree d has at most
+d central roots, so d+1 candidates per coordinate always suffice).
 
 ``normalize`` iterates this: each witness relation is re-expressed through
 the accumulated substitutions, reduced by the accumulated monic relations,
@@ -29,12 +29,11 @@ from .errors import (
 )
 from .evaluation import certify_tuple, evaluate, mix_derivations
 from .maps import DEFAULT_SAMPLES, DEFAULT_SEED, central_fixed_stream, lin_comb
-from .nullstellensatz import formal_substitute
+from .nullstellensatz import nonvanishing_points
 from .ore import (
     Flavor,
     OreRing,
     SkewPoly,
-    evaluation_context,
     extend_from_prefix,
     reinterpret,
     restrict_to_prefix,
@@ -130,53 +129,27 @@ class MonicRelation:
 @dataclass(frozen=True, slots=True)
 class PointSearch:
     point: tuple[Scalar, ...]
+    value: Scalar
     specializations: int
 
 
-def _specialize_first(h: SkewPoly, value: Scalar) -> SkewPoly:
-    """Substitute a central value for the first context variable."""
-    ctx = evaluation_context(h.ring.domain, h.ring.names[1:])
-    terms: dict = {}
-    for e, c in h.terms.items():
-        v = c * value ** e[0]
-        key = e[1:]
-        if key in terms:
-            v = terms[key] + v
-        if v.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = v
-    return SkewPoly(ctx, terms)
-
-
 def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
-    """A point of F^k with h(point) != 0, by univariate specialization.
-
-    Per coordinate the first deg(h)+1 stream values are tried and the first
-    one keeping the specialized polynomial non-zero is fixed; Gordon-Motzkin
-    guarantees one exists, so exhaustion is defensive.
+    """The first point of C^k, C the first deg(h)+1 stream values, with
+    h(point) != 0.  The candidates are distinct and central, so the search
+    never backtracks and makes j + 1 specializations for a coordinate fixed
+    to the j-th candidate; exhaustion is defensive.
     """
     if h.is_zero():
         raise ZeroPolynomial("no non-vanishing point for the zero polynomial")
-    budget = h.total_degree() + 1
-    candidates = list(islice(stream, budget))
-    point = []
-    tests = 0
-    cur = h
-    for _ in range(h.ring.nvars):
-        for c in candidates:
-            tests += 1
-            sp = _specialize_first(cur, c)
-            if not sp.is_zero():
-                point.append(c)
-                cur = sp
-                break
-        else:
-            raise SearchExhausted(
-                "all candidate specializations vanished (cannot occur for a "
-                "non-zero polynomial over an infinite fixed subfield)"
-            )
-    return PointSearch(tuple(point), tests)
+    candidates = list(islice(stream, h.total_degree() + 1))
+    grid = [candidates] * h.ring.nvars
+    for indices, value in nonvanishing_points(h.terms, grid):
+        return PointSearch(tuple(candidates[j] for j in indices), value,
+                           sum(indices) + len(indices))
+    raise SearchExhausted(
+        "all candidate specializations vanished (cannot occur for a "
+        "non-zero polynomial over an infinite fixed subfield)"
+    )
 
 
 def _require_normalizable(ring: OreRing):
@@ -213,8 +186,7 @@ def monicize(f: SkewPoly, target: int | None = None,
     h = f.leading_form(target)
     stream = central_fixed_stream(ring.domain, ring.tower_maps())
     search = find_nonvanishing_point(h, stream)
-    leading_value = formal_substitute(h, search.point)
-    scale = leading_value.inv()
+    scale = search.value.inv()
 
     aut = ring.variables[0].aut
     one = ring.domain.one()
@@ -243,7 +215,7 @@ def monicize(f: SkewPoly, target: int | None = None,
         raise SkewError(
             "internal error: monicization postcondition failed"
         )
-    return Substitution(target, search.point, scale, leading_value), g
+    return Substitution(target, search.point, scale, search.value), g
 
 
 @dataclass(frozen=True, eq=False)

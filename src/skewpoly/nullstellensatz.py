@@ -6,12 +6,16 @@ ignoring the ring twists.  It is deliberately distinct from the evaluation
 homomorphism in :mod:`skewpoly.evaluation` -- formal substitution is not
 multiplicative, e.g. over the quaternions with trivial twists and f = t,
 g = j*t one has (f*g)(i) = -j while f(i)*g(i) = j.
+
+Points are found by the Nullstellensatz's own induction on coordinates
+(:func:`nonvanishing_points`), which also picks the central shifts of
+:func:`skewpoly.normalize.monicize`; under the validated hypotheses it makes
+at most |A_1| + ... + |A_n| specializations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     ArityMismatch,
@@ -74,6 +78,35 @@ def formal_substitute(f: SkewPoly, point) -> Scalar:
     return total
 
 
+def nonvanishing_points(terms: dict, sets):
+    """Yield ``(indices, value)`` for each point of A_1 x ... x A_n, in
+    lexicographic order, where the formal substitution of ``terms``
+    (exponent vector -> left coefficient) is non-zero.
+
+    Putting a into the first variable leaves the left coefficients
+    b_I * a^{i_1} of a polynomial in the rest with the same values; a zero
+    specialization is skipped, and an exhausted coordinate backtracks.
+    """
+    if not sets:
+        if terms:
+            yield (), terms[()]
+        return
+    rest = sets[1:]
+    exponents = {exps[0] for exps in terms} - {0}
+    for j, a in enumerate(sets[0]):
+        powers = {e: a**e for e in exponents}
+        spec: dict = {}
+        for exps, b in terms.items():
+            if exps[0]:
+                b = b * powers[exps[0]]
+            key = exps[1:]
+            spec[key] = spec[key] + b if key in spec else b
+        spec = {key: c for key, c in spec.items() if not c.is_zero()}
+        if spec:
+            for indices, value in nonvanishing_points(spec, rest):
+                yield (j, *indices), value
+
+
 def validate_sets(sets, degree: int) -> bool:
     """Witness-search hypotheses: pairwise non-conjugate, |A_i| > degree."""
     return all(s.ok and len(s) > degree for s in sets)
@@ -108,12 +141,13 @@ def cns_witness(f: SkewPoly, sets) -> Witness:
         raise ArityMismatch(
             f"{len(sets)} sets supplied for {f.ring.nvars} variables"
         )
-    scanned = 0
-    for point in product(*(s.elements for s in sets)):
-        scanned += 1
-        value = formal_substitute(f, point)
-        if not value.is_zero():
-            return Witness(tuple(point), value, scanned)
+    grid = [s.elements for s in sets]
+    for indices, value in nonvanishing_points(f.terms, grid):
+        index = 0
+        for j, elements in zip(indices, grid):
+            index = index * len(elements) + j
+        point = tuple(elements[j] for j, elements in zip(indices, grid))
+        return Witness(point, value, index + 1)
     raise NoWitnessFound(
         "no non-vanishing point in the product; hypotheses are violated"
     )

@@ -526,10 +526,6 @@ class ScalarDomain:
             if not s.is_zero():
                 return s
 
-    def central_probes(self) -> tuple[Scalar, ...]:
-        """Multiplicative generators: commuting with all of them is central."""
-        return ()
-
     def __repr__(self):
         return f"<domain {self.name}>"
 
@@ -567,9 +563,6 @@ class _FunctionFieldDomain(ScalarDomain):
         den = (rng.randint(1, 3), 1) if rng.random() < 0.3 else (1,)
         return _reduced(num, den)
 
-    def central_probes(self):
-        return (self.x(),)
-
 
 class _QuaternionDomain(ScalarDomain):
     name = "HQ"
@@ -602,10 +595,6 @@ class _QuaternionDomain(ScalarDomain):
         parts = [(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
         m = lcm(*(d for _, d in parts))
         return _hq(*(n * (m // d) for n, d in parts), m)
-
-    def central_probes(self):
-        # commuting with i and j forces the j,k and i,k parts to vanish
-        return (self.i(), self.j())
 
 
 Q = _RationalDomain()

@@ -267,6 +267,16 @@ class TestExitCodes:
         assert err.startswith("skewpoly: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("output", ["missing/report.txt", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_2(self, write, tmp_path, capsys, output):
+        assert main(["normalform", "--ring", write("r.json", WEYL), "t*x",
+                     "--output", str(tmp_path / output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skewpoly: error: cannot write ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_usage_error_is_2(self, write):
         with pytest.raises(SystemExit) as info:
             main(["normalform"])

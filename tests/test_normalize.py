@@ -72,6 +72,7 @@ class TestFindNonvanishingPoint:
             degree = int(h.total_degree())
             assert search.specializations <= (degree + 1) * len(names)
             assert not formal_substitute(h, search.point).is_zero()
+            assert search.value == formal_substitute(h, search.point)
 
     def test_zero_rejected(self, weyl):
         ctx = evaluation_context(QX, ("x1",))

@@ -18,8 +18,9 @@ from skewpoly.nullstellensatz import (
     make_evaluation_set,
     validate_sets,
 )
-from skewpoly.ore import random_poly
-from skewpoly.scalars import HQ, Q, are_conjugate
+from skewpoly.maps import IdentityAut, zero_der
+from skewpoly.ore import OreRing, random_poly
+from skewpoly.scalars import HQ, Q, Quaternion, are_conjugate
 
 I, J, K = HQ.i(), HQ.j(), HQ.k()
 
@@ -154,6 +155,92 @@ class TestWitnessSearch:
     def test_zero_polynomial_rejected(self, rat1):
         with pytest.raises(ZeroPolynomial):
             cns_witness(rat1.zero(), [make_evaluation_set([Q.zero()])])
+
+
+class TestSearchWork:
+    """The search specializes one coordinate at a time instead of
+    substituting at every grid point."""
+
+    @pytest.fixture(scope="class")
+    def quat3(self):
+        ident = IdentityAut()
+        return OreRing(HQ, [(n, ident, zero_der()) for n in ("s1", "s2", "s3")])
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_products_bounded_by_set_sizes(self, quat3, m, monkeypatch):
+        # f = prod_{c<m} (s1 - c) * (s2 + s3 + 7) vanishes on the first m
+        # values of s1; the full grid scan multiplies at every such point
+        s1, s2, s3 = (quat3.variable(i) for i in range(3))
+        f = s2 + s3 + quat3.constant(HQ.from_int(7))
+        for c in reversed(range(m)):
+            f = (s1 - quat3.constant(HQ.from_int(c))) * f
+        sets = [make_evaluation_set(
+            [HQ.from_int(c) for c in range(m + 2)])] * 3
+        assert validate_sets(sets, f.total_degree())
+
+        products = 0
+        original = Quaternion._mul
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Quaternion, "_mul", counted)
+        w = cns_witness(f, sets)
+        monkeypatch.undo()
+
+        assert products <= 2 * sum(len(s) for s in sets) * len(f.terms)
+        assert w.point == (HQ.from_int(m), HQ.zero(), HQ.zero())
+        assert w.scanned == m * (m + 2) ** 2 + 1
+        assert (w.point, w.scanned) == exhaustive_first_witness(f, sets)
+        assert w.value == formal_substitute(f, w.point)
+
+
+class TestBacktracking:
+    """Without the hypotheses a non-zero specialization may still vanish at
+    every completion; the search must then move on to the next value."""
+
+    def test_dead_prefixes_are_left(self, rat3):
+        # c - a*b: a = 0 leaves c, which vanishes on A_3 = {0}; so does
+        # (1, 0); the first witness is (1, 1, 0), the fourth grid point
+        a, b, c = (rat3.variable(i) for i in range(3))
+        f = c - a * b
+        sets = [make_evaluation_set([Q.zero(), Q.one()])] * 2 + [
+            make_evaluation_set([Q.zero()])]
+        assert not validate_sets(sets, f.total_degree())
+        w = cns_witness(f, sets)
+        assert w.point == (Q.one(), Q.one(), Q.zero())
+        assert w.value == Q.from_int(-1)
+        assert w.scanned == 4
+        assert (w.point, w.scanned) == exhaustive_first_witness(f, sets)
+
+    def test_matches_exhaustive_scan_on_starved_grids(self, rat3, quat2):
+        rng = random.Random(29)
+        pools = [(rat3, [Q.from_int(n) for n in range(-2, 3)]),
+                 (quat2, [HQ.zero(), HQ.one(), I, J, K, HQ.make(1, 1)])]
+        exhausted = 0
+        for ring, pool in pools:
+            first, last = ring.variable(0), ring.variable(ring.nvars - 1)
+            for _ in range(40):
+                sets = [make_evaluation_set(rng.sample(pool, rng.randint(1, 3)))
+                        for _ in range(ring.nvars)]
+                # over Q a prefix with first = b leaves u * (last - a), which
+                # may be non-zero but vanishes at the completion last = a
+                a = ring.constant(sets[-1].elements[0])
+                b = ring.constant(rng.choice(sets[0].elements))
+                f = (random_poly(ring, rng, 2, nonzero=True) * (last - a)
+                     + first - b)
+                oracle_point, oracle_index = exhaustive_first_witness(f, sets)
+                if oracle_point is None:
+                    exhausted += 1
+                    with pytest.raises(NoWitnessFound):
+                        cns_witness(f, sets)
+                    continue
+                w = cns_witness(f, sets)
+                assert (w.point, w.scanned) == (oracle_point, oracle_index)
+                assert w.value == formal_substitute(f, w.point)
+        assert exhausted
 
 
 class TestGordonMotzkin:

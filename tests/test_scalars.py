@@ -189,7 +189,8 @@ class TestConjugacy:
 
 @given(quaternions)
 def test_is_central_matches_probe_oracle(a):
-    probes = HQ.central_probes()
+    # commuting with i and j forces the j,k and i,k parts to vanish
+    probes = (HQ.i(), HQ.j())
     assert a.is_central() == all(a * p == p * a for p in probes)
 
 
