@@ -135,17 +135,16 @@ class PointSearch:
 
 def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
     """The first point of C^k, C the first deg(h)+1 stream values, with
-    h(point) != 0.  The candidates are distinct and central, so the search
-    never backtracks and makes j + 1 specializations for a coordinate fixed
-    to the j-th candidate; exhaustion is defensive.
+    h(point) != 0.  For distinct central candidates the search never
+    backtracks, so it makes at most k * (deg(h) + 1) specializations;
+    exhaustion is defensive.
     """
     if h.is_zero():
         raise ZeroPolynomial("no non-vanishing point for the zero polynomial")
     candidates = list(islice(stream, h.total_degree() + 1))
     grid = [candidates] * h.ring.nvars
-    for indices, value in nonvanishing_points(h.terms, grid):
-        return PointSearch(tuple(candidates[j] for j in indices), value,
-                           sum(indices) + len(indices))
+    for indices, value, made in nonvanishing_points(h.terms, grid):
+        return PointSearch(tuple(candidates[j] for j in indices), value, made)
     raise SearchExhausted(
         "all candidate specializations vanished (cannot occur for a "
         "non-zero polynomial over an infinite fixed subfield)"

@@ -78,22 +78,24 @@ def formal_substitute(f: SkewPoly, point) -> Scalar:
     return total
 
 
-def nonvanishing_points(terms: dict, sets):
-    """Yield ``(indices, value)`` for each point of A_1 x ... x A_n, in
+def nonvanishing_points(terms: dict, sets, prefix=(), made=0):
+    """Yield ``(indices, value, made)`` for each point of A_1 x ... x A_n, in
     lexicographic order, where the formal substitution of ``terms``
-    (exponent vector -> left coefficient) is non-zero.
+    (exponent vector -> left coefficient) is non-zero; ``made`` counts the
+    specializations made so far, those of abandoned prefixes included.
 
     Putting a into the first variable leaves the left coefficients
     b_I * a^{i_1} of a polynomial in the rest with the same values; a zero
     specialization is skipped, and an exhausted coordinate backtracks.
+    ``prefix`` (the indices fixed so far) and ``made`` carry the recursion.
     """
-    if not sets:
+    if len(prefix) == len(sets):
         if terms:
-            yield (), terms[()]
-        return
-    rest = sets[1:]
+            yield prefix, terms[()], made
+        return made
     exponents = {exps[0] for exps in terms} - {0}
-    for j, a in enumerate(sets[0]):
+    for j, a in enumerate(sets[len(prefix)]):
+        made += 1
         powers = {e: a**e for e in exponents}
         spec: dict = {}
         for exps, b in terms.items():
@@ -103,8 +105,8 @@ def nonvanishing_points(terms: dict, sets):
             spec[key] = spec[key] + b if key in spec else b
         spec = {key: c for key, c in spec.items() if not c.is_zero()}
         if spec:
-            for indices, value in nonvanishing_points(spec, rest):
-                yield (j, *indices), value
+            made = yield from nonvanishing_points(spec, sets, (*prefix, j), made)
+    return made
 
 
 def validate_sets(sets, degree: int) -> bool:
@@ -142,7 +144,7 @@ def cns_witness(f: SkewPoly, sets) -> Witness:
             f"{len(sets)} sets supplied for {f.ring.nvars} variables"
         )
     grid = [s.elements for s in sets]
-    for indices, value in nonvanishing_points(f.terms, grid):
+    for indices, value, _ in nonvanishing_points(f.terms, grid):
         index = 0
         for j, elements in zip(indices, grid):
             index = index * len(elements) + j

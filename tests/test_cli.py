@@ -3,6 +3,7 @@
 import json
 import pathlib
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -340,6 +341,19 @@ def test_readme_json_is_byte_identical(argv, monkeypatch, capsys):
     assert main(argv + ["--format", "json"]) == 0
     expected = (ROOT / "perfbench" / "expected" / f"{argv[0]}.json")
     assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_json_from_installed_script(argv):
+    # the same comparison through the console script, one fresh process each
+    script = shutil.which("skewpoly")
+    if script is None:
+        pytest.skip("the skewpoly console script is not installed")
+    run = subprocess.run([script, *argv, "--format", "json"], cwd=ROOT,
+                         capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    expected = (ROOT / "perfbench" / "expected" / f"{argv[0]}.json")
+    assert run.stdout == expected.read_bytes()
 
 
 def test_shipped_configs_load():

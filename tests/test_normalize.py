@@ -1,5 +1,6 @@
 """Monicization, the normalization chain and monic reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -71,8 +72,28 @@ class TestFindNonvanishingPoint:
             search = find_nonvanishing_point(h, stream_for(weyl3))
             degree = int(h.total_degree())
             assert search.specializations <= (degree + 1) * len(names)
+            # distinct candidates: no backtracking, j + 1 per coordinate
+            candidates = list(itertools.islice(stream_for(weyl3), degree + 1))
+            assert search.specializations == sum(
+                candidates.index(c) + 1 for c in search.point)
             assert not formal_substitute(h, search.point).is_zero()
             assert search.value == formal_substitute(h, search.point)
+
+    def test_counts_backtracked_specializations(self):
+        # Repeated candidates 0, 0, 1 break the no-backtracking guarantee:
+        # at x1 = 0, h = x2^2 - x2 + x1 is non-zero but vanishes at every
+        # candidate for x2.  Each of the two abandoned prefixes makes 1 + 3
+        # specializations, the point (1, 0) makes 1 + 1 more.
+        ctx = evaluation_context(Q, ("x1", "x2"))
+        h = (ctx.monomial((0, 2), Q.one()) - ctx.monomial((0, 1), Q.one())
+             + ctx.monomial((1, 0), Q.one()))
+        candidates = [Q.from_int(v) for v in (0, 0, 1)]
+        search = find_nonvanishing_point(h, iter(candidates))
+        first = next(p for p in itertools.product(candidates, repeat=2)
+                     if not formal_substitute(h, p).is_zero())
+        assert search.point == first == (Q.one(), Q.zero())
+        assert search.value == formal_substitute(h, first) == Q.one()
+        assert search.specializations == 10
 
     def test_zero_rejected(self, weyl):
         ctx = evaluation_context(QX, ("x1",))
