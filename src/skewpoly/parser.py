@@ -9,17 +9,29 @@ Grammar (whitespace insignificant, ``^`` takes a natural number of at most
     power  := atom ('^' NAT)?
     atom   := NAT | NAME | '(' expr ')'
 
-Names resolve to ring variables first, then to the active ring's scalar
-literals (``x`` over Q(x); ``i``, ``j``, ``k`` over the quaternions).
-Division requires a scalar-valued divisor, which is how rational literals
-like ``1/2`` and entered denominators like ``(x+1)/(x^2)`` are formed.
-Right-side coefficients are commuted into left position by the ring
-arithmetic itself, so the result is always the canonical expansion.
+``NAT`` is ASCII digits.  Names resolve to ring variables first, then to
+the active ring's scalar literals (``x`` over Q(x); ``i``, ``j``, ``k``
+over the quaternions).  Division requires a scalar-valued divisor, which is
+how rational literals like ``1/2`` and entered denominators like
+``(x+1)/(x^2)`` are formed.  Right-side coefficients are commuted into left
+position by the ring arithmetic itself, so the result is always the
+canonical expansion.
+
+Values are term dicts ``{exponents: non-zero left coefficient}``, wrapped
+in one ``SkewPoly`` at the end.  Products whose result is already a normal
+form skip ``SkewPoly.__mul__``: a constant times f is left scaling of f,
+and f times a unit monomial ``t^J`` adds J to every exponent vector, since
+the variables fix each other and every automorphism fixes 1 and every
+derivation kills it.  Likewise ``c^k`` of a constant is ``Scalar ** k`` and
+``(t^J)^k`` is ``t^(kJ)``.  Any other product or power is one
+``SkewPoly.__mul__`` or ``__pow__``.  Every ``*``, ``/`` and ``^k`` with
+k >= 2 first checks the ring's certificate, shortcut or not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError, UnknownScalarLiteral, UnknownVariable
 from .ore import OreRing, SkewPoly, evaluation_context
@@ -27,10 +39,13 @@ from .scalars import Scalar, ScalarDomain
 
 _LITERALS = {"x", "i", "j", "k"}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
+# A name starts with a letter or "_"; the match admits any word character
+# but a decimal digit, and ``tokenize`` rejects the rest (such as "²").
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num", "name", "op", "end"
     text: str
     line: int
@@ -39,40 +54,19 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        ch = src[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
+    line, line_start = 1, 0  # line_start: index of the line's first char
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < len(src) and src[pos].isdigit():
-                pos += 1
-            tokens.append(Token("num", src[start:pos], line, col))
-            col += pos - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < len(src) and (src[pos].isalnum() or src[pos] == "_"):
-                pos += 1
-            tokens.append(Token("name", src[start:pos], line, col))
-            col += pos - start
-            continue
-        if ch in "+-*/^()":
-            tokens.append(Token("op", ch, line, col))
-            col += 1
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+        if kind == "bad" or (kind == "name" and not text[0].isalpha()
+                             and text[0] != "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("end", "", line, len(src) - line_start + 1))
     return tokens
 
 
@@ -81,6 +75,8 @@ class _Parser:
         self.tokens = tokenize(src)
         self.pos = 0
         self.ring = ring
+        self.origin = (0,) * ring.nvars
+        self.one = ring.domain.one()
 
     @property
     def current(self) -> Token:
@@ -102,75 +98,105 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column)
 
     def parse(self) -> SkewPoly:
-        value = self.expr()
+        terms = self.expr()
         if self.current.kind != "end":
             self.fail(f"unexpected {self.current.text!r}")
-        return value
+        return SkewPoly(self.ring, terms)
 
-    def expr(self) -> SkewPoly:
-        value = self.term()
+    def expr(self) -> dict:
+        terms = self.term()
         while (op := self.accept_op("+", "-")) is not None:
-            rhs = self.term()
-            value = value + rhs if op.text == "+" else value - rhs
-        return value
+            for e, c in self.term().items():
+                if op.text == "-":
+                    c = -c
+                if e in terms:
+                    c = terms[e] + c
+                if c.is_zero():
+                    terms.pop(e, None)
+                else:
+                    terms[e] = c
+        return terms
 
-    def term(self) -> SkewPoly:
-        value = self.unary()
+    def term(self) -> dict:
+        terms = self.unary()
         while (op := self.accept_op("*", "/")) is not None:
             rhs = self.unary()
-            if op.text == "*":
-                value = value * rhs
-            else:
-                if rhs.total_degree() > 0:
+            if op.text == "/":
+                if rhs.keys() - {self.origin}:
                     raise ParseError("can only divide by a scalar",
                                      op.line, op.column)
-                value = value * self.ring.constant(rhs.constant_value().inv())
-        return value
+                zero = self.ring.domain.zero()
+                rhs = {self.origin: rhs.get(self.origin, zero).inv()}
+            terms = self.product(terms, rhs)
+        return terms
 
-    def unary(self) -> SkewPoly:
+    def product(self, a: dict, b: dict) -> dict:
+        ring = self.ring
+        ring._require_certificate("multiplication")
+        if a.keys() <= {self.origin}:  # a constant or zero: left scaling
+            return {e: c * v for c in a.values() for e, v in b.items()}
+        if len(b) == 1:
+            (right, v), = b.items()
+            if v == self.one:  # a unit monomial: exponent shift
+                return {tuple(p + q for p, q in zip(e, right)): c
+                        for e, c in a.items()}
+        return (SkewPoly(ring, a) * SkewPoly(ring, b)).terms
+
+    def unary(self) -> dict:
         if self.accept_op("-") is not None:
-            return -self.unary()
+            return {e: -c for e, c in self.unary().items()}
         return self.power()
 
-    def power(self) -> SkewPoly:
+    def power(self) -> dict:
         base = self.atom()
-        if self.accept_op("^") is not None:
-            tok = self.current
-            if tok.kind != "num":
-                self.fail("exponent must be a natural number")
-            self.advance()
-            k = int(tok.text)
-            if k > MAX_EXPONENT:
-                raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
-                                 tok.line, tok.column)
-            return base ** k
-        return base
+        if self.accept_op("^") is None:
+            return base
+        tok = self.current
+        if tok.kind != "num":
+            self.fail("exponent must be a natural number")
+        self.advance()
+        k = int(tok.text)
+        if k > MAX_EXPONENT:
+            raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
+                             tok.line, tok.column)
+        if k < 2:
+            return base if k else {self.origin: self.one}
+        self.ring._require_certificate("multiplication")
+        if base.keys() <= {self.origin}:  # a constant or zero: squaring
+            return {e: c ** k for e, c in base.items()}
+        if len(base) == 1:
+            (e, c), = base.items()
+            if c == self.one:  # a unit monomial: exponents times k
+                return {tuple(k * p for p in e): c}
+        return (SkewPoly(self.ring, base) ** k).terms
 
-    def atom(self) -> SkewPoly:
+    def atom(self) -> dict:
         tok = self.current
         if tok.kind == "num":
             self.advance()
-            return self.ring.constant(self.ring.domain.from_int(int(tok.text)))
+            n = int(tok.text)
+            return {self.origin: self.ring.domain.from_int(n)} if n else {}
         if tok.kind == "name":
             self.advance()
             return self.resolve_name(tok)
         if self.accept_op("(") is not None:
-            value = self.expr()
+            terms = self.expr()
             if self.accept_op(")") is None:
                 self.fail("expected ')'")
-            return value
+            return terms
         self.fail("expected a number, name or '('"
                   if tok.kind != "end" else "unexpected end of input")
 
-    def resolve_name(self, tok: Token) -> SkewPoly:
-        ring = self.ring
-        if tok.text in ring.names:
-            return ring.variable_named(tok.text)
-        domain = ring.domain
+    def resolve_name(self, tok: Token) -> dict:
+        names = self.ring.names
+        if tok.text in names:
+            i = names.index(tok.text)
+            return {tuple(int(t == i) for t in range(len(names))): self.one}
+        domain = self.ring.domain
         if domain.name == "Qx" and tok.text == "x":
-            return ring.constant(domain.x())
+            return {self.origin: domain.x()}
         if domain.name == "HQ" and tok.text in ("i", "j", "k"):
-            return ring.constant(getattr(domain, tok.text)())
+            return {self.origin: getattr(domain, tok.text)()}
         if tok.text in _LITERALS:
             raise UnknownScalarLiteral(
                 f"literal {tok.text!r} is not available over {domain.name}",

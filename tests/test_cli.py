@@ -224,6 +224,14 @@ class TestExitCodes:
                      "x^2000"]) == 2
         assert "exceeds 1000 (line 1, column 3)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr, column", [("t^²", 3), ("٣*t", 1)])
+    def test_non_ascii_digit_is_2(self, write, capsys, expr, column):
+        # "t^²" used to crash in int() with exit 1; "٣*t" read as 3*t
+        assert main(["normalform", "--ring", write("r.json", WEYL),
+                     expr]) == 2
+        assert (f"unexpected character {expr[column - 1]!r} "
+                f"(line 1, column {column})") in capsys.readouterr().err
+
     def test_config_error_is_2(self, write, capsys):
         assert main(["normalform", "--ring", write("r.json", "{broken"),
                      "t"]) == 2

@@ -1,17 +1,23 @@
-"""Grammar, name resolution and print/parse round-trips."""
+"""Grammar, name resolution, print/parse round-trips, and the parser's
+shortcuts against full SkewPoly arithmetic."""
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from skewpoly import DdxDer, IdentityAut, OreRing, q_shift, zero_der
 from skewpoly.errors import (
     DivisionByZero,
+    IncompatibleMaps,
     ParseError,
+    SkewError,
     UnknownScalarLiteral,
     UnknownVariable,
 )
-from skewpoly.ore import random_poly
-from skewpoly.parser import MAX_EXPONENT, parse_expr, parse_scalar
+from skewpoly.ore import SkewPoly, random_poly
+from skewpoly.parser import MAX_EXPONENT, parse_expr, parse_scalar, tokenize
 from skewpoly.scalars import HQ, Q, QX
 
 
@@ -135,3 +141,252 @@ class TestRoundTrip:
             for _ in range(40):
                 s = domain.random(rng)
                 assert parse_scalar(str(s), domain) == s
+
+
+class TestShortcuts:
+    @pytest.fixture(scope="class")
+    def twisted(self):
+        # TWISTED_PAIR of test_cli.py: the q-shift and d/dx do not commute,
+        # so the certificate fails and every product is refused
+        shift = q_shift(2)
+        ring = OreRing(QX, [("a", shift, zero_der(shift)),
+                            ("b", IdentityAut(), DdxDer())])
+        assert not ring.certificate.ok
+        return ring
+
+    @pytest.mark.parametrize("src", ["2*a", "a*2", "a*b", "x*a", "a/2", "2/3",
+                                     "0*a", "2^3", "a^2", "x^2"])
+    def test_failed_certificate_refuses_products(self, twisted, src):
+        with pytest.raises(IncompatibleMaps):
+            parse_expr(src, twisted)
+
+    @pytest.mark.parametrize("src, printed", [
+        ("a", "a"), ("a+1", "a + 1"), ("-a", "-a"), ("(a)", "a"),
+        ("a^1", "a"), ("a^0", "1"),
+    ])
+    def test_failed_certificate_parses_sums(self, twisted, src, printed):
+        assert str(parse_expr(src, twisted)) == printed
+
+    @pytest.mark.parametrize("fixture, src, products", [
+        ("quat_inner2", "(1 + 2*i - j)*t1^2*t2 - k", 0),
+        ("weyl", "x^1000", 0),
+        ("weyl", "t^1000", 0),
+        ("weyl", "2^1000", 0),
+        ("weyl", "t*x", 1),
+    ])
+    def test_product_count(self, fixture, src, products, request,
+                           monkeypatch):
+        ring = request.getfixturevalue(fixture)
+        count = [0]
+        original = SkewPoly.__mul__
+
+        def counted(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(SkewPoly, "__mul__", counted)
+        parse_expr(src, ring)
+        assert count[0] == products
+
+
+class TestUnicodeDigits:
+    """Exponents and numbers are ASCII digits; other digits are refused."""
+
+    @pytest.mark.parametrize("src, column", [("t^²", 3), ("٣*t", 1),
+                                             ("t + 2²", 6)])
+    def test_non_ascii_digit_is_parse_error(self, weyl, src, column):
+        with pytest.raises(ParseError) as info:
+            parse_expr(src, weyl)
+        assert "unexpected character" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_unicode_names_kept(self):
+        ring = OreRing(Q, [("τ٣", IdentityAut(), zero_der())])
+        assert parse_expr("τ٣^2", ring) == ring.variable(0) ** 2
+
+
+def _char_loop_tokenize(src):
+    """The character-by-character tokenizer the regex one replaced."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(src):
+        ch = src[pos]
+        if ch == "\n":
+            line += 1
+            col = 1
+            pos += 1
+            continue
+        if ch.isspace():
+            col += 1
+            pos += 1
+            continue
+        if ch.isdigit():
+            start = pos
+            while pos < len(src) and src[pos].isdigit():
+                pos += 1
+            tokens.append(("num", src[start:pos], line, col))
+            col += pos - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            while pos < len(src) and (src[pos].isalnum() or src[pos] == "_"):
+                pos += 1
+            tokens.append(("name", src[start:pos], line, col))
+            col += pos - start
+            continue
+        if ch in "+-*/^()":
+            tokens.append(("op", ch, line, col))
+            col += 1
+            pos += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, src):
+    try:
+        return [tuple(t) for t in tokenizer(src)]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+class TestTokenizerOracle:
+    @given(st.text(st.sampled_from(list("019ab_tx+-*/^() \t\r\n\x0b$."))))
+    @example("t +\n *")
+    @example("\r\n\t2^\x0b\n  x $")
+    def test_matches_char_loop_on_tokens(self, src):
+        assert (_tokens_or_error(tokenize, src)
+                == _tokens_or_error(_char_loop_tokenize, src))
+
+    @given(st.text(st.characters(max_codepoint=127)))
+    def test_matches_char_loop_on_ascii(self, src):
+        assert (_tokens_or_error(tokenize, src)
+                == _tokens_or_error(_char_loop_tokenize, src))
+
+
+# Expression trees: ("num", n), ("name", s), ("neg", a), ("par", a),
+# ("pow", a, k) and (op, a, b) for op in add, sub, mul, div; a divisor is
+# drawn from the constant trees only.
+_LEVEL = {"add": 0, "sub": 0, "mul": 1, "div": 1, "neg": 2, "pow": 3}
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_LITERALS = {"Qx": ("x",), "HQ": ("i", "j", "k")}
+_N0, _N2, _T, _X = ("num", 0), ("num", 2), ("name", "t"), ("name", "x")
+
+
+def _trees(leaves, divisors=None):
+    """Trees over ``leaves``; divisors are drawn from ``divisors``, or from
+    the trees themselves when no strategy is given (constant leaves)."""
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub),
+        st.tuples(st.just("div"), sub, sub if divisors is None else divisors),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("par"), sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 4)),
+    ), max_leaves=8).filter(lambda t: _degree(t) <= 10)
+
+
+def _expressions(ring):
+    literals = _LITERALS.get(ring.domain.name, ())
+    constant = st.one_of(st.integers(0, 12).map(lambda n: ("num", n)),
+                         *(st.just(("name", s)) for s in literals))
+    variables = st.sampled_from(ring.names).map(lambda s: ("name", s))
+    return _trees(st.one_of(constant, variables), _trees(constant))
+
+
+def _degree(tree):
+    """A bound on the degree of a tree in the variables and in x, i, j, k."""
+    op = tree[0]
+    if op == "num":
+        return 0
+    if op == "name":
+        return 1
+    if op in ("neg", "par"):
+        return _degree(tree[1])
+    if op == "pow":
+        return tree[2] * _degree(tree[1])
+    if op == "mul":
+        return _degree(tree[1]) + _degree(tree[2])
+    return max(_degree(tree[1]), _degree(tree[2]))
+
+
+def _render(tree):
+    op = tree[0]
+    if op in ("num", "name"):
+        return str(tree[1])
+    if op == "par":
+        return f"({_render(tree[1])})"
+    if op == "neg":
+        return "-" + _wrap(tree[1], 2)
+    if op == "pow":
+        return f"{_wrap(tree[1], 4)}^{tree[2]}"
+    level = _LEVEL[op]
+    return (_wrap(tree[1], level) + _SYMBOL[op]
+            + _wrap(tree[2], level + 1))
+
+
+def _wrap(tree, level):
+    text = _render(tree)
+    return text if _LEVEL.get(tree[0], 4) >= level else f"({text})"
+
+
+def _evaluate(tree, ring):
+    """The tree's value by full SkewPoly arithmetic, no shortcut taken."""
+    op = tree[0]
+    if op == "num":
+        return ring.constant(ring.domain.from_int(tree[1]))
+    if op == "name":
+        if tree[1] in ring.names:
+            return ring.variable_named(tree[1])
+        return ring.constant(getattr(ring.domain, tree[1])())
+    if op == "neg":
+        return -_evaluate(tree[1], ring)
+    if op == "par":
+        return _evaluate(tree[1], ring)
+    if op == "pow":
+        return _evaluate(tree[1], ring) ** tree[2]
+    left, right = _evaluate(tree[1], ring), _evaluate(tree[2], ring)
+    if op == "add":
+        return left + right
+    if op == "sub":
+        return left - right
+    if op == "mul":
+        return left * right
+    return left * ring.constant(right.constant_value().inv())
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except SkewError as exc:
+        return type(exc)
+
+
+class TestParserOracle:
+    @pytest.mark.parametrize("fixture", ["weyl", "weyl2", "qdiff_ring",
+                                         "quat_inner2", "rat3"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_skewpoly_arithmetic(self, fixture, request, data):
+        ring = request.getfixturevalue(fixture)
+        tree = data.draw(_expressions(ring))
+        src = _render(tree)
+        assert (_outcome(lambda: parse_expr(src, ring))
+                == _outcome(lambda: _evaluate(tree, ring))), src
+
+    @pytest.mark.parametrize("tree", [
+        ("pow", _N0, 0), ("pow", _N0, 3), ("mul", _N0, _T), ("mul", _T, _N0),
+        ("pow", _N2, 0), ("pow", _X, 3), ("pow", ("add", _X, _N2), 2),
+        ("pow", ("mul", _N2, _X), 3), ("pow", _T, 1),
+        ("pow", ("pow", _T, 2), 3), ("pow", ("neg", _T), 3),
+        ("pow", ("mul", _N2, _T), 3),
+        ("pow", ("mul", _X, _T), 2), ("pow", ("add", _T, _X), 3),
+        ("neg", ("pow", _T, 2)), ("mul", ("div", ("div", _N2, _X), _N2), _T),
+        ("div", ("div", _T, _X), _N2), ("pow", ("div", _T, _X), 2),
+        ("mul", ("mul", _T, ("pow", _T, 2)), _X),
+        ("mul", ("mul", _X, ("pow", _T, 3)), _T), ("sub", _T, _T),
+    ], ids=_render)
+    def test_shortcut_shapes(self, weyl, tree):
+        assert parse_expr(_render(tree), weyl) == _evaluate(tree, weyl)
