@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import comb
 
 from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
@@ -274,7 +275,13 @@ def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
 
 def evaluation_context(domain: ScalarDomain, names) -> OreRing:
     """A trivially twisted commuting ring used for leading forms, whose
-    variables stand for central arguments."""
+    variables stand for central arguments.  One ring is built and certified
+    per (domain, names) and shared; rings are never mutated."""
+    return _evaluation_ring(domain, tuple(names))
+
+
+@lru_cache(maxsize=256)
+def _evaluation_ring(domain: ScalarDomain, names: tuple) -> OreRing:
     ident = IdentityAut()
     return OreRing(domain, [(n, ident, ZeroDer(ident)) for n in names])
 

@@ -8,8 +8,10 @@ equality and the zero test are structural:
   stored as a fraction of coprime integer-coefficient polynomials with
   jointly primitive contents and a positive leading denominator
   coefficient, so arithmetic needs no ``Fraction``; gcds are primitive
-  PRS over Python integers.  Printing (and ``num``/``den``) divides
-  through to the monic denominator;
+  PRS over Python integers.  Sums, products and derivatives of integer
+  polynomials (denominator 1) stay in Z[x] with no gcd or content pass:
+  a polynomial over 1 is already in lowest terms and jointly primitive.
+  Printing (and ``num``/``den``) divides through to the monic denominator;
 * ``HQ``  -- the rational quaternions (the (-1,-1 / Q) algebra), the only
   noncommutative ring of the three, stored as four integer numerators over
   one positive common denominator, all five jointly primitive; each
@@ -307,6 +309,8 @@ class RationalFunction(Scalar):
         n2, d2 = other.ints_num, other.ints_den
         if not n1 or not n2:
             return other if not n1 else self
+        if d1 == d2 == (1,):
+            return RationalFunction(_padd(n1, n2), d1)
         g = d1 if d1 == d2 else _pgcd(d1, d2)
         d2g = _pexquo(d2, g)
         n = _padd(_pmul(n1, d2g), _pmul(n2, _pexquo(d1, g)))
@@ -319,6 +323,8 @@ class RationalFunction(Scalar):
         # cross-cancel: gcd(n1, d2) and gcd(n2, d1); a square needs neither
         n1, d1 = self.ints_num, self.ints_den
         n2, d2 = other.ints_num, other.ints_den
+        if d1 == d2 == (1,):
+            return RationalFunction(_pmul(n1, n2), d1)
         if n1 and n2 and self is not other:
             g = _pgcd(n1, d2)
             if len(g) > 1:
@@ -356,6 +362,8 @@ class RationalFunction(Scalar):
         # already in lowest terms
         n, d = self.ints_num, self.ints_den
         dn = tuple(i * c for i, c in enumerate(n))[1:]
+        if d == (1,):
+            return RationalFunction(dn, d)
         if len(d) == 1:
             return _qx(dn, d)
         dd = tuple(i * c for i, c in enumerate(d))[1:]
@@ -550,10 +558,11 @@ class _FunctionFieldDomain(ScalarDomain):
         return RationalFunction((n,) if n else (), (1,))
 
     def from_fraction(self, q):
-        return RationalFunction.make((Fraction(q),))
+        q = Fraction(q)
+        return RationalFunction((q.numerator,) if q else (), (q.denominator,))
 
     def x(self) -> RationalFunction:
-        return RationalFunction.make((0, 1))
+        return RationalFunction((0, 1), (1,))
 
     def from_coeffs(self, num, den=(1,)) -> RationalFunction:
         return RationalFunction.make(num, den)

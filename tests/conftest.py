@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from skewpoly import (
     DdxDer,
@@ -11,6 +12,11 @@ from skewpoly import (
     zero_der,
 )
 from skewpoly.scalars import HQ, Q, QX
+
+# Ten times Hypothesis's default budget, for the oracles that guard the
+# scalar fast paths: ``pytest tests/test_scalars.py
+# --hypothesis-profile=scalar-oracles``.  The default run keeps the default.
+settings.register_profile("scalar-oracles", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

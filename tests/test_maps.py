@@ -98,6 +98,26 @@ class TestApply:
             assert aut(r) == c * r * original(c)
         assert inversions == []
 
+    def test_qdiff_inverts_its_step_once(self, monkeypatch):
+        # 1/((q - 1) x) is computed at construction, and is not part of the
+        # map's identity: equality, hash, repr and descriptors see q alone
+        shift = QShiftAut(Fraction(3, 2))
+        der = QDiffDer(shift)
+        step = QX.from_coeffs((0, Fraction(1, 2)))
+        assert der.step_inv == step.inv()
+        twin = QDiffDer(QShiftAut(Fraction(6, 4)))
+        assert der == twin and hash(der) == hash(twin)
+        assert repr(der) == "QDiffDer(shift=QShiftAut(q=Fraction(3, 2)))"
+        assert der.describe() == "q_diff(3/2)"
+        assert der.to_data() == {"kind": "q_diff"}
+        inversions = []
+        original = type(step)._inv
+        monkeypatch.setattr(type(step), "_inv",
+                            lambda f: inversions.append(f) or original(f))
+        for r in (X, X * X, QX.from_coeffs((1, 1), (-2, 0, 1)), QX.one()):
+            assert der(r) == (shift(r) - r) * original(step)
+        assert inversions == []
+
     def test_inner_der(self):
         d = InnerDer(J, inner_aut(I))
         r = K
@@ -342,6 +362,18 @@ class TestLawRecordMemo:
         second = OreRing(QX, variables, samples=24)
         assert not first.certificate.ok
         assert first.certificate == second.certificate
+
+    def test_sampled_leibniz_applies_the_derivation_four_times(
+            self, monkeypatch):
+        # der(a*b), der(a+b), der(a) and der(b) per sample, each once
+        calls = []
+        original = type(X).derivative
+        monkeypatch.setattr(type(X), "derivative",
+                            lambda f: calls.append(f) or original(f))
+        record = maps._compute_derivation_record(QX, IdentityAut(), DdxDer(),
+                                                 24, 7)
+        assert len(calls) == 4 * 24
+        assert record == maps.CheckRecord("twisted-leibniz", 24, 0, True)
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_non_positive_samples_rejected(self, samples):

@@ -305,6 +305,12 @@ class TestDegreesAndForms:
         h = f.leading_form(1)
         assert h.terms == {(2,): QX.one(), (1,): QX.one()}
 
+    def test_leading_forms_share_one_ring(self, weyl2):
+        f = weyl2.monomial((1, 1), QX.one())
+        g = weyl2.monomial((2, 0), QX.from_int(3))
+        assert f.leading_form(1).ring is g.leading_form(1).ring
+        assert f.leading_form(0).ring is not f.leading_form(1).ring
+
     def test_leading_form_zero_rejected(self, weyl2):
         with pytest.raises(ZeroPolynomial):
             weyl2.zero().leading_form(1)

@@ -124,6 +124,22 @@ class TestScalarParsing:
         with pytest.raises(UnknownVariable):
             parse_scalar("t + 1", Q)
 
+    def test_repeated_calls_certify_at_most_one_ring(self, monkeypatch):
+        # scalars are read in one shared certified ring per domain
+        built = []
+        original = OreRing.__init__
+
+        def counting(ring, domain, *args, **kwargs):
+            built.append(domain)
+            original(ring, domain, *args, **kwargs)
+
+        monkeypatch.setattr(OreRing, "__init__", counting)
+        for domain, text in ((QX, "(x + 1)/2"), (HQ, "i*j - 1/3"), (Q, "5")):
+            first = parse_scalar(text, domain)
+            for _ in range(5):
+                assert parse_scalar(text, domain) == first
+            assert built.count(domain) <= 1
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fixture", ["weyl", "weyl2", "rat3", "quat2",

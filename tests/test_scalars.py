@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from skewpoly import scalars
 from skewpoly.errors import DivisionByZero, VariantMismatch
-from skewpoly.parser import parse_scalar
+from skewpoly.parser import parse_expr, parse_scalar
 from skewpoly.scalars import (
     HQ,
     Q,
@@ -362,6 +362,65 @@ def test_ratfunc_sum_cancels_the_shared_factor(p, r, total):
     want = ref_make(*total)
     assert ref_add(ref_make(*p), ref_make(*r)) == want
     assert_matches(RationalFunction.make(*p) + RationalFunction.make(*r), want)
+
+
+# integer polynomials, stored over the denominator (1,), take their own
+# lane through sums, products and derivatives; the draws above rarely meet it
+
+int_polys = st.lists(st.integers(-6, 6), max_size=5)
+
+
+@given(int_polys, int_polys, qx_pairs)
+def test_integer_polynomials_match_fraction_euclid(p, r, f):
+    a, b, c = (RationalFunction.make(p), RationalFunction.make(r),
+               RationalFunction.make(*f))
+    ra, rb, rc = ref_make(p), ref_make(r), ref_make(*f)
+    zero, rzero = QX.zero(), ref_make(())
+    for other, ref_other in ((b, rb), (c, rc), (zero, rzero), (a, ra),
+                             (-a, ref_neg(ra))):
+        for x, y, rx, ry in ((a, other, ra, ref_other),
+                             (other, a, ref_other, ra)):
+            assert_matches(x + y, ref_add(rx, ry))
+            assert_matches(x - y, ref_add(rx, ref_neg(ry)))
+            assert_matches(x * y, ref_mul(rx, ry))
+    d, rd = a, ra
+    for _ in range(len(p) + 1):
+        d, rd = d.derivative(), ref_derivative(rd)
+        assert_matches(d, rd)
+    assert d == zero
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, Fraction(-3, 4), Fraction(10, 6), 7])
+def test_from_fraction_is_canonical(q):
+    got = QX.from_fraction(q)
+    assert_matches(got, ref_make((Fraction(q),)))
+    assert got.is_zero() == (q == 0)
+    assert_matches(got.derivative(), ref_make(()))
+
+
+def test_zero_and_x_are_canonical():
+    zero = QX.from_fraction(0)
+    assert zero == QX.zero() and zero.is_zero()
+    assert (zero.ints_num, zero.ints_den) == ((), (1,))
+    x = QX.x()
+    assert x == RationalFunction.make((0, 1))
+    assert_matches(x, ref_make((0, 1)))
+    assert_matches(x.derivative(), ref_make((1,)))
+    assert_matches(QX.from_int(5).derivative(), ref_make(()))
+
+
+def test_weyl_product_of_integer_polynomials_makes_no_gcd(weyl, monkeypatch):
+    f = parse_expr("(x^3 - 2*x + 5)*t^3 + (4*x^2 + x)*t^2 - 3*x*t + x^4 - 1",
+                   weyl)
+    g = parse_expr("(2*x^2 + 7)*t^2 + (x^3 - x)*t + 6*x - 2", weyl)
+    gcds = []
+    original = scalars._pgcd
+    monkeypatch.setattr(scalars, "_pgcd",
+                        lambda a, b: gcds.append((a, b)) or original(a, b))
+    product = f * g
+    assert gcds == []
+    assert len(product.terms) == 6
+    assert all(c.ints_den == (1,) for c in product.terms.values())
 
 
 def test_ratfunc_matches_sympy_cancel():
