@@ -367,10 +367,10 @@ class Certificate:
     """The law checks of a ring or a tuple; it passes when every one does."""
 
     records: tuple[CheckRecord, ...]
+    ok: bool = field(init=False, repr=False, compare=False)  # frozen records
 
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+    def __post_init__(self):
+        object.__setattr__(self, "ok", all(r.ok for r in self.records))
 
     def to_data(self) -> list:
         return [r.to_data() for r in self.records]

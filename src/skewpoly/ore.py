@@ -436,36 +436,30 @@ class SkewPoly:
 
     # -- presentation ----------------------------------------------------------
 
-    def _term_text(self, exponents, coeff, force_wrap=False) -> str:
-        factors = []
-        for name, e in zip(self.ring.names, exponents):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        one = self.ring.domain.one()
-        if not factors or coeff != one:
-            text = str(coeff)
-            if not coeff.is_atomic_factor() and (factors or force_wrap):
-                text = f"({text})"
-            factors.insert(0, text)
-        return "*".join(factors)
-
     def __str__(self):
         if not self.terms:
             return "0"
+        names, one = self.ring.names, self.ring.domain.one()
         multi = len(self.terms) > 1
-        pieces = []
+        out = []
         for e, c in self.ordered_terms():
             negative = c.is_display_negative()
-            text = self._term_text(e, -c if negative else c,
-                                   force_wrap=multi or negative)
-            pieces.append((negative, text))
-        first_neg, first = pieces[0]
-        out = f"-{first}" if first_neg else first
-        for negative, text in pieces[1:]:
-            out += f" - {text}" if negative else f" + {text}"
-        return out
+            if negative:
+                c = -c
+            factors = [name if k == 1 else f"{name}^{k}"
+                       for name, k in zip(names, e) if k]
+            if not factors or c != one:
+                text = str(c)
+                if not c.is_atomic_factor() and (factors or multi
+                                                 or negative):
+                    text = f"({text})"
+                factors.insert(0, text)
+            if out:
+                out.append(" - " if negative else " + ")
+            elif negative:
+                out.append("-")
+            out.append("*".join(factors))
+        return "".join(out)
 
     def __repr__(self):
         return f"<SkewPoly {self}>"

@@ -1,7 +1,7 @@
 """Expression parser producing normal-form polynomials.
 
 Grammar (whitespace insignificant, ``^`` takes a natural number of at most
-``MAX_EXPONENT``)::
+``MAX_EXPONENT``, parentheses nest at most ``MAX_DEPTH`` deep)::
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -17,6 +17,13 @@ how rational literals like ``1/2`` and entered denominators like
 position by the ring arithmetic itself, so the result is always the
 canonical expansion.
 
+``tokenize`` gives plain ``(kind, text, line, column)`` tuples, kind one
+of "num", "name", "op" and "end".  The parser reads their texts by index
+and knows an operator by its text alone, which no other token has.  A run
+of signs is counted in a loop, so only parentheses recurse, and the bound
+on their depth keeps every input clear of Python's recursion limit: a
+deeper ``(`` is a ``ParseError`` at its position.
+
 Values are term dicts ``{exponents: non-zero left coefficient}``, wrapped
 in one ``SkewPoly`` at the end.  Products whose result is already a normal
 form skip ``SkewPoly.__mul__``: a constant times f is left scaling of f,
@@ -31,7 +38,6 @@ k >= 2 first checks the ring's certificate, shortcut or not.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import ParseError, UnknownScalarLiteral, UnknownVariable
 from .ore import OreRing, SkewPoly, evaluation_context
@@ -39,75 +45,61 @@ from .scalars import Scalar, ScalarDomain
 
 _LITERALS = {"x", "i", "j", "k"}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
+MAX_DEPTH = 100  # deepest nesting of parentheses; deeper input is refused
 # A name starts with a letter or "_"; the match admits any word character
 # but a decimal digit, and ``tokenize`` rejects the rest (such as "²").
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<name>[^\W\d]\w*)"
                     r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str  # "num", "name", "op", "end"
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(src: str) -> list[Token]:
+def tokenize(src: str) -> list[tuple[str, str, int, int]]:
     tokens = []
     line, line_start = 1, 0  # line_start: index of the line's first char
     for m in _TOKEN.finditer(src):
-        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        kind, text = m.lastgroup, m.group()
         if kind == "space":
             if "\n" in text:
                 line += text.count("\n")
                 line_start = m.start() + text.rindex("\n") + 1
             continue
+        col = m.start() - line_start + 1
         if kind == "bad" or (kind == "name" and not text[0].isalpha()
                              and text[0] != "_"):
             raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("end", "", line, len(src) - line_start + 1))
+        tokens.append((kind, text, line, col))
+    tokens.append(("end", "", line, len(src) - line_start + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str, ring: OreRing):
         self.tokens = tokenize(src)
+        self.texts = [tok[1] for tok in self.tokens]
         self.pos = 0
+        self.depth = 0  # parentheses open around the current position
         self.ring = ring
         self.origin = (0,) * ring.nvars
+        self.constant = {self.origin}  # the key set of a non-zero constant
+        self.names = ring.names
         self.one = ring.domain.one()
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept_op(self, *ops) -> Token | None:
-        tok = self.current
-        if tok.kind == "op" and tok.text in ops:
-            return self.advance()
-        return None
-
-    def fail(self, message: str):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message: str, pos: int | None = None):
+        _, _, line, column = self.tokens[self.pos if pos is None else pos]
+        raise ParseError(message, line, column)
 
     def parse(self) -> SkewPoly:
         terms = self.expr()
-        if self.current.kind != "end":
-            self.fail(f"unexpected {self.current.text!r}")
+        if self.tokens[self.pos][0] != "end":
+            self.fail(f"unexpected {self.texts[self.pos]!r}")
         return SkewPoly(self.ring, terms)
 
     def expr(self) -> dict:
         terms = self.term()
-        while (op := self.accept_op("+", "-")) is not None:
+        texts = self.texts
+        while (op := texts[self.pos]) == "+" or op == "-":
+            self.pos += 1
             for e, c in self.term().items():
-                if op.text == "-":
+                if op == "-":
                     c = -c
                 if e in terms:
                     c = terms[e] + c
@@ -119,12 +111,14 @@ class _Parser:
 
     def term(self) -> dict:
         terms = self.unary()
-        while (op := self.accept_op("*", "/")) is not None:
+        texts = self.texts
+        while (op := texts[self.pos]) == "*" or op == "/":
+            at = self.pos
+            self.pos += 1
             rhs = self.unary()
-            if op.text == "/":
-                if rhs.keys() - {self.origin}:
-                    raise ParseError("can only divide by a scalar",
-                                     op.line, op.column)
+            if op == "/":
+                if rhs.keys() - self.constant:
+                    self.fail("can only divide by a scalar", at)
                 zero = self.ring.domain.zero()
                 rhs = {self.origin: rhs.get(self.origin, zero).inv()}
             terms = self.product(terms, rhs)
@@ -133,7 +127,7 @@ class _Parser:
     def product(self, a: dict, b: dict) -> dict:
         ring = self.ring
         ring._require_certificate("multiplication")
-        if a.keys() <= {self.origin}:  # a constant or zero: left scaling
+        if a.keys() <= self.constant:  # a constant or zero: left scaling
             return {e: c * v for c in a.values() for e, v in b.items()}
         if len(b) == 1:
             (right, v), = b.items()
@@ -143,26 +137,31 @@ class _Parser:
         return (SkewPoly(ring, a) * SkewPoly(ring, b)).terms
 
     def unary(self) -> dict:
-        if self.accept_op("-") is not None:
-            return {e: -c for e, c in self.unary().items()}
-        return self.power()
+        texts = self.texts
+        start = self.pos
+        while texts[self.pos] == "-":
+            self.pos += 1
+        negate = (self.pos - start) % 2
+        terms = self.power()
+        return {e: -c for e, c in terms.items()} if negate else terms
 
     def power(self) -> dict:
         base = self.atom()
-        if self.accept_op("^") is None:
+        if self.texts[self.pos] != "^":
             return base
-        tok = self.current
-        if tok.kind != "num":
+        self.pos += 1
+        kind, text, line, column = self.tokens[self.pos]
+        if kind != "num":
             self.fail("exponent must be a natural number")
-        self.advance()
-        k = int(tok.text)
+        self.pos += 1
+        k = int(text)
         if k > MAX_EXPONENT:
             raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
-                             tok.line, tok.column)
+                             line, column)
         if k < 2:
             return base if k else {self.origin: self.one}
         self.ring._require_certificate("multiplication")
-        if base.keys() <= {self.origin}:  # a constant or zero: squaring
+        if base.keys() <= self.constant:  # a constant or zero: squaring
             return {e: c ** k for e, c in base.items()}
         if len(base) == 1:
             (e, c), = base.items()
@@ -171,38 +170,43 @@ class _Parser:
         return (SkewPoly(self.ring, base) ** k).terms
 
     def atom(self) -> dict:
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            n = int(tok.text)
+        kind, text, line, column = self.tokens[self.pos]
+        if kind == "num":
+            self.pos += 1
+            n = int(text)
             return {self.origin: self.ring.domain.from_int(n)} if n else {}
-        if tok.kind == "name":
-            self.advance()
-            return self.resolve_name(tok)
-        if self.accept_op("(") is not None:
+        if kind == "name":
+            self.pos += 1
+            return self.resolve_name(text, line, column)
+        if text == "(":
+            if self.depth == MAX_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
+            self.pos += 1
+            self.depth += 1
             terms = self.expr()
-            if self.accept_op(")") is None:
+            if self.texts[self.pos] != ")":
                 self.fail("expected ')'")
+            self.pos += 1
+            self.depth -= 1
             return terms
         self.fail("expected a number, name or '('"
-                  if tok.kind != "end" else "unexpected end of input")
+                  if kind != "end" else "unexpected end of input")
 
-    def resolve_name(self, tok: Token) -> dict:
-        names = self.ring.names
-        if tok.text in names:
-            i = names.index(tok.text)
+    def resolve_name(self, name: str, line: int, column: int) -> dict:
+        names = self.names
+        if name in names:
+            i = names.index(name)
             return {tuple(int(t == i) for t in range(len(names))): self.one}
         domain = self.ring.domain
-        if domain.name == "Qx" and tok.text == "x":
+        if domain.name == "Qx" and name == "x":
             return {self.origin: domain.x()}
-        if domain.name == "HQ" and tok.text in ("i", "j", "k"):
-            return {self.origin: getattr(domain, tok.text)()}
-        if tok.text in _LITERALS:
+        if domain.name == "HQ" and name in ("i", "j", "k"):
+            return {self.origin: getattr(domain, name)()}
+        if name in _LITERALS:
             raise UnknownScalarLiteral(
-                f"literal {tok.text!r} is not available over {domain.name}",
-                tok.line, tok.column)
-        raise UnknownVariable(f"unknown name {tok.text!r}",
-                              tok.line, tok.column)
+                f"literal {name!r} is not available over {domain.name}",
+                line, column)
+        raise UnknownVariable(f"unknown name {name!r}", line, column)
 
 
 def parse_expr(src: str, ring: OreRing) -> SkewPoly:

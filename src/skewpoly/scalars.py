@@ -387,6 +387,8 @@ class RationalFunction(Scalar):
         return QX
 
     def __str__(self):
+        if self.ints_den == (1,):
+            return _pstr(self.ints_num)
         if len(self.ints_den) == 1:
             return _pstr(self.num)
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
@@ -485,14 +487,15 @@ class Quaternion(Scalar):
         for n, unit in zip(self.ints, ("", "i", "j", "k")):
             if n == 0:
                 continue
+            c = n if m == 1 else Fraction(n, m)
             if not unit:
-                parts.append(str(Fraction(n, m)))
+                parts.append(str(c))
             elif n == m:
                 parts.append(unit)
             elif n == -m:
                 parts.append(f"-{unit}")
             else:
-                parts.append(f"{Fraction(n, m)}*{unit}")
+                parts.append(f"{c}*{unit}")
         if not parts:
             return "0"
         text = parts[0]

@@ -14,7 +14,8 @@ from skewpoly import (
 from skewpoly.scalars import HQ, Q, QX
 
 # Ten times Hypothesis's default budget, for the oracles that guard the
-# scalar fast paths: ``pytest tests/test_scalars.py
+# scalar fast paths and the parser's shortcuts: ``pytest
+# tests/test_scalars.py tests/test_parser.py
 # --hypothesis-profile=scalar-oracles``.  The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)
 

@@ -232,6 +232,25 @@ class TestExitCodes:
         assert (f"unexpected character {expr[column - 1]!r} "
                 f"(line 1, column {column})") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_deep_nesting_is_2(self, write, capsys, fmt):
+        # 200 nested parentheses used to exit 1 with a RecursionError
+        # traceback; the parser refuses the 101st "(" instead
+        assert main(["normalform", "--ring", write("r.json", WEYL),
+                     "--format", fmt, "(" * 200 + "t" + ")" * 200]) == 2
+        err = capsys.readouterr().err
+        assert err == ("skewpoly: error: parentheses nested deeper than 100"
+                       " (line 1, column 101)\n")
+
+    def test_long_sign_chain_is_0(self, write, capsys):
+        ring_path = write("r.json", WEYL)
+        assert main(["normalform", "--ring", ring_path, "--",
+                     "-" * 1000 + "t"]) == 0
+        assert capsys.readouterr().out == "t\n"
+        assert main(["normalform", "--ring", ring_path, "--format", "json",
+                     "--", "-" * 1001 + "t"]) == 0
+        assert json.loads(capsys.readouterr().out)["normal_form"] == "-t"
+
     def test_config_error_is_2(self, write, capsys):
         assert main(["normalform", "--ring", write("r.json", "{broken"),
                      "t"]) == 2

@@ -375,6 +375,28 @@ class TestLawRecordMemo:
         assert len(calls) == 4 * 24
         assert record == maps.CheckRecord("twisted-leibniz", 24, 0, True)
 
+    @pytest.mark.parametrize("bad", [
+        maps.CheckRecord("twisted-leibniz", 16, 1, None),
+        maps.CheckRecord("twisted-leibniz", 16, 1, True),
+        maps.CheckRecord("commutation", 16, 0, False),
+    ], ids=["sampled-failure", "failure-beside-analytic-true", "refuted"])
+    def test_certificate_verdict_is_fixed_at_construction(self, bad):
+        good = maps.CheckRecord("commutation", 16, 0, True)
+        sampled = maps.CheckRecord("twisted-leibniz", 16, 0, None)
+        assert maps.Certificate((good, sampled)).ok
+        for records in ((bad,), (good, bad), (bad, good, sampled)):
+            cert = maps.Certificate(records)
+            assert not cert.ok
+            with pytest.raises(AttributeError):
+                cert.ok = True
+            with pytest.raises(AttributeError):
+                cert.records = (good,)
+            assert not cert.ok
+            # the verdict is no field of equality, repr or the JSON data
+            assert cert == maps.Certificate(records)
+            assert repr(cert) == f"Certificate(records={records!r})"
+            assert cert.to_data() == [r.to_data() for r in records]
+
     @pytest.mark.parametrize("samples", [0, -2])
     def test_non_positive_samples_rejected(self, samples):
         misses = maps._law_cache.cache_info().misses

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from skewpoly import DdxDer, IdentityAut, OreRing, q_shift, zero_der
+from skewpoly import DdxDer, IdentityAut, OreRing, parser, q_shift, zero_der
 from skewpoly.errors import (
     DivisionByZero,
     IncompatibleMaps,
@@ -106,6 +106,103 @@ class TestErrors:
     def test_stray_character(self, weyl):
         with pytest.raises(ParseError):
             parse_expr("t $ 1", weyl)
+
+
+class TestErrorPositions:
+    """Every error path of the parser: exception type, message and the line
+    and column it is reported at."""
+
+    @pytest.mark.parametrize("fixture, src, error, message, line, column", [
+        ("weyl", "t $ 1", ParseError, "unexpected character '$'", 1, 3),
+        ("weyl", "t +\n  x $", ParseError, "unexpected character '$'", 2, 5),
+        ("weyl", "t t", ParseError, "unexpected 't'", 1, 3),
+        ("weyl", "t)", ParseError, "unexpected ')'", 1, 2),
+        ("weyl", "2 ^ 0 ^ 1", ParseError, "unexpected '^'", 1, 7),
+        ("weyl", "x +\n 3 t", ParseError, "unexpected 't'", 2, 4),
+        ("weyl", "()", ParseError, "expected a number, name or '('", 1, 2),
+        ("weyl", "t *\n /2", ParseError, "expected a number, name or '('",
+         2, 2),
+        ("weyl", "(t +\n 1", ParseError, "expected ')'", 2, 3),
+        ("weyl", "(t + 1\n", ParseError, "expected ')'", 2, 1),
+        ("weyl", "((t)", ParseError, "expected ')'", 1, 5),
+        ("weyl", "t^x", ParseError, "exponent must be a natural number",
+         1, 3),
+        ("weyl", "t^-2", ParseError, "exponent must be a natural number",
+         1, 3),
+        ("weyl", "t^\n(2)", ParseError, "exponent must be a natural number",
+         2, 1),
+        ("weyl", f"t^{MAX_EXPONENT + 1}", ParseError,
+         f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}", 1, 3),
+        ("weyl", f"t +\n (x + 1)^{MAX_EXPONENT + 1}", ParseError,
+         f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}", 2, 10),
+        ("weyl", "1/t", ParseError, "can only divide by a scalar", 1, 2),
+        ("weyl", "1 +\n x / (t + 1)", ParseError,
+         "can only divide by a scalar", 2, 4),
+        ("weyl", "y", UnknownVariable, "unknown name 'y'", 1, 1),
+        ("weyl", "t +\n  2*t2", UnknownVariable, "unknown name 't2'", 2, 5),
+        ("weyl", "t *\n  i", UnknownScalarLiteral,
+         "literal 'i' is not available over Qx", 2, 3),
+        ("rat1", "t - x", UnknownScalarLiteral,
+         "literal 'x' is not available over Q", 1, 5),
+        ("quat1", "t*\nx", UnknownScalarLiteral,
+         "literal 'x' is not available over HQ", 2, 1),
+        ("weyl", "", ParseError, "unexpected end of input", 1, 1),
+        ("weyl", "t +", ParseError, "unexpected end of input", 1, 4),
+        ("weyl", "t *\n", ParseError, "unexpected end of input", 2, 1),
+        ("weyl", "(", ParseError, "unexpected end of input", 1, 2),
+        ("weyl", "--", ParseError, "unexpected end of input", 1, 3),
+        ("weyl", "t^", ParseError, "exponent must be a natural number", 1, 3),
+    ])
+    def test_error_table(self, fixture, src, error, message, line, column,
+                         request):
+        ring = request.getfixturevalue(fixture)
+        with pytest.raises(ParseError) as info:
+            parse_expr(src, ring)
+        assert type(info.value) is error
+        assert str(info.value) == f"{message} (line {line}, column {column})"
+        assert (info.value.line, info.value.column) == (line, column)
+
+
+class TestNesting:
+    """Parentheses nest at most ``MAX_DEPTH`` deep; sign chains are a loop,
+    so no input reaches Python's recursion limit."""
+
+    def test_depth_bound(self, weyl):
+        depth = parser.MAX_DEPTH
+        t = weyl.variable(0)
+        assert parse_expr("(" * depth + "t" + ")" * depth, weyl) == t
+        src = "x +\n " + "(" * (depth + 1) + "t" + ")" * (depth + 1)
+        with pytest.raises(ParseError) as info:
+            parse_expr(src, weyl)
+        assert type(info.value) is ParseError
+        assert str(info.value) == (f"parentheses nested deeper than {depth}"
+                                   f" (line 2, column {depth + 2})")
+
+    def test_two_hundred_parentheses(self, weyl):
+        with pytest.raises(ParseError) as info:
+            parse_expr("(" * 200 + "t" + ")" * 200, weyl)
+        column = parser.MAX_DEPTH + 1  # the first "(" past the bound
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_depth_counts_nesting_not_groups(self, weyl):
+        depth = parser.MAX_DEPTH
+        group = "(" * depth + "t" + ")" * depth
+        t = weyl.variable(0)
+        assert (parse_expr(" + ".join([group] * 300), weyl)
+                == weyl.constant(QX.from_int(300)) * t)
+        assert parse_expr("*".join([group] * 3), weyl) == t ** 3
+        assert (parse_scalar("(" * depth + "1/2" + ")" * depth, Q)
+                == Q.from_fraction("1/2"))
+
+    @pytest.mark.parametrize("signs", [5000, 5001])
+    def test_long_sign_chain(self, weyl, signs):
+        t = weyl.variable(0)
+        want = -t if signs % 2 else t
+        assert parse_expr("-" * signs + "t", weyl) == want
+        assert (parse_expr("-" * signs + "t^2 + 1", weyl)
+                == want * t + weyl.one())
+        assert (parse_expr("x*" + "-" * signs + "(t)", weyl)
+                == weyl.constant(QX.x()) * want)
 
 
 class TestScalarParsing:
@@ -379,10 +476,16 @@ def _outcome(compute):
         return type(exc)
 
 
+# 60 examples in the default run; a profile with a larger budget, such as
+# ``scalar-oracles``, raises it
+_ORACLE_EXAMPLES = (60 if settings.get_current_profile_name() == "default"
+                    else max(60, settings.default.max_examples))
+
+
 class TestParserOracle:
     @pytest.mark.parametrize("fixture", ["weyl", "weyl2", "qdiff_ring",
                                          "quat_inner2", "rat3"])
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=_ORACLE_EXAMPLES, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_matches_skewpoly_arithmetic(self, fixture, request, data):

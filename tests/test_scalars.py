@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from skewpoly import scalars
 from skewpoly.errors import DivisionByZero, VariantMismatch
+from skewpoly.ore import SkewPoly
 from skewpoly.parser import parse_expr, parse_scalar
 from skewpoly.scalars import (
     HQ,
@@ -680,3 +681,46 @@ def test_random_quaternion_makes_the_reference_draws():
                      for _ in range(4))
         assert_q_matches(HQ.random(rng), want)
         assert rng.getstate() == ref.getstate()
+
+
+# ---------------------------------------------------------------------------
+# printing: integer forms skip Fraction
+# ---------------------------------------------------------------------------
+# An integer polynomial prints its integer coefficients and a quaternion
+# over 1 its integer parts directly; the oracles are the renderings with a
+# Fraction per coefficient or part, as the printers did before.
+
+@given(int_polys)
+def test_integer_polynomial_prints_its_fraction_form(p):
+    a = RationalFunction.make(p)
+    assert a.ints_den == (1,)
+    assert str(a) == scalars._pstr(a.num)
+
+
+@given(st.tuples(*[st.integers(-6, 6)] * 4))
+def test_integer_quaternion_prints_its_fraction_form(ints):
+    a = HQ.make(*ints)
+    assert a.den == 1
+    assert str(a) == ref_q_str((a.w, a.x, a.y, a.z))
+
+
+def _polys(ring, coeffs):
+    exponents = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    return st.dictionaries(exponents, coeffs, max_size=6).map(
+        lambda terms: SkewPoly(ring, terms))
+
+
+@given(st.data())
+def test_weyl_print_parse_round_trip(weyl, data):
+    f = data.draw(_polys(weyl, st.one_of(int_polys.map(RationalFunction.make),
+                                          ratfuncs)))
+    g = parse_expr(str(f), weyl)
+    assert g == f and str(g) == str(f)
+
+
+@given(st.data())
+def test_quat_inner2_print_parse_round_trip(quat_inner2, data):
+    integer = st.tuples(*[st.integers(-6, 6)] * 4).map(lambda t: HQ.make(*t))
+    f = data.draw(_polys(quat_inner2, st.one_of(integer, quaternions)))
+    g = parse_expr(str(f), quat_inner2)
+    assert g == f and str(g) == str(f)
