@@ -78,7 +78,6 @@ from .evaluation import (
     AutomorphicTuple,
     certify_tuple,
     evaluate,
-    is_automorphic,
     mix_derivations,
     mix_elements,
 )

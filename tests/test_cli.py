@@ -251,6 +251,12 @@ class TestExitCodes:
                      "--", "-" * 1001 + "t"]) == 0
         assert json.loads(capsys.readouterr().out)["normal_form"] == "-t"
 
+    def test_leading_minus_after_double_dash_is_0(self, capsys):
+        # without "--" argparse reads "-t" as an option (README grammar)
+        assert main(["normalform", "--ring", str(ROOT / "configs/weyl.json"),
+                     "--", "-t"]) == 0
+        assert capsys.readouterr().out == "-t\n"
+
     def test_config_error_is_2(self, write, capsys):
         assert main(["normalform", "--ring", write("r.json", "{broken"),
                      "t"]) == 2

@@ -4,15 +4,20 @@ import random
 
 import pytest
 
-from skewpoly.errors import CertificateFailed, NotInF, TwistMismatch
+from skewpoly.errors import (
+    CertificateFailed,
+    IncompatibleMaps,
+    NotInF,
+    TwistMismatch,
+)
 from skewpoly.evaluation import (
     certify_tuple,
     evaluate,
-    is_automorphic,
     mix_derivations,
     mix_elements,
 )
 from skewpoly.maps import (
+    CheckRecord,
     DdxDer,
     IdentityAut,
     InnerDer,
@@ -22,8 +27,9 @@ from skewpoly.maps import (
     sample_scalars,
     zero_der,
 )
-from skewpoly.ore import OreRing, random_poly, reinterpret
+from skewpoly.ore import OreRing, SkewPoly, random_poly, reinterpret
 from skewpoly.scalars import HQ, QX
+from test_certification_oracle import is_automorphic
 
 I, J = HQ.i(), HQ.j()
 X = QX.x()
@@ -80,6 +86,47 @@ class TestCertify:
         auto_records = [r for r in tup.certificate.records
                         if r.law.startswith("automorphic")]
         assert all(r.analytic for r in auto_records)
+
+    def test_linear_form_flag_needs_the_claimed_derivation(self, weyl):
+        # t is a linear form, but its derivation is d/dx, not the claimed 0
+        tup = certify_tuple(weyl, [weyl.variable(0)],
+                            [(IdentityAut(), ZeroDer())], 8, 1)
+        (record,) = tup.certificate.records
+        assert record == CheckRecord("automorphic(s1)", 8, 5, None)
+        assert not tup.certificate.ok
+
+    def test_linear_form_flag_ignores_term_order(self):
+        ad_i, ad_2i = (InnerDer(c, IdentityAut()) for c in (I, I + I))
+        ring = OreRing(HQ, [("t1", IdentityAut(), ad_i),
+                            ("t2", IdentityAut(), ad_2i)])
+        two = HQ.from_int(2)
+        s = ring.variable(0).scale_left(two) + ring.variable(1)
+        swapped = lin_comb([(HQ.one(), ad_2i), (two, ad_i)])
+        tup = certify_tuple(ring, [s], [(IdentityAut(), swapped)])
+        assert tup.certificate.ok
+        assert tup.certificate.records[0].analytic is True
+
+    def test_linear_form_takes_no_operator_product(self, weyl2, monkeypatch):
+        products = []
+        original = SkewPoly.__mul__
+        monkeypatch.setattr(SkewPoly, "__mul__",
+                            lambda f, g: products.append(1) or original(f, g))
+        t1, t2 = weyl2.variable(0), weyl2.variable(1)
+        right = lin_comb([(QX.from_int(3), DdxDer()), (QX.one(), DdxDer())])
+        tup = certify_tuple(weyl2, [t1.scale_left(QX.from_int(3)) + t2],
+                            [(IdentityAut(), right)])
+        assert tup.certificate.ok and not products
+        # t + 1 is no linear form: it keeps the product check
+        certify_tuple(weyl2, [t1 + weyl2.one()], [weyl2.twists()[0]], 8)
+        assert len(products) == 8
+
+    def test_linear_form_on_a_failed_ring_is_refused(self):
+        # ad(i) and ad(j) do not commute, so the ring certificate fails
+        ring = OreRing(HQ, [("t1", IdentityAut(), InnerDer(I, IdentityAut())),
+                            ("t2", IdentityAut(), InnerDer(J, IdentityAut()))])
+        assert not ring.certificate.ok
+        with pytest.raises(IncompatibleMaps, match="multiplication refused"):
+            certify_tuple(ring, [ring.variable(0)], ring.twists()[:1])
 
     def test_failed_certificate_blocks_evaluate(self, weyl):
         bad_ring = OreRing(QX, [("t", IdentityAut(), zero_der())])

@@ -370,10 +370,37 @@ class TestLawRecordMemo:
         original = type(X).derivative
         monkeypatch.setattr(type(X), "derivative",
                             lambda f: calls.append(f) or original(f))
+        failures = maps._leibniz_failures(QX, IdentityAut(), DdxDer(), 24, 7)
+        assert len(calls) == 4 * 24
+        assert failures == 0
+
+    def test_proved_law_takes_no_samples(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a proved law was sampled")
+
+        monkeypatch.setattr(maps, "_leibniz_failures", refuse)
+        monkeypatch.setattr(maps, "_commutation_failures", refuse)
         record = maps._compute_derivation_record(QX, IdentityAut(), DdxDer(),
                                                  24, 7)
-        assert len(calls) == 4 * 24
-        assert record == maps.CheckRecord("twisted-leibniz", 24, 0, True)
+        assert record == maps.CheckRecord("twisted-leibniz", 0, 0, True)
+        record = maps._compute_commutation_record(QX, q_shift(2), q_shift(3),
+                                                  24, 7)
+        assert record.samples == 0 and record.ok
+
+    def test_proved_law_still_refuses_a_foreign_domain(self):
+        with pytest.raises(UnsupportedRing):
+            maps._compute_derivation_record(HQ, IdentityAut(), DdxDer(), 8, 1)
+        with pytest.raises(UnsupportedRing):
+            maps._compute_commutation_record(Q, IdentityAut(), q_shift(2),
+                                             8, 1)
+
+    @pytest.mark.parametrize("analytic, ok", [
+        (None, False), (False, False), (True, True)])
+    def test_record_without_samples_passes_only_on_a_proof(self, analytic,
+                                                           ok):
+        record = maps.CheckRecord("twisted-leibniz", 0, 0, analytic)
+        assert record.ok is ok
+        assert maps.Certificate((record,)).ok is ok
 
     @pytest.mark.parametrize("bad", [
         maps.CheckRecord("twisted-leibniz", 16, 1, None),
