@@ -54,8 +54,6 @@ from .maps import (
     RingMap,
     ZeroDer,
     central_fixed_stream,
-    check_commutation,
-    check_derivation,
     in_fixed_subfield,
     inner_aut,
     lin_comb,

@@ -54,7 +54,7 @@ def aut_from_data(data, domain: ScalarDomain) -> RingMap:
     if kind == "q_shift":
         if domain.name != "Qx":
             raise ConfigError("q_shift is only available over Qx")
-        return q_shift(Fraction(data["q"]))
+        return q_shift(Fraction(str(data["q"])))
     raise ConfigError(f"unknown automorphism kind {kind!r}")
 
 
@@ -77,10 +77,14 @@ def der_from_data(data, domain: ScalarDomain, aut: RingMap) -> RingMap:
             raise ConfigError("q_diff pairs with a q_shift automorphism")
         return QDiffDer(aut)
     if kind == "lin_comb":
+        entries = data["terms"]
+        if not (isinstance(entries, list)
+                and all(isinstance(t, dict) for t in entries)):
+            raise ConfigError("lin_comb terms must be a list of objects")
         terms = [
             (parse_scalar(str(t["coeff"]), domain),
              der_from_data(t["der"], domain, aut))
-            for t in data["terms"]
+            for t in entries
         ]
         return lin_comb(terms, twist=aut)
     raise ConfigError(f"unknown derivation kind {kind!r}")
@@ -90,12 +94,11 @@ def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
                    seed: int = DEFAULT_SEED) -> OreRing:
     if not isinstance(data, dict):
         raise ConfigError("ring configuration must be an object")
-    try:
-        domain = DOMAINS[data["ring"]]
-    except KeyError:
+    ring = data.get("ring")
+    if not isinstance(ring, str) or ring not in DOMAINS:
         raise ConfigError(
-            f"ring must be one of {sorted(DOMAINS)}, got {data.get('ring')!r}"
-        ) from None
+            f"ring must be one of {sorted(DOMAINS)}, got {ring!r}")
+    domain = DOMAINS[ring]
     flavor = data.get("flavor", "commuting")
     if flavor not in (f.value for f in Flavor):
         raise ConfigError(f"unknown flavor {flavor!r}")
@@ -104,13 +107,18 @@ def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
         raise ConfigError("'vars' must be a non-empty list")
     variables = []
     for entry in var_data:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"variable entry must be an object: {entry!r}")
         try:
             name = entry["name"]
             aut = aut_from_data(entry["aut"], domain)
             der = der_from_data(entry["der"], domain, aut)
         except KeyError as missing:
             raise ConfigError(f"variable entry is missing {missing}") from None
-        if not name or not name[0].isalpha() or not name.isidentifier():
+        except ValueError as exc:  # a map constructor refused its data
+            raise ConfigError(str(exc)) from None
+        if (not isinstance(name, str) or not name.isidentifier()
+                or not name[0].isalpha()):
             raise ConfigError(f"bad variable name {name!r}")
         if name in _RESERVED[domain.name]:
             raise ConfigError(

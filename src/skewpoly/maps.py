@@ -16,11 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExhaustedCandidates, NotInF, UnsupportedRing
-from .scalars import DOMAINS, RationalFunction, Scalar, ScalarDomain
+from .scalars import RationalFunction, Scalar, ScalarDomain
 
 DEFAULT_SEED = 12345
 DEFAULT_SAMPLES = 64
-LAW_CACHE_SIZE = 1024  # law records kept per process
 
 
 class RingMap:
@@ -59,9 +58,6 @@ class IdentityAut(RingMap):
     def __call__(self, r):
         return r
 
-    def inverse(self):
-        return self
-
     def describe(self):
         return "id"
 
@@ -90,9 +86,6 @@ class InnerAut(RingMap):
         _expect(r, type(self.c), "this inner automorphism")
         return self.c * r * self.c_inv
 
-    def inverse(self):
-        return InnerAut(self.c_inv)
-
     def describe(self):
         return f"inner_aut({self.c})"
 
@@ -117,9 +110,6 @@ class QShiftAut(RingMap):
     def __call__(self, r):
         _expect(r, RationalFunction, "q-shift")
         return r.scale_argument(self.q)
-
-    def inverse(self):
-        return QShiftAut(1 / self.q)
 
     def describe(self):
         return f"q_shift({self.q})"
@@ -467,57 +457,21 @@ def _decide(law, analytic, sampler, domain, m1, m2, samples, seed):
                        analytic)
 
 
-def _compute_derivation_record(domain, aut, der, samples, seed) -> CheckRecord:
+def derivation_record(domain, aut, der, samples=DEFAULT_SAMPLES,
+                      seed=DEFAULT_SEED) -> CheckRecord:
+    """Twisted Leibniz rule and additivity of ``der``, proved or sampled."""
+    check_sample_count(samples)
     return _decide("twisted-leibniz", analytic_derivation(aut, der),
                    _leibniz_failures, domain, aut, der, samples, seed)
 
 
-def _compute_commutation_record(domain, m1, m2, samples, seed) -> CheckRecord:
+def commutation_record(domain, m1, m2, samples=DEFAULT_SAMPLES,
+                       seed=DEFAULT_SEED) -> CheckRecord:
+    """Whether ``m1`` and ``m2`` commute, proved or sampled."""
+    check_sample_count(samples)
     return _decide(f"commute({m1.describe()}, {m2.describe()})",
                    analytic_commutation(m1, m2), _commutation_failures,
                    domain, m1, m2, samples, seed)
-
-
-@lru_cache(maxsize=LAW_CACHE_SIZE)
-def _law_cache(compute, domain_name: str, m1, m2, samples: int, seed: int):
-    return compute(DOMAINS[domain_name], m1, m2, samples, seed)
-
-
-def _record(compute, domain, m1, m2, samples, seed) -> CheckRecord:
-    """A law record computed once per process for each (domain, maps,
-    samples, seed); records are pure functions of that key.  Maps that
-    cannot be hashed are sampled on every call."""
-    check_sample_count(samples)
-    try:
-        hash((m1, m2))
-    except TypeError:
-        return compute(domain, m1, m2, samples, seed)
-    return _law_cache(compute, domain.name, m1, m2, samples, seed)
-
-
-def derivation_record(domain, aut, der, samples=DEFAULT_SAMPLES,
-                      seed=DEFAULT_SEED) -> CheckRecord:
-    return _record(_compute_derivation_record, domain, aut, der,
-                   samples, seed)
-
-
-def commutation_record(domain, m1, m2, samples=DEFAULT_SAMPLES,
-                       seed=DEFAULT_SEED) -> CheckRecord:
-    return _record(_compute_commutation_record, domain, m1, m2,
-                   samples, seed)
-
-
-def check_derivation(domain, aut, der, samples=DEFAULT_SAMPLES,
-                     seed=DEFAULT_SEED) -> bool:
-    """Twisted Leibniz rule and additivity of ``der``, proved or sampled."""
-    return derivation_record(domain, aut, der, samples, seed).ok
-
-
-def check_commutation(domain, pairs, samples=DEFAULT_SAMPLES,
-                      seed=DEFAULT_SEED) -> bool:
-    """Whether every (m1, m2) pair commutes, proved or sampled."""
-    return all(commutation_record(domain, m1, m2, samples, seed).ok
-               for m1, m2 in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,6 @@ class OreRing:
                                    for t in range(self.nvars)),
                              self.domain.one())
 
-    def variable_named(self, name: str) -> "SkewPoly":
-        return self.variable(self.names.index(name))
-
     def monomial(self, exponents, coeff: Scalar) -> "SkewPoly":
         return SkewPoly(self, {tuple(exponents): coeff})
 

@@ -347,9 +347,6 @@ class RationalFunction(Scalar):
     def is_central(self):
         return True
 
-    def is_constant(self):
-        return len(self.ints_num) <= 1 and len(self.ints_den) == 1
-
     def is_display_negative(self):
         return bool(self.ints_num) and self.ints_num[-1] < 0
 
@@ -530,12 +527,6 @@ class ScalarDomain:
 
     def random(self, rng) -> Scalar:
         raise NotImplementedError
-
-    def random_nonzero(self, rng) -> Scalar:
-        while True:
-            s = self.random(rng)
-            if not s.is_zero():
-                return s
 
     def __repr__(self):
         return f"<domain {self.name}>"

@@ -261,6 +261,30 @@ class TestExitCodes:
         assert main(["normalform", "--ring", write("r.json", "{broken"),
                      "t"]) == 2
 
+    @pytest.mark.parametrize("data", [
+        {"ring": "Qx", "vars": ["t"]},
+        {"ring": "Qx", "vars": [dict(WEYL["vars"][0], name=5)]},
+        dict(WEYL, ring=["Qx"]),
+        {"ring": "Qx", "vars": [{"name": "t", "aut": {"kind": "identity"},
+                                 "der": {"kind": "lin_comb", "terms": 5}}]},
+        {"ring": "Qx", "vars": [{"name": "t",
+                                 "aut": {"kind": "q_shift", "q": "abc"},
+                                 "der": {"kind": "zero"}}]},
+        {"ring": "Qx", "vars": [{"name": "t",
+                                 "aut": {"kind": "q_shift", "q": 0},
+                                 "der": {"kind": "zero"}}]},
+        {"ring": "HQ", "vars": [{"name": "t",
+                                 "aut": {"kind": "inner_aut", "c": "0"},
+                                 "der": {"kind": "zero"}}]},
+    ], ids=["var-not-object", "name-not-string", "ring-not-string",
+            "terms-not-list", "q-not-rational", "q-zero", "c-zero"])
+    def test_malformed_config_is_2(self, write, capsys, data):
+        assert main(["normalform", "--ring", write("r.json", data), "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skewpoly: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_domain_error_is_1(self, write, capsys):
         # 1 is not a root of t^2 + 1
         assert main(["gm-check", "--ring", write("r.json", QUAT),

@@ -381,6 +381,13 @@ def literal_monomial(ring, exps, r):
     return cur
 
 
+def random_nonzero(domain, rng):
+    while True:
+        s = domain.random(rng)
+        if not s.is_zero():
+            return s
+
+
 def kernel_scalars(domain, rng):
     """(scalar, kmax) pairs: a random scalar, taken to k = 24, and over Q(x)
     a rational function with a non-unit denominator, whose derivatives
@@ -390,7 +397,7 @@ def kernel_scalars(domain, rng):
         return [(QX.from_coeffs([rng.randint(-3, 3) for _ in range(3)] + [1]),
                  24),
                 (QX.from_coeffs((1, 0, 1), (-2, 1)), 8)]
-    return [(domain.random_nonzero(rng), 24)]
+    return [(random_nonzero(domain, rng), 24)]
 
 
 def assert_var_powers_match(ring, i, r, kmax=24):
@@ -588,7 +595,7 @@ class TestPowers:
     def test_scalar_pow_matches_repeated_products(self, domain):
         rng = random.Random(domain.name)
         for _ in range(3):
-            s = domain.random_nonzero(rng)
+            s = random_nonzero(domain, rng)
             up, down = domain.one(), domain.one()
             for k in range(13):
                 assert s ** k == up and s ** -k == down, k
@@ -597,7 +604,7 @@ class TestPowers:
     @pytest.mark.parametrize("fixture", ["weyl", "quat_inner", "qdiff_ring"])
     def test_scalar_var_power_matches_repeated_products(self, fixture, request):
         ring = request.getfixturevalue(fixture)
-        r = ring.domain.random_nonzero(random.Random(fixture))
+        r = random_nonzero(ring.domain, random.Random(fixture))
         base = ring.monomial((1,), r)
         repeated = base
         for m in range(1, 13):

@@ -451,7 +451,7 @@ def _evaluate(tree, ring):
         return ring.constant(ring.domain.from_int(tree[1]))
     if op == "name":
         if tree[1] in ring.names:
-            return ring.variable_named(tree[1])
+            return ring.variable(ring.names.index(tree[1]))
         return ring.constant(getattr(ring.domain, tree[1])())
     if op == "neg":
         return -_evaluate(tree[1], ring)
