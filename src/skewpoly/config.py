@@ -19,6 +19,7 @@ automorphism.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -37,10 +38,19 @@ from .maps import (
     zero_der,
 )
 from .ore import Flavor, OreRing
-from .parser import parse_scalar
+from .parser import MAX_Q_DIGITS, parse_scalar
 from .scalars import DOMAINS, ScalarDomain
 
 _RESERVED = {"Q": set(), "Qx": {"x"}, "HQ": {"i", "j", "k"}}
+
+
+def _bounded_q(text: str) -> Fraction:
+    """q, with at most MAX_Q_DIGITS digits above and below.  Fraction would
+    expand an exponent before any check, so one of 4+ digits is refused."""
+    q = None if re.search(r"[eE][-+]?[0-9_]{4}", text) else Fraction(text)
+    if q is None or max(abs(q.numerator), q.denominator) >= 10**MAX_Q_DIGITS:
+        raise ConfigError(f"q has more than {MAX_Q_DIGITS} digits")
+    return q
 
 
 def aut_from_data(data, domain: ScalarDomain) -> RingMap:
@@ -54,7 +64,7 @@ def aut_from_data(data, domain: ScalarDomain) -> RingMap:
     if kind == "q_shift":
         if domain.name != "Qx":
             raise ConfigError("q_shift is only available over Qx")
-        return q_shift(Fraction(str(data["q"])))
+        return q_shift(_bounded_q(str(data["q"])))
     raise ConfigError(f"unknown automorphism kind {kind!r}")
 
 

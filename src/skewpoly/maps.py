@@ -408,6 +408,12 @@ def analytic_commutation(m1: RingMap, m2: RingMap):
         # conjugations compose to conjugation by the product
         a, b = m1.c, m2.c
         return ((a * b) * (b * a).inv()).is_central()
+    for der, aut in ((m1, m2), (m2, m1)):
+        # s(c r - t(r) c) = c s(r) - t(s(r)) c when s fixes c and st = ts
+        if (isinstance(der, InnerDer) and is_automorphism(aut)
+                and aut(der.c) == der.c
+                and analytic_commutation(aut, der.twist) is True):
+            return True
     if isinstance(m2, LinComb):
         m1, m2 = m2, m1
     if isinstance(m1, LinComb) and (is_automorphism(m2) or is_derivation(m2)):

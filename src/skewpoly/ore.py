@@ -18,6 +18,16 @@ derivative list of r, and any other variable extends the last stored
 power of r by one single step (aut, der).  The test suite checks both
 paths against a literal single-step recurrence that shares no code with
 this module, and Weyl products against sympy's differential operators.
+
+A product gathers its terms ``m * a * c`` (left coefficient a, table
+scalar c, integer m) and sums them per exponent vector.  When every a and
+c is an integer polynomial, the sums are formed in Z by Kronecker
+substitution: p becomes p(2^B), a term one or two integer products, a sum
+is read back as balanced base-2^B digits.  Evaluation at 2^B is a ring
+homomorphism Z[x] -> Z, and B = bitlength(sum of m |a|_1 |c|_1) + 1 keeps
+every coefficient of every sum below 2^(B-1) in absolute value, so the
+digits are the coefficients: the width is proved, not guessed and retried.
+Every other product sums in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
 from .maps import (
@@ -39,7 +50,7 @@ from .maps import (
     commutation_record,
     derivation_record,
 )
-from .scalars import Scalar, ScalarDomain
+from .scalars import QX, RationalFunction, Scalar, ScalarDomain
 
 
 class Flavor(str, Enum):
@@ -268,6 +279,59 @@ def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
     return {p: c for p, c in nxt.items() if not c.is_zero()}
 
 
+def _scalar_sum(terms, table: _PowerTable) -> dict:
+    """Sum ``m * a * c`` per exponent vector in scalar arithmetic."""
+    out: dict = {}
+    for exps, m, a, c in terms:
+        v = a * c if m == 1 else table.scaled(m, a * c)
+        out[exps] = out[exps] + v if exps in out else v
+    return out
+
+
+def _pack(coeffs, width: int) -> int:
+    """The integer polynomial ``coeffs`` (lowest degree first) at 2^width."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << width) + c
+    return v
+
+
+def _unpack(v: int, width: int) -> tuple:
+    """Balanced base-2^width digits of ``v``, lowest first; () for 0."""
+    half, mask, out = 1 << (width - 1), (1 << width) - 1, []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> width
+    return tuple(out)
+
+
+def _packed_sum(terms) -> dict:
+    """``_scalar_sum`` of integer polynomials, by Kronecker substitution."""
+    norms, bound = {}, 0
+    for _, m, a, c in terms:
+        for p in (a.ints_num, c.ints_num):
+            if p not in norms:
+                norms[p] = sum(map(abs, p))
+        bound += m * norms[a.ints_num] * norms[c.ints_num]
+    width = bound.bit_length() + 1
+    packed = {p: _pack(p, width) for p in norms}
+    acc: dict = {}
+    for exps, m, a, c in terms:
+        v = packed[a.ints_num] * packed[c.ints_num]
+        if m != 1:
+            v *= m
+        acc[exps] = acc[exps] + v if exps in acc else v
+    out = {}
+    for exps, v in acc.items():
+        num = _unpack(v, width)
+        if num:
+            out[exps] = RationalFunction(num, (1,))
+    return out
+
+
 def evaluation_context(domain: ScalarDomain, names) -> OreRing:
     """A trivially twisted commuting ring used for leading forms, whose
     variables stand for central arguments.  One ring is built and certified
@@ -369,14 +433,19 @@ class SkewPoly:
         ring = self.ring
         ring._require_certificate("multiplication")
         table = _PowerTable(ring)
-        out: dict = {}
+        terms = self._contributions(other, table)
+        if ring.domain is QX:
+            terms = list(terms)
+            if all(a.ints_den == c.ints_den == (1,) for _, _, a, c in terms):
+                return SkewPoly(ring, _packed_sum(terms))
+        return SkewPoly(ring, _scalar_sum(terms, table))
+
+    def _contributions(self, other, table):
+        """The product's terms (exponents, m, a, c), each m * a * c."""
         for right_exp, b in other.terms.items():
             for left_exp, a in self.terms.items():
                 for mid_exp, m, c in table.monomial(left_exp, b):
-                    exps = tuple(p + q for p, q in zip(mid_exp, right_exp))
-                    v = a * c if m == 1 else table.scaled(m, a * c)
-                    out[exps] = out[exps] + v if exps in out else v
-        return SkewPoly(ring, out)
+                    yield tuple(map(add, mid_exp, right_exp)), m, a, c
 
     def __pow__(self, k: int):
         """``k - 1`` products ``(f * f) * f ...``, starting from ``self``.

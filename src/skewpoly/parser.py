@@ -45,6 +45,7 @@ from .scalars import Scalar, ScalarDomain
 
 _LITERALS = {"x", "i", "j", "k"}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
+MAX_Q_DIGITS = 100  # most decimal digits of a q_shift's q, above and below
 MAX_DEPTH = 100  # deepest nesting of parentheses; deeper input is refused
 # A name starts with a letter or "_"; the match admits any word character
 # but a decimal digit, and ``tokenize`` rejects the rest (such as "²").

@@ -14,9 +14,10 @@ from skewpoly import (
 from skewpoly.scalars import HQ, Q, QX
 
 # Ten times Hypothesis's default budget, for the oracles that guard the
-# scalar fast paths, the parser's shortcuts and analytic certification:
-# ``pytest tests/test_scalars.py tests/test_parser.py
-# tests/test_certification_oracle.py --hypothesis-profile=scalar-oracles``.
+# scalar fast paths, the parser's shortcuts, analytic certification and the
+# packed product sums: ``pytest tests/test_scalars.py tests/test_parser.py
+# tests/test_certification_oracle.py tests/test_packed_products.py
+# --hypothesis-profile=scalar-oracles``.
 # The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)
 

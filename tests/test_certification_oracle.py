@@ -148,6 +148,37 @@ def test_generated_verdicts_agree_with_sampling(family, domain, data):
     assert_verdicts_hold(domain, leibniz, commuting)
 
 
+@st.composite
+def inner_der_against_aut(draw):
+    """An inner derivation and an automorphism sigma over one domain, with
+    sigma fixing the derivation's witness about half of the time."""
+    if draw(st.booleans()):
+        s = draw(quaternions.filter(lambda c: not c.is_central()))
+        # a + b*s commutes with s, so conjugation by s fixes it
+        fixed = st.tuples(small, small).map(
+            lambda ab: HQ.from_fraction(ab[0]) + HQ.from_fraction(ab[1]) * s)
+        witness = st.one_of(fixed, quaternions).filter(
+            lambda c: not c.is_zero())
+        domain, aut, twist = HQ, inner_aut(s), inner_aut(draw(witness))
+        c = draw(st.one_of(fixed, quaternions))
+    else:
+        shifts = st.one_of(st.just(IdentityAut()), nonzero.map(q_shift))
+        domain, aut, twist = QX, draw(shifts), draw(shifts)
+        # constants are fixed by every q-shift, x is moved by all of them
+        c = draw(st.one_of(small.map(QX.from_fraction), qx_scalars))
+    return domain, InnerDer(c, twist), aut
+
+
+@settings(deadline=None)
+@given(case=inner_der_against_aut())
+def test_inner_derivation_against_automorphism_agrees_with_sampling(case):
+    domain, der, aut = case
+    pairs = [(der, aut), (aut, der)]
+    assert_verdicts_hold(domain, [], pairs)
+    if aut(der.c) == der.c and analytic_commutation(aut, der.twist) is True:
+        assert [analytic_commutation(*p) for p in pairs] == [True, True]
+
+
 def test_inner_automorphisms_are_refuted_analytically():
     # conjugations by i and 1 + j do not commute; i and j do
     i, j = HQ.i(), HQ.j()

@@ -276,8 +276,15 @@ class TestExitCodes:
         {"ring": "HQ", "vars": [{"name": "t",
                                  "aut": {"kind": "inner_aut", "c": "0"},
                                  "der": {"kind": "zero"}}]},
+        # unbounded, q = 10^1000000 hangs in q_diff and q = 10^1000 fails
+        # Python's int-to-str limit when a product is printed
+        *({"ring": "Qx", "vars": [{"name": "t",
+                                   "aut": {"kind": "q_shift", "q": q},
+                                   "der": {"kind": "q_diff"}}]}
+          for q in ("1e1000000", "1e1000")),
     ], ids=["var-not-object", "name-not-string", "ring-not-string",
-            "terms-not-list", "q-not-rational", "q-zero", "c-zero"])
+            "terms-not-list", "q-not-rational", "q-zero", "c-zero",
+            "q-huge", "q-large"])
     def test_malformed_config_is_2(self, write, capsys, data):
         assert main(["normalform", "--ring", write("r.json", data), "t"]) == 2
         err = capsys.readouterr().err
