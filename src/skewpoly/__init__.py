@@ -57,7 +57,6 @@ from .maps import (
     in_fixed_subfield,
     inner_aut,
     lin_comb,
-    q_diff,
     q_shift,
     zero_der,
 )

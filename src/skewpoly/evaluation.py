@@ -7,9 +7,11 @@ homomorphism fixing the scalars, which is what makes the monicization
 change of variables work.
 
 Certificates are checked on construction: element commutation is an exact
-polynomial identity and the automorphic law is verified on seeded scalar
-samples, for an F-linear combination of the variables as an identity of
-derivations that is flagged analytic when it holds by construction.
+polynomial identity, and each automorphic law has one certifier.  An
+F-linear combination of the variables whose combined derivation is the
+claimed one is proved (``analytic`` True, no sample compared); every other
+element is checked by operator products on seeded scalar samples.  Either
+way a record's ``samples`` is the size of the pool the law is stated over.
 """
 
 from __future__ import annotations
@@ -67,22 +69,23 @@ def _linear_form(ambient: OreRing, s: SkewPoly, claimed_aut: RingMap):
 
 
 def _automorphic_record(ambient, s, aut, der, pool, law) -> CheckRecord:
-    """Count the sampled r with ``s*r != aut(r)*s + der(r)``.  For a linear
-    form this is the scalar identity, proved when the combined derivation is
-    ``der`` up to the order of its terms; otherwise it takes products."""
+    """The law ``s*r = aut(r)*s + der(r)`` over ``pool``.  A linear form whose
+    combined derivation is ``der`` up to the order of its terms satisfies it
+    for every r, so it is proved and no sample is compared; every other
+    element counts the samples on which operator products break it."""
     pairs = _linear_form(ambient, s, aut)
-    if pairs is None:
-        failures = sum(s * ambient.constant(r)
-                       != s.scale_left(aut(r)) + ambient.constant(der(r))
-                       for r in pool)
-        return CheckRecord(law, len(pool), failures)
-    ambient._require_certificate("multiplication")
-    combined = lin_comb(pairs, twist=aut)
-    failures = sum(combined(r) != der(r) for r in pool)
-    same = (Counter(combined.terms) == Counter(der.terms)
-            if isinstance(combined, LinComb) and isinstance(der, LinComb)
-            else combined == der)
-    return CheckRecord(law, len(pool), failures, same or None)
+    if pairs is not None:
+        combined = lin_comb(pairs, twist=aut)
+        same = (Counter(combined.terms) == Counter(der.terms)
+                if isinstance(combined, LinComb) and isinstance(der, LinComb)
+                else combined == der)
+        if same:
+            ambient._require_certificate("multiplication")
+            return CheckRecord(law, len(pool), 0, True)
+    failures = sum(s * ambient.constant(r)
+                   != s.scale_left(aut(r)) + ambient.constant(der(r))
+                   for r in pool)
+    return CheckRecord(law, len(pool), failures)
 
 
 def certify_tuple(ambient: OreRing, elements, twists,

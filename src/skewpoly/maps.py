@@ -266,10 +266,6 @@ def zero_der(twist: RingMap | None = None) -> ZeroDer:
     return ZeroDer(twist if twist is not None else IdentityAut())
 
 
-def q_diff(shift: QShiftAut) -> QDiffDer:
-    return QDiffDer(shift)
-
-
 def lin_comb(pairs, twist: RingMap | None = None) -> RingMap:
     """Build a combined derivation in collapsed form.
 

@@ -27,7 +27,7 @@ from .errors import (
     SkewError,
     ZeroPolynomial,
 )
-from .evaluation import certify_tuple, evaluate, mix_derivations
+from .evaluation import certify_tuple, evaluate
 from .maps import DEFAULT_SAMPLES, DEFAULT_SEED, central_fixed_stream, lin_comb
 from .nullstellensatz import nonvanishing_points
 from .ore import (
@@ -55,16 +55,14 @@ class Substitution:
     scale: Scalar
     leading_value: Scalar
 
-    def to_data(self, names=None) -> dict:
-        out = {
+    def to_data(self, names) -> dict:
+        return {
             "target": self.target,
             "shifts": [str(u) for u in self.shifts],
             "scale": str(self.scale),
             "leading_value": str(self.leading_value),
+            "eliminated": names[self.target],
         }
-        if names is not None:
-            out["eliminated"] = names[self.target]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +160,26 @@ def _require_normalizable(ring: OreRing):
         )
 
 
+def _shift_variables(ring: OreRing, target: int, shifts: dict):
+    """The change of variables y_i -> y_i + u_i * y_target for each index i
+    of ``shifts`` (u_i = shifts[i] in F): the shifted elements of ``ring``
+    and the variables (aut_i, der_i + u_i * der_target) they behave like."""
+    one = ring.domain.one()
+    y_target = ring.variable(target)
+    der_target = ring.variables[target].der
+    elements, variables = [], []
+    for i, v in enumerate(ring.variables):
+        if i in shifts:
+            u = shifts[i]
+            elements.append(ring.variable(i) + y_target.scale_left(u))
+            variables.append((v.name, v.aut, lin_comb(
+                [(one, v.der), (u, der_target)], twist=v.aut)))
+        else:
+            elements.append(ring.variable(i))
+            variables.append(v)
+    return elements, variables
+
+
 def monicize(f: SkewPoly, target: int | None = None,
              samples: int = DEFAULT_SAMPLES,
              seed: int = DEFAULT_SEED) -> tuple[Substitution, SkewPoly]:
@@ -187,30 +205,15 @@ def monicize(f: SkewPoly, target: int | None = None,
     search = find_nonvanishing_point(h, stream)
     scale = search.value.inv()
 
-    aut = ring.variables[0].aut
-    one = ring.domain.one()
     others = [i for i in range(ring.nvars) if i != target]
-    shift_of = dict(zip(others, search.point))
-    target_der = ring.variables[target].der
-
-    mixed_vars = []
-    elements = []
-    t_var = ring.variable(target)
-    for i, v in enumerate(ring.variables):
-        if i == target:
-            mixed_vars.append((v.name, aut, v.der))
-            elements.append(t_var)
-        else:
-            d = lin_comb([(one, v.der), (shift_of[i], target_der)], twist=aut)
-            mixed_vars.append((v.name, aut, d))
-            elements.append(ring.variable(i) + t_var.scale_left(shift_of[i]))
-    mixed_ring = OreRing(ring.domain, mixed_vars, Flavor.COMMUTING,
-                         samples=samples, seed=seed)
+    elements, variables = _shift_variables(
+        ring, target, dict(zip(others, search.point)))
+    mixed_ring = OreRing(ring.domain, variables, samples=samples, seed=seed)
     tup = certify_tuple(ring, elements, mixed_ring.twists(), samples, seed)
     g = evaluate(reinterpret(f, mixed_ring), tup).scale_left(scale)
 
     top = tuple(degree if t == target else 0 for t in range(ring.nvars))
-    if g.degree_in(target) != degree or g.coeff(top) != one:
+    if g.degree_in(target) != degree or g.coeff(top) != ring.domain.one():
         raise SkewError(
             "internal error: monicization postcondition failed"
         )
@@ -245,27 +248,20 @@ def normalize_step(f: SkewPoly, samples: int = DEFAULT_SAMPLES,
     Monicizes f in the last variable, forms the new variables
     t_k = y_k - u_k y_n with the mixed tower (aut, der_k - u_k der_n), reads
     the monic relation off g, and asserts the replay identity
-    g(t_1, ..., t_n) = a*f exactly.
+    g(t_1, ..., t_n) = a*f exactly.  The mixed tower is certified by the
+    ring it defines (Leibniz per derivation, commutation of every pair of
+    maps); normalization is refused when that certificate fails.
     """
     ring = f.ring
     target = ring.nvars - 1
     sub, g = monicize(f, target, samples, seed)
 
-    ders = [v.der for v in ring.variables]
-    mixed = mix_derivations(ring.domain, ders, [-u for u in sub.shifts],
-                            samples, seed)
-    aut = ring.variables[0].aut
-    new_ring = OreRing(
-        ring.domain,
-        [(v.name, aut, d) for v, d in zip(ring.variables, mixed)],
-        Flavor.COMMUTING, samples=samples, seed=seed)
+    t_elements, variables = _shift_variables(
+        ring, target, {i: -u for i, u in enumerate(sub.shifts)})
+    new_ring = OreRing(ring.domain, variables, samples=samples, seed=seed)
+    new_ring._require_certificate("normalization")
 
     relation = MonicRelation.read(reinterpret(g, new_ring), target)
-
-    t_last = ring.variable(target)
-    t_elements = [ring.variable(i) - t_last.scale_left(u)
-                  for i, u in enumerate(sub.shifts)]
-    t_elements.append(t_last)
     replay_tup = certify_tuple(ring, t_elements, new_ring.twists(),
                                samples, seed)
     if evaluate(reinterpret(g, new_ring), replay_tup) != f.scale_left(sub.scale):
@@ -380,15 +376,12 @@ def normalize(ring: OreRing, relations,
             presentation.domain,
             list(step.relation.ring.variables)
             + list(presentation.variables[active:]),
-            Flavor.COMMUTING, samples=samples, seed=seed)
-        push_elements = []
-        t_last = new_presentation.variable(active - 1)
-        for i in range(presentation.nvars):
-            if i < active - 1:
-                push_elements.append(new_presentation.variable(i)
-                                     + t_last.scale_left(step.substitution.shifts[i]))
-            else:
-                push_elements.append(new_presentation.variable(i))
+            samples=samples, seed=seed)
+        # the derivations of the shifted variables are presentation's up to
+        # the order of LinComb terms, so the push claims presentation's own
+        push_elements, _ = _shift_variables(
+            new_presentation, active - 1,
+            dict(enumerate(step.substitution.shifts)))
         push = certify_tuple(new_presentation, push_elements,
                              presentation.twists(), samples, seed)
         exprs = [evaluate(e, push) for e in exprs]

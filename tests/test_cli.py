@@ -199,6 +199,13 @@ class TestCommands:
         assert "step 2: eliminated y2" in out
         assert "residual variables: y1" in out
 
+    def test_normalize_qdiff(self, write, capsys):
+        rel_path = write("rels.txt", "t^2 + x*t + 1\n")
+        ring_path = str(ROOT / "configs" / "qdiff.json")
+        assert main(["normalize", "--ring", ring_path,
+                     "--relations", rel_path]) == 0
+        assert "step 1: eliminated t" in capsys.readouterr().out
+
     def test_reduce(self, write, capsys):
         assert main(["reduce", "--ring", write("r.json", QUAT),
                      "--relation", "t^2 - 3*t + 2", "--var", "t",

@@ -17,6 +17,7 @@ from skewpoly.evaluation import (
     mix_elements,
 )
 from skewpoly.maps import (
+    DEFAULT_SAMPLES,
     CheckRecord,
     DdxDer,
     IdentityAut,
@@ -107,15 +108,23 @@ class TestCertify:
         assert tup.certificate.records[0].analytic is True
 
     def test_linear_form_takes_no_operator_product(self, weyl2, monkeypatch):
-        products = []
+        products, applied = [], []
         original = SkewPoly.__mul__
         monkeypatch.setattr(SkewPoly, "__mul__",
                             lambda f, g: products.append(1) or original(f, g))
+        ddx = DdxDer.__call__
+        monkeypatch.setattr(DdxDer, "__call__",
+                            lambda d, r: applied.append(r) or ddx(d, r))
         t1, t2 = weyl2.variable(0), weyl2.variable(1)
-        right = lin_comb([(QX.from_int(3), DdxDer()), (QX.one(), DdxDer())])
-        tup = certify_tuple(weyl2, [t1.scale_left(QX.from_int(3)) + t2],
+        three = QX.from_int(3)
+        right = lin_comb([(three, DdxDer()), (QX.one(), DdxDer())])
+        tup = certify_tuple(weyl2, [t1.scale_left(three) + t2],
                             [(IdentityAut(), right)])
-        assert tup.certificate.ok and not products
+        assert tup.certificate.records == (
+            CheckRecord("automorphic(s1)", DEFAULT_SAMPLES, 0, True),)
+        # a proof compares no sample: d/dx meets only the coefficients, for
+        # their F-membership
+        assert not products and set(applied) <= {three, QX.one()}
         # t + 1 is no linear form: it keeps the product check
         certify_tuple(weyl2, [t1 + weyl2.one()], [weyl2.twists()[0]], 8)
         assert len(products) == 8

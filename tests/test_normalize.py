@@ -1,10 +1,12 @@
 """Monicization, the normalization chain and monic reduction."""
 
 import itertools
+import pathlib
 import random
 
 import pytest
 
+from skewpoly.config import load_ring
 from skewpoly.errors import (
     IncompatibleMaps,
     NotAWitness,
@@ -35,6 +37,9 @@ from skewpoly.ore import OreRing, evaluation_context, random_poly, reinterpret
 from skewpoly.scalars import HQ, Q, QX
 
 X = QX.x()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED_RINGS = sorted([*ROOT.glob("configs/*.json"),
+                        *ROOT.glob("perfbench/rings/*.json")])
 
 
 def stream_for(ring):
@@ -367,6 +372,18 @@ class TestNormalize:
         result = normalize(quat_inner2, [f], samples=8)
         assert len(result.steps) == 1
         assert result.residual_variables == ("t1",)
+
+    @pytest.mark.parametrize("path", SHIPPED_RINGS, ids=lambda p: p.name)
+    def test_sum_of_squares_on_every_shipped_ring(self, path):
+        # qdiff.json twists by a q-shift that its q-difference does not
+        # commute with; one variable mixes nothing, so nothing asks it to
+        ring = load_ring(path)
+        f = ring.one()
+        for i in range(ring.nvars):
+            f = f + ring.variable(i) * ring.variable(i)
+        result = normalize(ring, [f], samples=8)
+        assert len(result.steps) == 1
+        assert result.generator_bounds == (2,)
 
     def test_foreign_relation_rejected(self, weyl2, weyl3):
         with pytest.raises(RingMismatch):
