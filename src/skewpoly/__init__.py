@@ -66,10 +66,8 @@ from .ore import (
     SkewPoly,
     Variable,
     evaluation_context,
-    extend_from_prefix,
     random_poly,
     reinterpret,
-    restrict_to_prefix,
 )
 from .evaluation import (
     AutomorphicTuple,

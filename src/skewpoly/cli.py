@@ -1,8 +1,9 @@
 """Command-line front-end.
 
-Every subcommand loads the ring from ``--ring``, parses its expression
-arguments in that ring, runs one library operation and prints either a
-human-readable text report or a JSON document with stable key order.
+Every subcommand loads the ring from ``--ring`` with the ``--samples`` and
+``--seed`` settings, parses its expression arguments in that ring, runs one
+library operation and prints either a human-readable text report or a JSON
+document with stable key order.
 Exit codes: 0 success, 1 domain errors, 2 usage/parse/configuration errors.
 """
 
@@ -155,8 +156,7 @@ def _run_multiply(ring, args):
 def _run_evaluate(ring, args):
     f = parse_expr(args.expr, ring)
     elements = [parse_expr(e, ring) for e in args.at]
-    tup = certify_tuple(ring, elements, ring.twists(),
-                        args.samples, args.seed)
+    tup = certify_tuple(ring, elements, ring.twists())
     value = evaluate(f, tup)
     data = {
         "command": "evaluate",
@@ -173,7 +173,7 @@ def _run_mix(ring, args):
     coeffs = [parse_scalar(c, ring.domain) for c in args.coeff]
     ders = [v.der for v in ring.variables]
     mixed = mix_derivations(ring.domain, ders, coeffs,
-                            args.samples, args.seed)
+                            ring.samples, ring.seed)
     data = {
         "command": "mix",
         "coefficients": [str(c) for c in coeffs],
@@ -185,9 +185,8 @@ def _run_mix(ring, args):
     lines = [f"{name}: {d.describe()}" for name, d in zip(ring.names, mixed)]
     if args.elements:
         elements = [parse_expr(e, ring) for e in args.elements]
-        tup = certify_tuple(ring, elements, ring.twists(),
-                            args.samples, args.seed)
-        out = mix_elements(tup, coeffs, args.samples, args.seed)
+        out = mix_elements(certify_tuple(ring, elements, ring.twists()),
+                           coeffs)
         data["mixed_elements"] = [str(e) for e in out.elements]
         data["certificate"] = out.certificate.to_data()
         lines += [f"u{i + 1} = {e}" for i, e in enumerate(out.elements)]
@@ -197,7 +196,7 @@ def _run_mix(ring, args):
 def _run_monicize(ring, args):
     f = parse_expr(args.expr, ring)
     target = _var_index(ring, args.target) if args.target else None
-    sub, g = monicize(f, target, args.samples, args.seed)
+    sub, g = monicize(f, target)
     data = {
         "command": "monicize",
         "input": args.expr,
@@ -260,7 +259,7 @@ def _run_gm_check(ring, args):
 
 def _run_normalize(ring, args):
     relations = [parse_expr(line, ring) for line in _read_lines(args.relations)]
-    result = normalize(ring, relations, args.samples, args.seed)
+    result = normalize(ring, relations)
     data = {"command": "normalize"}
     data.update(result.to_data())
     lines = []

@@ -11,7 +11,8 @@ polynomial identity, and each automorphic law has one certifier.  An
 F-linear combination of the variables whose combined derivation is the
 claimed one is proved (``analytic`` True, no sample compared); every other
 element is checked by operator products on seeded scalar samples.  Either
-way a record's ``samples`` is the size of the pool the law is stated over.
+way a record's ``samples`` is the size of the pool the law is stated over,
+drawn with the ambient ring's ``samples`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .maps import (
     CheckRecord,
     LinComb,
     RingMap,
-    check_sample_count,
-    commutation_record,
-    derivation_record,
     in_fixed_subfield,
     lin_comb,
     require_in_fixed_subfield,
@@ -88,11 +86,10 @@ def _automorphic_record(ambient, s, aut, der, pool, law) -> CheckRecord:
     return CheckRecord(law, len(pool), failures)
 
 
-def certify_tuple(ambient: OreRing, elements, twists,
-                  samples: int = DEFAULT_SAMPLES,
-                  seed: int = DEFAULT_SEED) -> AutomorphicTuple:
-    """Build a tuple and record its commutation / automorphic-law checks."""
-    check_sample_count(samples)
+def certify_tuple(ambient: OreRing, elements, twists) -> AutomorphicTuple:
+    """Build a tuple and record its commutation / automorphic-law checks;
+    sampled laws draw their pool with ``ambient.samples`` and
+    ``ambient.seed``."""
     elements = tuple(elements)
     twists = tuple((a, d) for a, d in twists)
     if len(elements) != len(twists):
@@ -106,7 +103,7 @@ def certify_tuple(ambient: OreRing, elements, twists,
             equal = (elements[i] * elements[j] == elements[j] * elements[i])
             records.append(CheckRecord(f"commute(s{i + 1}, s{j + 1})",
                                        1, 0 if equal else 1))
-    pool = sample_scalars(ambient.domain, seed, samples)
+    pool = sample_scalars(ambient.domain, ambient.seed, ambient.samples)
     for idx, (s, (aut, der)) in enumerate(zip(elements, twists)):
         records.append(_automorphic_record(ambient, s, aut, der, pool,
                                            f"automorphic(s{idx + 1})"))
@@ -155,8 +152,9 @@ def mix_derivations(domain, ders, coeffs,
                     seed: int = DEFAULT_SEED) -> list[RingMap]:
     """d_i = der_i + a_i * der_n for i < n, d_n = der_n, with each a_i from F.
 
-    The outputs are certified: twisted Leibniz for every d_i, commutation
-    with the shared automorphism, and pairwise commutation.
+    The outputs are certified by the ring their tower defines: twisted
+    Leibniz for every d_i and commutation of every pair of maps of distinct
+    variables.  ``CertificateFailed`` names the first law that fails.
     """
     ders = list(ders)
     coeffs = list(coeffs)
@@ -166,43 +164,37 @@ def mix_derivations(domain, ders, coeffs,
     if len(twists) != 1:
         raise ValueError("derivations must share one paired automorphism")
     (aut,) = twists
-    fmaps = [aut, *ders]
     one = domain.one()
     mixed = []
     for der, a in zip(ders[:-1], coeffs):
-        require_in_fixed_subfield(domain, fmaps, a)
+        require_in_fixed_subfield(domain, [aut, *ders], a)
         mixed.append(lin_comb([(one, der), (a, ders[-1])], twist=aut))
     mixed.append(ders[-1])
-    for i, d in enumerate(mixed):
-        if not derivation_record(domain, aut, d, samples, seed).ok:
-            raise CertificateFailed(f"mixed map d{i + 1} fails the Leibniz law")
-        if not commutation_record(domain, aut, d, samples, seed).ok:
-            raise CertificateFailed(f"d{i + 1} does not commute with the twist")
-        for j in range(i):
-            if not commutation_record(domain, mixed[j], d, samples, seed).ok:
-                raise CertificateFailed(f"d{j + 1} and d{i + 1} do not commute")
+    tower = OreRing(domain, [(f"d{i + 1}", aut, d)
+                             for i, d in enumerate(mixed)],
+                    samples=samples, seed=seed)
+    for record in tower.certificate.records:
+        if not record.ok:
+            raise CertificateFailed(f"mixed derivations fail {record.law}")
     return mixed
 
 
-def mix_elements(tup: AutomorphicTuple, coeffs,
-                 samples: int = DEFAULT_SAMPLES,
-                 seed: int = DEFAULT_SEED) -> AutomorphicTuple:
+def mix_elements(tup: AutomorphicTuple, coeffs) -> AutomorphicTuple:
     """u_i = s_i + a_i * s_n for i < n, u_n = s_n, re-certified against the
-    mixed derivations."""
+    mixed derivations with the settings of ``tup.ambient``."""
     coeffs = list(coeffs)
     auts = {a for a, _ in tup.twists}
     if len(auts) != 1:
         raise ValueError("mixing requires a shared automorphism")
-    mixed_ders = mix_derivations(tup.ambient.domain,
-                                 [d for _, d in tup.twists], coeffs,
-                                 samples, seed)
+    ambient = tup.ambient
+    mixed_ders = mix_derivations(ambient.domain, [d for _, d in tup.twists],
+                                 coeffs, ambient.samples, ambient.seed)
     aut = next(iter(auts))
     last = tup.elements[-1]
     elements = [s + last.scale_left(a)
                 for s, a in zip(tup.elements[:-1], coeffs)]
     elements.append(last)
-    out = certify_tuple(tup.ambient, elements,
-                        [(aut, d) for d in mixed_ders], samples, seed)
+    out = certify_tuple(ambient, elements, [(aut, d) for d in mixed_ders])
     if not out.certificate.ok:
         raise CertificateFailed(
             "mixed tuple failed certification; an upstream hypothesis "

@@ -28,16 +28,9 @@ from .errors import (
     ZeroPolynomial,
 )
 from .evaluation import certify_tuple, evaluate
-from .maps import DEFAULT_SAMPLES, DEFAULT_SEED, central_fixed_stream, lin_comb
+from .maps import central_fixed_stream, lin_comb
 from .nullstellensatz import nonvanishing_points
-from .ore import (
-    Flavor,
-    OreRing,
-    SkewPoly,
-    extend_from_prefix,
-    reinterpret,
-    restrict_to_prefix,
-)
+from .ore import Flavor, OreRing, SkewPoly, Variable, reinterpret
 from .scalars import Scalar
 
 
@@ -172,7 +165,7 @@ def _shift_variables(ring: OreRing, target: int, shifts: dict):
         if i in shifts:
             u = shifts[i]
             elements.append(ring.variable(i) + y_target.scale_left(u))
-            variables.append((v.name, v.aut, lin_comb(
+            variables.append(Variable(v.name, v.aut, lin_comb(
                 [(one, v.der), (u, der_target)], twist=v.aut)))
         else:
             elements.append(ring.variable(i))
@@ -180,13 +173,13 @@ def _shift_variables(ring: OreRing, target: int, shifts: dict):
     return elements, variables
 
 
-def monicize(f: SkewPoly, target: int | None = None,
-             samples: int = DEFAULT_SAMPLES,
-             seed: int = DEFAULT_SEED) -> tuple[Substitution, SkewPoly]:
+def monicize(f: SkewPoly,
+             target: int | None = None) -> tuple[Substitution, SkewPoly]:
     """Monic-in-``target`` form of a non-zero relation.
 
     Returns the substitution data and g = a * f(..., y_k + u_k y_target, ...)
     whose ``target`` degree equals deg(f) with leading coefficient exactly 1.
+    Certification uses the settings of ``f.ring``.
     """
     ring = f.ring
     _require_normalizable(ring)
@@ -208,8 +201,8 @@ def monicize(f: SkewPoly, target: int | None = None,
     others = [i for i in range(ring.nvars) if i != target]
     elements, variables = _shift_variables(
         ring, target, dict(zip(others, search.point)))
-    mixed_ring = OreRing(ring.domain, variables, samples=samples, seed=seed)
-    tup = certify_tuple(ring, elements, mixed_ring.twists(), samples, seed)
+    mixed_ring = ring.with_variables(variables)
+    tup = certify_tuple(ring, elements, mixed_ring.twists())
     g = evaluate(reinterpret(f, mixed_ring), tup).scale_left(scale)
 
     top = tuple(degree if t == target else 0 for t in range(ring.nvars))
@@ -241,8 +234,7 @@ class NormalizationStep:
         }
 
 
-def normalize_step(f: SkewPoly, samples: int = DEFAULT_SAMPLES,
-                   seed: int = DEFAULT_SEED) -> NormalizationStep:
+def normalize_step(f: SkewPoly) -> NormalizationStep:
     """Eliminate the last variable using the witness relation ``f``.
 
     Monicizes f in the last variable, forms the new variables
@@ -251,20 +243,21 @@ def normalize_step(f: SkewPoly, samples: int = DEFAULT_SAMPLES,
     g(t_1, ..., t_n) = a*f exactly.  The mixed tower is certified by the
     ring it defines (Leibniz per derivation, commutation of every pair of
     maps); normalization is refused when that certificate fails.
+    Certification uses the settings of ``f.ring``.
     """
     ring = f.ring
     target = ring.nvars - 1
-    sub, g = monicize(f, target, samples, seed)
+    sub, g = monicize(f, target)
 
     t_elements, variables = _shift_variables(
         ring, target, {i: -u for i, u in enumerate(sub.shifts)})
-    new_ring = OreRing(ring.domain, variables, samples=samples, seed=seed)
+    new_ring = ring.with_variables(variables)
     new_ring._require_certificate("normalization")
 
-    relation = MonicRelation.read(reinterpret(g, new_ring), target)
-    replay_tup = certify_tuple(ring, t_elements, new_ring.twists(),
-                               samples, seed)
-    if evaluate(reinterpret(g, new_ring), replay_tup) != f.scale_left(sub.scale):
+    g = reinterpret(g, new_ring)
+    relation = MonicRelation.read(g, target)
+    replay_tup = certify_tuple(ring, t_elements, new_ring.twists())
+    if evaluate(g, replay_tup) != f.scale_left(sub.scale):
         raise SkewError("internal error: replay identity g(t) = a*f failed")
     return NormalizationStep(sub, new_ring.twists(), relation)
 
@@ -330,15 +323,15 @@ class NormalizationResult:
         }
 
 
-def normalize(ring: OreRing, relations,
-              samples: int = DEFAULT_SAMPLES,
-              seed: int = DEFAULT_SEED) -> NormalizationResult:
+def normalize(ring: OreRing, relations) -> NormalizationResult:
     """Run the normalization chain over the witness relations, in order.
 
     Each relation is re-expressed through the accumulated substitutions and
     reduced by the accumulated monic relations.  A relation that vanishes is
     reported and skipped; one that still involves an eliminated variable
-    violates the witness precondition and raises ``NotAWitness``.
+    violates the witness precondition and raises ``NotAWitness``.  Every
+    ring of the chain is derived from ``ring`` and keeps its settings; a
+    step that shifts nothing reuses its ring.
     """
     _require_normalizable(ring)
     presentation = ring
@@ -351,12 +344,10 @@ def normalize(ring: OreRing, relations,
     for index, f in enumerate(relations):
         if f.ring != ring:
             raise RingMismatch("relations must live in the input ring")
-        if presentation == ring:
-            w = f
+        if steps:  # a step shifts coordinates even where the tower stays
+            w = evaluate(f, certify_tuple(presentation, exprs, ring.twists()))
         else:
-            tup = certify_tuple(presentation, exprs, ring.twists(),
-                                samples, seed)
-            w = evaluate(f, tup)
+            w = f
         for rel in reversed(rels):
             w = reduce_by_monic(w, rel)
         if w.is_zero():
@@ -367,23 +358,20 @@ def normalize(ring: OreRing, relations,
                 f"relation {index} still involves eliminated variables "
                 "after reduction"
             )
-        sub_ring = presentation.subring(active)
-        w_active = restrict_to_prefix(w, sub_ring)
-        step = normalize_step(w_active, samples, seed)
+        step = normalize_step(reinterpret(
+            w, presentation.with_variables(presentation.variables[:active])))
         steps.append(step)
 
-        new_presentation = OreRing(
-            presentation.domain,
-            list(step.relation.ring.variables)
-            + list(presentation.variables[active:]),
-            samples=samples, seed=seed)
+        step_ring = step.relation.ring
+        new_presentation = step_ring.with_variables(
+            step_ring.variables + presentation.variables[active:])
         # the derivations of the shifted variables are presentation's up to
         # the order of LinComb terms, so the push claims presentation's own
         push_elements, _ = _shift_variables(
             new_presentation, active - 1,
             dict(enumerate(step.substitution.shifts)))
         push = certify_tuple(new_presentation, push_elements,
-                             presentation.twists(), samples, seed)
+                             presentation.twists())
         exprs = [evaluate(e, push) for e in exprs]
         pushed = [
             MonicRelation(new_presentation, r.var, r.degree,
@@ -392,7 +380,7 @@ def normalize(ring: OreRing, relations,
         ]
         new_rel = MonicRelation(
             new_presentation, step.relation.var, step.relation.degree,
-            tuple(extend_from_prefix(t, new_presentation)
+            tuple(reinterpret(t, new_presentation)
                   for t in step.relation.tails))
         rels = pushed + [new_rel]
         presentation = new_presentation

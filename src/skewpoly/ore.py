@@ -88,7 +88,9 @@ class OreRing:
     derivation is checked against its automorphism and, for multi-variable
     rings, all map pairs are checked for commutation (analytically for the
     closed constructor family, on seeded samples otherwise).  Multiplication
-    refuses to run on a failed certificate, whatever the flavor.
+    refuses to run on a failed certificate, whatever the flavor.  Rings
+    derived by ``with_variables`` and tuples certified over the ring use its
+    ``samples`` and ``seed``.
     """
 
     def __init__(self, domain: ScalarDomain, variables, flavor=Flavor.COMMUTING,
@@ -146,9 +148,14 @@ class OreRing:
                        for v in self.variables)
         return f"OreRing({self.domain.name}[{vs}], {self.flavor.value})"
 
-    def subring(self, count: int) -> "OreRing":
-        """The ring on the first ``count`` variables."""
-        return OreRing(self.domain, self.variables[:count], self.flavor,
+    def with_variables(self, variables) -> "OreRing":
+        """The ring on ``variables`` with this domain, flavor, samples and
+        seed; ``self`` when they are its own ``Variable``s, so an unchanged
+        ring is neither built nor certified again."""
+        variables = tuple(variables)
+        if variables == self.variables:
+            return self
+        return OreRing(self.domain, variables, self.flavor,
                        samples=self.samples, seed=self.seed)
 
     def to_tower(self) -> "OreRing":
@@ -534,30 +541,15 @@ class SkewPoly:
 
 
 def reinterpret(f: SkewPoly, ring: OreRing) -> SkewPoly:
-    """The same coefficient data read in another ring with as many variables
-    (the left-module identification of equal monomial bases)."""
-    if ring.nvars != f.ring.nvars:
-        raise RingMismatch("variable counts differ")
-    return SkewPoly(ring, dict(f.terms))
-
-
-def restrict_to_prefix(f: SkewPoly, subring: OreRing) -> SkewPoly:
-    """Read a polynomial free of the trailing variables in the prefix ring."""
-    k = subring.nvars
-    terms = {}
-    for e, c in f.terms.items():
-        if any(e[k:]):
-            raise ValueError("polynomial involves variables beyond the prefix")
-        terms[e[:k]] = c
-    return SkewPoly(subring, terms)
-
-
-def extend_from_prefix(f: SkewPoly, ring: OreRing) -> SkewPoly:
-    """Embed a prefix-ring polynomial into the full ring (zero padding)."""
-    pad = ring.nvars - f.ring.nvars
-    if pad < 0:
-        raise RingMismatch("target ring has fewer variables")
-    return SkewPoly(ring, {e + (0,) * pad: c for e, c in f.terms.items()})
+    """The same coefficient data read in ``ring`` (the left-module
+    identification of monomial bases): exponent vectors are padded with
+    zeros, or cut where ``ring`` has fewer variables, which needs a zero
+    tail."""
+    n = ring.nvars
+    if any(any(e[n:]) for e in f.terms):
+        raise RingMismatch("polynomial involves variables the ring lacks")
+    pad = (0,) * n
+    return SkewPoly(ring, {(e + pad)[:n]: c for e, c in f.terms.items()})
 
 
 def random_poly(ring: OreRing, rng, max_degree=3, max_terms=4,

@@ -174,13 +174,13 @@ def test_criterion_5_mixing_suite(weyl2, quat_inner2):
         assert commutation_record(domain, mixed[0], mixed[1], 64).ok
 
         base = certify_tuple(ring, [ring.variable(0), ring.variable(1)],
-                             ring.twists(), samples=64)
-        out = mix_elements(base, [a], samples=64)
+                             ring.twists())
+        out = mix_elements(base, [a])
         for element, (el_aut, el_der) in zip(out.elements, out.twists):
             assert is_automorphic(element, el_aut, el_der, 64)
         u1, u2 = out.elements
         assert u1 * u2 == u2 * u1
-        back = mix_elements(out, [-a], samples=64)
+        back = mix_elements(out, [-a])
         assert back.elements == base.elements
         assert back.twists == base.twists
     report(5, "mixed derivations and elements certified on 64 samples; "
@@ -262,7 +262,7 @@ def test_criterion_8_monicization(weyl2, weyl3, rat3, quat_inner2):
             continue
         degree = int(f.total_degree())
         target = ring.nvars - 1
-        sub, g = monicize(f, samples=8)
+        sub, g = monicize(f)
         assert g.degree_in(target) == degree
         top = tuple(degree if t == target else 0 for t in range(ring.nvars))
         assert g.coeff(top) == ring.domain.one()
@@ -280,26 +280,26 @@ def test_criterion_8_monicization(weyl2, weyl3, rat3, quat_inner2):
 def test_criterion_9_normalization_replay(weyl2, weyl3):
     # worked example 1: f = x1 x2
     f = weyl2.monomial((1, 1), QX.one())
-    step = normalize_step(f, samples=16)
+    step = normalize_step(f)
     g = step.relation.polynomial()
     t2 = weyl2.variable(1)
     elements = [weyl2.variable(0) - t2.scale_left(step.substitution.shifts[0]),
                 t2]
-    tup = certify_tuple(weyl2, elements, step.relation.ring.twists(), 16)
+    tup = certify_tuple(weyl2, elements, step.relation.ring.twists())
     replay = evaluate(reinterpret(g, step.relation.ring), tup)
     assert replay - f.scale_left(step.substitution.scale) == weyl2.zero()
 
     # worked example 2: a three-variable two-relation chain
     rels = [weyl3.monomial((1, 0, 1), QX.one()),
             weyl3.monomial((0, 2, 0), QX.one())]
-    result = normalize(weyl3, rels, samples=8)
+    result = normalize(weyl3, rels)
     assert len(result.steps) == 2
     assert result.residual_variables == ("y1",)
 
     # reduction: 50 random elements against a degree-2 monic relation
     rng = random.Random(1009)
-    rel = normalize_step(weyl2.monomial((1, 1), QX.one()) + weyl2.one(),
-                         samples=16).relation
+    rel = normalize_step(weyl2.monomial((1, 1), QX.one())
+                         + weyl2.one()).relation
     ring = rel.ring
     for _ in range(50):
         e = random_poly(ring, rng, 4, max_terms=3)

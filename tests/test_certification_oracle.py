@@ -38,6 +38,7 @@ from skewpoly.maps import (
     sample_scalars,
     zero_der,
 )
+from skewpoly.ore import OreRing, reinterpret
 from skewpoly.scalars import HQ, QX
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -235,7 +236,8 @@ def claimed_elements(draw):
 @given(case=claimed_elements(), seed=st.integers(0, 3))
 def test_tuple_record_counts_what_products_count(case, seed):
     ring, s, aut, der = case
-    tup = certify_tuple(ring, [s], [(aut, der)], 16, seed)
+    ring = OreRing(ring.domain, ring.variables, samples=16, seed=seed)
+    tup = certify_tuple(ring, [reinterpret(s, ring)], [(aut, der)])
     (record,) = tup.certificate.records
     pool = sample_scalars(ring.domain, seed, 16)
     assert record.samples == 16

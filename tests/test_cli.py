@@ -427,6 +427,20 @@ def test_readme_json_from_installed_script(argv):
     assert run.stdout == expected.read_bytes()
 
 
+def test_readme_library_example(capsys):
+    # each print's comment starts with the line it prints
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 2
+    for line, comment in zip(printed, comments):
+        assert comment.startswith(line), (line, comment)
+
+
 def test_shipped_configs_load():
     import pathlib
 

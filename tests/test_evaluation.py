@@ -1,9 +1,11 @@
 """Evaluation homomorphisms and derivation/element mixing."""
 
+import pathlib
 import random
 
 import pytest
 
+from skewpoly.config import load_ring
 from skewpoly.errors import (
     CertificateFailed,
     IncompatibleMaps,
@@ -34,6 +36,7 @@ from test_certification_oracle import is_automorphic
 
 I, J = HQ.i(), HQ.j()
 X = QX.x()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestIsAutomorphic:
@@ -67,13 +70,18 @@ class TestCertify:
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_non_positive_samples_rejected(self, weyl, samples):
-        # x*t does not satisfy the (id, d/dx) law; no samples would hide it
+        # x*t does not satisfy the (id, d/dx) law; no samples would hide it.
+        # A tuple draws its ring's count, which OreRing refuses below 1
         s = weyl.monomial((1,), X)
         v = weyl.variables[0]
         with pytest.raises(ValueError):
-            certify_tuple(weyl, [s], weyl.twists(), samples)
-        with pytest.raises(ValueError):
             is_automorphic(s, v.aut, v.der, samples)
+
+    def test_loaded_settings_reach_the_tuple(self):
+        ring = load_ring(ROOT / "configs" / "weyl.json", samples=8)
+        tup = certify_tuple(ring, [ring.variable(0) + ring.one()],
+                            ring.twists())
+        assert [r.samples for r in tup.certificate.records] == [8]
 
     def test_linear_form_flag(self, weyl2):
         t1, t2 = weyl2.variable(0), weyl2.variable(1)
@@ -90,8 +98,9 @@ class TestCertify:
 
     def test_linear_form_flag_needs_the_claimed_derivation(self, weyl):
         # t is a linear form, but its derivation is d/dx, not the claimed 0
-        tup = certify_tuple(weyl, [weyl.variable(0)],
-                            [(IdentityAut(), ZeroDer())], 8, 1)
+        ring = OreRing(QX, weyl.variables, samples=8, seed=1)
+        tup = certify_tuple(ring, [ring.variable(0)],
+                            [(IdentityAut(), ZeroDer())])
         (record,) = tup.certificate.records
         assert record == CheckRecord("automorphic(s1)", 8, 5, None)
         assert not tup.certificate.ok
@@ -126,7 +135,9 @@ class TestCertify:
         # their F-membership
         assert not products and set(applied) <= {three, QX.one()}
         # t + 1 is no linear form: it keeps the product check
-        certify_tuple(weyl2, [t1 + weyl2.one()], [weyl2.twists()[0]], 8)
+        ring = OreRing(QX, weyl2.variables, samples=8)
+        certify_tuple(ring, [ring.variable(0) + ring.one()],
+                      [ring.twists()[0]])
         assert len(products) == 8
 
     def test_linear_form_on_a_failed_ring_is_refused(self):
@@ -229,6 +240,13 @@ class TestMixDerivations:
         with pytest.raises((CertificateFailed, ValueError)):
             mix_derivations(QX, [DdxDer(), QDiffDer(shift)], [QX.one()])
 
+    def test_failure_names_the_law(self):
+        # the q-shift does not commute with the q-difference d2
+        from skewpoly.maps import QDiffDer, QShiftAut
+
+        with pytest.raises(CertificateFailed, match="fail commute"):
+            mix_derivations(QX, [QDiffDer(QShiftAut(2))] * 2, [QX.one()])
+
 
 class TestMixElements:
     def make_base(self, ring):
@@ -263,6 +281,13 @@ class TestMixElements:
         out = mix_elements(base, [QX.from_int(2)])
         u1, u2 = out.elements
         assert u1 * u2 == u2 * u1
+
+    def test_one_variable_mixes_nothing(self, qdiff_ring):
+        # nothing is mixed, so the twist need not commute with d/dq
+        base = self.make_base(qdiff_ring)
+        out = mix_elements(base, [])
+        assert out.elements == base.elements
+        assert out.certificate.ok
 
     def test_mix_then_unmix(self, weyl2, quat_inner2):
         for ring, a in ((weyl2, QX.from_int(5)), (quat_inner2, HQ.from_int(2))):

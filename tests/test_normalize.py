@@ -34,6 +34,7 @@ from skewpoly.normalize import (
 )
 from skewpoly.nullstellensatz import formal_substitute
 from skewpoly.ore import OreRing, evaluation_context, random_poly, reinterpret
+from skewpoly.parser import parse_expr
 from skewpoly.scalars import HQ, Q, QX
 
 X = QX.x()
@@ -109,7 +110,7 @@ class TestFindNonvanishingPoint:
 class TestMonicize:
     def test_product_of_variables(self, weyl2):
         f = weyl2.monomial((1, 1), QX.one())
-        sub, g = monicize(f, samples=16)
+        sub, g = monicize(f)
         assert sub.shifts == (QX.from_int(1),)
         assert sub.scale == QX.one()
         # oracle: substitute y1 -> y1 + y2 and expand
@@ -117,14 +118,14 @@ class TestMonicize:
 
     def test_already_monic(self, weyl2):
         f = weyl2.monomial((0, 3), QX.one()) + weyl2.monomial((1, 0), QX.one())
-        sub, g = monicize(f, samples=16)
+        sub, g = monicize(f)
         assert sub.shifts == (QX.zero(),)
         assert sub.scale == QX.one()
         assert g == f
 
     def test_scaling(self, weyl2):
         f = weyl2.monomial((2, 0), QX.from_int(2))
-        sub, g = monicize(f, samples=16)
+        sub, g = monicize(f)
         assert sub.shifts == (QX.from_int(1),)
         assert sub.scale == QX.from_coeffs(("1/2",))
         # oracle: (1/2) * 2 (y1 + y2)^2 with trivial coefficient twists
@@ -133,7 +134,7 @@ class TestMonicize:
 
     def test_middle_target(self, weyl3):
         f = weyl3.monomial((1, 1, 0), QX.one())
-        sub, g = monicize(f, target=1, samples=16)
+        sub, g = monicize(f, target=1)
         assert g.degree_in(1) == 2
         assert g.coeff((0, 2, 0)) == QX.one()
 
@@ -147,7 +148,7 @@ class TestMonicize:
                     continue
                 degree = int(f.total_degree())
                 target = ring.nvars - 1
-                sub, g = monicize(f, samples=8)
+                sub, g = monicize(f)
                 assert g.degree_in(target) == degree
                 top = tuple(degree if t == target else 0
                             for t in range(ring.nvars))
@@ -157,7 +158,7 @@ class TestMonicize:
         # one variable, non-identity twist: no shifts, only the left scale
         f = (qdiff_ring.monomial((2,), QX.from_int(3))
              + qdiff_ring.monomial((1,), X))
-        sub, g = monicize(f, samples=8)
+        sub, g = monicize(f)
         assert sub.shifts == ()
         assert sub.scale == QX.from_coeffs(("1/3",))
         assert g == f.scale_left(sub.scale)
@@ -195,7 +196,7 @@ class TestMonicize:
 class TestNormalizeStep:
     def test_weyl_product(self, weyl2):
         f = weyl2.monomial((1, 1), QX.one())
-        step = normalize_step(f, samples=16)
+        step = normalize_step(f)
         rel = step.relation
         assert rel.degree == 2
         assert rel.var == 1
@@ -205,7 +206,7 @@ class TestNormalizeStep:
 
     def test_degree_one_relation(self, weyl2):
         f = weyl2.monomial((0, 1), QX.one()) - weyl2.one()
-        step = normalize_step(f, samples=16)
+        step = normalize_step(f)
         rel = step.relation
         assert rel.degree == 1
         assert rel.tails[0] == reinterpret(-weyl2.one(), rel.ring)
@@ -215,19 +216,19 @@ class TestNormalizeStep:
         f = (weyl2.monomial((1, 1), X)
              + weyl2.monomial((0, 1), QX.from_int(2))
              + weyl2.one())
-        step = normalize_step(f, samples=16)
+        step = normalize_step(f)
         sub, rel = step.substitution, step.relation
         g = rel.polynomial()
         t_last = weyl2.variable(1)
         elements = [weyl2.variable(0) - t_last.scale_left(sub.shifts[0]),
                     t_last]
-        tup = certify_tuple(weyl2, elements, rel.ring.twists(), 16)
+        tup = certify_tuple(weyl2, elements, rel.ring.twists())
         replay = evaluate(reinterpret(g, rel.ring), tup)
         assert replay == f.scale_left(sub.scale)
 
     def test_mixed_tower_descriptors(self, weyl3):
         f = weyl3.monomial((1, 0, 1), QX.one())
-        step = normalize_step(f, samples=16)
+        step = normalize_step(f)
         # shift u_1 = 1, so d_1 = delta_1 - delta_3 = ddx - ddx collapses
         assert step.substitution.shifts == (QX.from_int(1), QX.zero())
         assert step.tower[0] == (IdentityAut(), zero_der(IdentityAut()))
@@ -286,14 +287,14 @@ class TestReduce:
 
 class TestNormalize:
     def test_empty_relations(self, weyl2):
-        result = normalize(weyl2, [], samples=16)
+        result = normalize(weyl2, [])
         assert result.steps == ()
         assert result.residual_variables == ("t1", "t2")
         assert result.generator_bounds == ()
 
     def test_single_relation(self, weyl2):
         f = weyl2.monomial((1, 1), QX.one())
-        result = normalize(weyl2, [f], samples=16)
+        result = normalize(weyl2, [f])
         assert len(result.steps) == 1
         assert result.residual_variables == ("t1",)
         assert result.generator_bounds == (2,)
@@ -301,7 +302,7 @@ class TestNormalize:
     def test_two_relation_chain(self, weyl3):
         rels = [weyl3.monomial((1, 0, 1), QX.one()),
                 weyl3.monomial((0, 2, 0), QX.one())]
-        result = normalize(weyl3, rels, samples=8)
+        result = normalize(weyl3, rels)
         assert len(result.steps) == 2
         assert result.residual_variables == ("y1",)
         assert result.generator_bounds == (2, 2)
@@ -310,7 +311,7 @@ class TestNormalize:
     def test_duplicate_relation_becomes_zero(self, weyl3):
         rels = [weyl3.monomial((0, 0, 2), QX.one()),
                 weyl3.monomial((0, 0, 2), QX.one())]
-        result = normalize(weyl3, rels, samples=8)
+        result = normalize(weyl3, rels)
         assert len(result.steps) == 1
         assert len(result.skipped) == 1
         assert result.skipped[0][0] == 1
@@ -319,18 +320,18 @@ class TestNormalize:
         rels = [weyl3.monomial((0, 0, 2), QX.one()),
                 weyl3.monomial((1, 0, 1), QX.one())]
         with pytest.raises(NotAWitness):
-            normalize(weyl3, rels, samples=8)
+            normalize(weyl3, rels)
 
     def test_zero_input_reported(self, weyl2):
-        result = normalize(weyl2, [weyl2.zero()], samples=16)
+        result = normalize(weyl2, [weyl2.zero()])
         assert result.steps == ()
         assert result.skipped == ((0, "vanished after substitution and reduction"),)
 
     def test_deterministic_report(self, weyl3):
         rels = [weyl3.monomial((1, 0, 1), QX.one()),
                 weyl3.monomial((0, 2, 0), QX.one())]
-        a = normalize(weyl3, rels, samples=8).to_data()
-        b = normalize(weyl3, rels, samples=8).to_data()
+        a = normalize(weyl3, rels).to_data()
+        b = normalize(weyl3, rels).to_data()
         assert a == b
 
     def test_report_descriptors_rebuild_the_tower(self, weyl3):
@@ -340,7 +341,7 @@ class TestNormalize:
 
         rels = [weyl3.monomial((1, 0, 1), QX.one()),
                 weyl3.monomial((0, 2, 0), QX.one())]
-        result = normalize(weyl3, rels, samples=8)
+        result = normalize(weyl3, rels)
         for step in result.steps:
             data = step.to_data()["mixed_derivations"]
             rebuilt = []
@@ -356,7 +357,7 @@ class TestNormalize:
         f1 = weyl3.monomial((1, 0, 1), one) + weyl3.monomial((0, 1, 0), one)
         f2 = (weyl3.monomial((0, 2, 0), one) + weyl3.monomial((1, 0, 0), one)
               - weyl3.monomial((0, 0, 1), one))
-        result = normalize(weyl3, [f1, f2], samples=8)
+        result = normalize(weyl3, [f1, f2])
         assert len(result.steps) == 2
         first, second = result.steps
         assert first.substitution.shifts == (QX.from_int(1), QX.zero())
@@ -369,7 +370,7 @@ class TestNormalize:
     def test_quaternion_chain(self, quat_inner2):
         f = quat_inner2.monomial((0, 2), HQ.one()) + quat_inner2.monomial(
             (1, 0), HQ.i())
-        result = normalize(quat_inner2, [f], samples=8)
+        result = normalize(quat_inner2, [f])
         assert len(result.steps) == 1
         assert result.residual_variables == ("t1",)
 
@@ -381,10 +382,38 @@ class TestNormalize:
         f = ring.one()
         for i in range(ring.nvars):
             f = f + ring.variable(i) * ring.variable(i)
-        result = normalize(ring, [f], samples=8)
+        result = normalize(ring, [f])
         assert len(result.steps) == 1
         assert result.generator_bounds == (2,)
 
     def test_foreign_relation_rejected(self, weyl2, weyl3):
         with pytest.raises(RingMismatch):
-            normalize(weyl2, [weyl3.one()], samples=8)
+            normalize(weyl2, [weyl3.one()])
+
+    # zero derivations collapse the mixed tower back to rat3's, but a*c
+    # still shifts a -> t_a + t_c, and later relations must follow it
+    def test_unshifted_tower_still_substitutes(self, rat3):
+        # a^2 + 1 is (t_a + t_c)^2 + 1, which involves t_c
+        with pytest.raises(NotAWitness):
+            normalize(rat3, [parse_expr(e, rat3) for e in ("a*c", "a^2 + 1")])
+
+    def test_unshifted_tower_reads_new_coordinates(self, rat3):
+        # (a - c)^2 + 1 is t_a^2 + 1
+        rels = [parse_expr(e, rat3) for e in ("a*c", "(a - c)^2 + 1")]
+        assert len(normalize(rat3, rels).steps) == 2
+
+    def test_unchanged_ring_is_reused(self):
+        ring = load_ring(ROOT / "configs" / "qdiff.json")
+        result = normalize(ring, [parse_expr("t^2 + x*t + 1", ring)])
+        assert result.presentation is ring
+        assert result.steps[0].relation.ring is ring
+
+    def test_derived_rings_keep_the_settings(self):
+        ring = load_ring(ROOT / "configs" / "weyl3.json", samples=8, seed=3)
+        text = (ROOT / "configs" / "example_relations.txt").read_text()
+        rels = [parse_expr(line, ring) for line in text.splitlines()
+                if line.strip() and not line.startswith("#")]
+        result = normalize(ring, rels)
+        rings = [result.presentation,
+                 *(step.relation.ring for step in result.steps)]
+        assert {(r.samples, r.seed) for r in rings} == {(8, 3)}

@@ -104,7 +104,7 @@ class TestWitnessSearch:
         assert w.scanned == 1
 
     def test_product_of_variables(self, rat3):
-        ring = rat3.subring(2)
+        ring = rat3.with_variables(rat3.variables[:2])
         f = ring.monomial((1, 1), Q.one())
         sets = [make_evaluation_set([Q.from_int(n) for n in (0, 1, 2)])] * 2
         w = cns_witness(f, sets)

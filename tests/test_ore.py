@@ -278,6 +278,28 @@ class TestConversion:
                 assert commuting.terms == towered.terms
 
 
+class TestDerivedRings:
+    def test_with_variables_keeps_the_settings(self, weyl2):
+        ring = OreRing(QX, weyl2.variables, samples=8, seed=3).to_tower()
+        prefix = ring.with_variables(ring.variables[:1])
+        assert prefix.variables == weyl2.variables[:1]
+        assert (prefix.flavor, prefix.samples, prefix.seed) == (
+            Flavor.TOWER, 8, 3)
+        assert ring.with_variables(list(ring.variables)) is ring
+
+    def test_reinterpret_pads_and_cuts_a_zero_tail(self, weyl2):
+        prefix = weyl2.with_variables(weyl2.variables[:1])
+        f = prefix.monomial((2,), X) + prefix.one()
+        padded = reinterpret(f, weyl2)
+        assert padded.terms == {(2, 0): X, (0, 0): QX.one()}
+        assert reinterpret(padded, prefix) == f
+
+    def test_reinterpret_refuses_a_cut_variable(self, weyl2):
+        prefix = weyl2.with_variables(weyl2.variables[:1])
+        with pytest.raises(RingMismatch):
+            reinterpret(weyl2.variable(1) + weyl2.one(), prefix)
+
+
 class TestDegreesAndForms:
     def test_zero_degree_sentinel(self, weyl):
         assert weyl.zero().total_degree() == -1
