@@ -66,7 +66,6 @@ from .ore import (
     SkewPoly,
     Variable,
     evaluation_context,
-    random_poly,
     reinterpret,
 )
 from .evaluation import (

@@ -331,7 +331,9 @@ def normalize(ring: OreRing, relations) -> NormalizationResult:
     reported and skipped; one that still involves an eliminated variable
     violates the witness precondition and raises ``NotAWitness``.  Every
     ring of the chain is derived from ``ring`` and keeps its settings; a
-    step that shifts nothing reuses its ring.
+    step that shifts nothing reuses its ring, and until a step shifts a
+    variable, nothing is substituted: relations, ``exprs`` and tails are
+    read in the new presentation as they are.
     """
     _require_normalizable(ring)
     presentation = ring
@@ -341,13 +343,14 @@ def normalize(ring: OreRing, relations) -> NormalizationResult:
     steps: list[NormalizationStep] = []
     skipped: list[tuple[int, str]] = []
 
+    shifted = False  # whether any step so far shifted a variable
     for index, f in enumerate(relations):
         if f.ring != ring:
             raise RingMismatch("relations must live in the input ring")
-        if steps:  # a step shifts coordinates even where the tower stays
+        if shifted:  # a step shifts coordinates even where the tower stays
             w = evaluate(f, certify_tuple(presentation, exprs, ring.twists()))
-        else:
-            w = f
+        else:  # exprs are presentation's own variables
+            w = reinterpret(f, presentation)
         for rel in reversed(rels):
             w = reduce_by_monic(w, rel)
         if w.is_zero():
@@ -365,17 +368,26 @@ def normalize(ring: OreRing, relations) -> NormalizationResult:
         step_ring = step.relation.ring
         new_presentation = step_ring.with_variables(
             step_ring.variables + presentation.variables[active:])
-        # the derivations of the shifted variables are presentation's up to
-        # the order of LinComb terms, so the push claims presentation's own
-        push_elements, _ = _shift_variables(
-            new_presentation, active - 1,
-            dict(enumerate(step.substitution.shifts)))
-        push = certify_tuple(new_presentation, push_elements,
-                             presentation.twists())
-        exprs = [evaluate(e, push) for e in exprs]
+        shifts = step.substitution.shifts
+        if any(not u.is_zero() for u in shifts):
+            shifted = True
+            # the derivations of the shifted variables are presentation's up
+            # to the order of LinComb terms, so the push claims
+            # presentation's own
+            push_elements, _ = _shift_variables(
+                new_presentation, active - 1, dict(enumerate(shifts)))
+            tup = certify_tuple(new_presentation, push_elements,
+                                presentation.twists())
+
+            def push(e):
+                return evaluate(e, tup)
+        else:  # every shift is zero: each variable is pushed to itself
+            def push(e):
+                return reinterpret(e, new_presentation)
+        exprs = [push(e) for e in exprs]
         pushed = [
             MonicRelation(new_presentation, r.var, r.degree,
-                          tuple(evaluate(t, push) for t in r.tails))
+                          tuple(push(t) for t in r.tails))
             for r in rels
         ]
         new_rel = MonicRelation(

@@ -28,6 +28,18 @@ homomorphism Z[x] -> Z, and B = bitlength(sum of m |a|_1 |c|_1) + 1 keeps
 every coefficient of every sum below 2^(B-1) in absolute value, so the
 digits are the coefficients: the width is proved, not guessed and retried.
 Every other product sums in scalar arithmetic.
+
+The Weyl lane skips the power table.  Over Q(x), when every variable is
+twisted by (id, d/dx) or (id, 0) and every coefficient of both factors is
+an integer polynomial, f * g = sum_j F_j * d^j g/dx^j with F_j = D^j(f)/j!
+(D the sum of d/dt_i over the d/dx variables), and each F_j * G_j is a
+commutative product in Z[x, t], packed whole into one integer with the same
+proved width (``_weyl_product``).  The packed integer has one x-polynomial
+slot per cell of the product's exponent box, so the lane is taken only when
+the box has no more cells than the product has term pairs; sparse and
+one-term products stay on the power table.  ``tests/test_packed_products.py``
+checks the lane against the power table's terms summed in scalar
+arithmetic, and sympy's differential operators check Weyl products.
 """
 
 from __future__ import annotations
@@ -35,14 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from math import comb
-from operator import add
+from itertools import product
+from math import comb, prod
+from operator import add, mul
 
 from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
 from .maps import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     Certificate,
+    DdxDer,
     IdentityAut,
     RingMap,
     ZeroDer,
@@ -107,6 +121,13 @@ class OreRing:
         self.samples = samples
         self.seed = seed
         self.certificate = _certify(domain, vs, samples, seed)
+        # per variable, whether its derivation is d/dx, when every twist is
+        # (id, d/dx) or (id, 0) over Q(x); None for every other ring
+        self.ddx = (tuple(isinstance(v.der, DdxDer) for v in vs)
+                    if domain is QX and all(
+                        isinstance(v.aut, IdentityAut)
+                        and isinstance(v.der, (DdxDer, ZeroDer)) for v in vs)
+                    else None)
 
     # -- structure -----------------------------------------------------
 
@@ -339,6 +360,83 @@ def _packed_sum(terms) -> dict:
     return out
 
 
+def _lower(rows: list, ddx: tuple, j: int) -> list:
+    """F_j = D(F_(j-1)) / j for D the sum of d/dt_i over the d/dx
+    variables, on (exponent vector, integer coefficients) rows; the
+    division is exact."""
+    acc: dict = {}
+    for e, c in rows:
+        for i, k in enumerate(e):
+            if k and ddx[i]:
+                key = e[:i] + (k - 1,) + e[i + 1:]
+                row = acc.setdefault(key, [])
+                if len(row) < len(c):
+                    row.extend([0] * (len(c) - len(row)))
+                for d, a in enumerate(c):
+                    row[d] += k * a
+    return [(e, [a // j for a in c]) for e, c in acc.items()]
+
+
+def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
+    """f * g for integer polynomial coefficients when every twist is the
+    identity and every derivation d/dx (``ddx[i]``) or zero.
+
+    t^M b = sum_J C(M, J) d^|J|b/dx^|J| t^(M-J) over J <= M on the d/dx
+    variables, so f * g = sum_j F_j * G_j with F_j = D^j(f)/j!, D the sum
+    of d/dt_i over the d/dx variables, and G_j = d^j g/dx^j taken
+    coefficientwise; j runs to min(ord_D f, deg_x g).  Each F_j * G_j is a
+    commutative product in Z[x, t_1, ..., t_n]: x^e t^K becomes the digit
+    e + sum K_i S_i of an integer in base 2^B, with strides S_i that leave
+    room for the product's degrees, and one integer product per j.  B =
+    bitlength(sum_j |F_j|_1 |G_j|_1) + 1 bounds every coefficient of the
+    sum below 2^(B-1), so its balanced digits are the coefficients.  None
+    when a coefficient has a denominator or the exponent box has more cells
+    than the product has term pairs.
+    """
+    if not f or not g:
+        return {}
+    spans = [a + b + 1 for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
+    if prod(spans) > len(f) * len(g) or any(
+            c.ints_den != (1,) for p in (f, g) for c in p.values()):
+        return None
+    fs = [(e, c.ints_num) for e, c in f.items()]
+    gs = [(e, c.ints_num) for e, c in g.items()]
+    order = max(sum(k for k, d in zip(e, ddx) if d) for e in f)
+    fx = max(len(c) for _, c in fs)
+    gx = max(len(c) for _, c in gs)
+    left, right = [fs], [gs]
+    for j in range(1, min(order, gx - 1) + 1):
+        left.append(_lower(left[-1], ddx, j))
+        right.append([(e, d) for e, c in right[-1]
+                      if (d := [i * a for i, a in enumerate(c)][1:])])
+    size = fx + gx - 1  # digits per x-polynomial
+    strides, s = [], size
+    for span in spans:
+        strides.append(s)
+        s *= span
+    bound = sum(sum(sum(map(abs, c)) for _, c in lf)
+                * sum(sum(map(abs, c)) for _, c in rg)
+                for lf, rg in zip(left, right))
+    width = bound.bit_length() + 1
+
+    def packed(rows):
+        return sum(_pack(c, width) << width * sum(map(mul, e, strides))
+                   for e, c in rows)
+
+    digits = _unpack(sum(packed(lf) * packed(rg)
+                         for lf, rg in zip(left, right)), width)
+    out = {}
+    # blocks of ``size`` digits in slot order: t_1's exponent runs fastest
+    keys = product(*map(range, reversed(spans)))
+    for rev, start in zip(keys, range(0, len(digits), size)):
+        num = digits[start:start + size]
+        while num and not num[-1]:
+            num = num[:-1]
+        if num:
+            out[rev[::-1]] = RationalFunction(num, (1,))
+    return out
+
+
 def evaluation_context(domain: ScalarDomain, names) -> OreRing:
     """A trivially twisted commuting ring used for leading forms, whose
     variables stand for central arguments.  One ring is built and certified
@@ -439,6 +537,10 @@ class SkewPoly:
         self._match(other)
         ring = self.ring
         ring._require_certificate("multiplication")
+        if ring.ddx is not None:
+            terms = _weyl_product(self.terms, other.terms, ring.ddx)
+            if terms is not None:
+                return SkewPoly(ring, terms)
         table = _PowerTable(ring)
         terms = self._contributions(other, table)
         if ring.domain is QX:
@@ -551,23 +653,3 @@ def reinterpret(f: SkewPoly, ring: OreRing) -> SkewPoly:
     pad = (0,) * n
     return SkewPoly(ring, {(e + pad)[:n]: c for e, c in f.terms.items()})
 
-
-def random_poly(ring: OreRing, rng, max_degree=3, max_terms=4,
-                nonzero=False) -> SkewPoly:
-    """Seeded random polynomial with total degree <= max_degree."""
-    n = ring.nvars
-    for _ in range(64):
-        terms = {}
-        for _ in range(rng.randint(1, max_terms)):
-            d = rng.randint(0, max_degree)
-            e = [0] * n
-            for _ in range(d):
-                if n:
-                    e[rng.randrange(n)] += 1
-            c = ring.domain.random(rng)
-            if not c.is_zero():
-                terms[tuple(e)] = c
-        p = SkewPoly(ring, terms)
-        if not (nonzero and p.is_zero()):
-            return p
-    raise RuntimeError("failed to draw a non-zero polynomial")

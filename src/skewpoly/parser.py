@@ -33,6 +33,16 @@ derivation kills it.  Likewise ``c^k`` of a constant is ``Scalar ** k`` and
 ``(t^J)^k`` is ``t^(kJ)``.  Any other product or power is one
 ``SkewPoly.__mul__`` or ``__pow__``.  Every ``*``, ``/`` and ``^k`` with
 k >= 2 first checks the ring's certificate, shortcut or not.
+
+Over Q(x), where ``x`` is not a ring variable and the certificate holds, a
+parenthesized sum of integer x-monomials such as ``(3*x^2 - x + 2)`` is
+read straight into one integer coefficient tuple (``_Parser.xpoly``), with
+no term dicts or scalar products.  Any other token inside, or an exponent
+above ``MAX_EXPONENT``, leaves the position where it was, and the general
+path then gives the same value or the same error at the same position; a
+``(`` past ``MAX_DEPTH`` is refused before the lane is tried.  The tests
+in ``tests/test_parser.py`` run the parser with the lane off as its
+oracle, and check the value against integer arithmetic on the monomials.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import re
 
 from .errors import ParseError, UnknownScalarLiteral, UnknownVariable
 from .ore import OreRing, SkewPoly, evaluation_context
-from .scalars import Scalar, ScalarDomain
+from .scalars import QX, RationalFunction, Scalar, ScalarDomain
 
 _LITERALS = {"x", "i", "j", "k"}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
@@ -83,6 +93,10 @@ class _Parser:
         self.constant = {self.origin}  # the key set of a non-zero constant
         self.names = ring.names
         self.one = ring.domain.one()
+        # where x is the scalar literal and products are allowed, a
+        # parenthesized sum of integer x-monomials is read directly
+        self.xpoly_lane = (ring.domain is QX and "x" not in ring.names
+                           and ring.certificate.ok)
 
     def fail(self, message: str, pos: int | None = None):
         _, _, line, column = self.tokens[self.pos if pos is None else pos]
@@ -182,6 +196,8 @@ class _Parser:
         if text == "(":
             if self.depth == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
+            if self.xpoly_lane and (value := self.xpoly()) is not None:
+                return {self.origin: value} if value.ints_num else {}
             self.pos += 1
             self.depth += 1
             terms = self.expr()
@@ -192,6 +208,58 @@ class _Parser:
             return terms
         self.fail("expected a number, name or '('"
                   if kind != "end" else "unexpected end of input")
+
+    def xpoly(self) -> RationalFunction | None:
+        """The integer polynomial written from the ``(`` at ``self.pos`` as
+        ``'(' ['-'] mono (('+' | '-') mono)* ')'``, with
+        ``mono := NUM ['*' 'x' ['^' NUM]] | 'x' ['^' NUM]``, read into its
+        coefficients, and ``self.pos`` moved past the ``)``.  On any other
+        token, or an exponent above ``MAX_EXPONENT``, None with ``self.pos``
+        unchanged: the general path then gives the same value or error."""
+        tokens, texts = self.tokens, self.texts
+        pos, sign, coeffs = self.pos + 1, 1, {}
+        if texts[pos] == "-":
+            pos, sign = pos + 1, -1
+        while True:
+            c, e = 1, 0
+            if tokens[pos][0] == "num":
+                c = int(texts[pos])
+                pos += 1
+                has_x = texts[pos] == "*"
+                if has_x:
+                    if texts[pos + 1] != "x":
+                        return None
+                    pos += 1
+            elif not (has_x := texts[pos] == "x"):
+                return None
+            if has_x:  # at the "x"
+                e = 1
+                pos += 1
+                if texts[pos] == "^":
+                    if tokens[pos + 1][0] != "num":
+                        return None
+                    e = int(texts[pos + 1])
+                    if e > MAX_EXPONENT:
+                        return None
+                    pos += 2
+            coeffs[e] = coeffs.get(e, 0) + sign * c
+            text = texts[pos]
+            pos += 1
+            if text == ")":
+                break
+            if text == "+":
+                sign = 1
+            elif text == "-":
+                sign = -1
+            else:
+                return None
+        self.pos = pos
+        num = [0] * (max(coeffs) + 1)
+        for e, c in coeffs.items():
+            num[e] = c
+        while num and not num[-1]:
+            num.pop()
+        return RationalFunction(tuple(num), (1,))
 
     def resolve_name(self, name: str, line: int, column: int) -> dict:
         names = self.names

@@ -11,15 +11,38 @@ from skewpoly import (
     q_shift,
     zero_der,
 )
+from skewpoly.ore import SkewPoly
 from skewpoly.scalars import HQ, Q, QX
 
 # Ten times Hypothesis's default budget, for the oracles that guard the
-# scalar fast paths, the parser's shortcuts, analytic certification and the
-# packed product sums: ``pytest tests/test_scalars.py tests/test_parser.py
+# scalar fast paths, the parser's shortcuts and x-polynomial lane, analytic
+# certification, the packed product sums and the Weyl product lane: ``pytest tests/test_scalars.py tests/test_parser.py
 # tests/test_certification_oracle.py tests/test_packed_products.py
 # --hypothesis-profile=scalar-oracles``.
 # The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)
+
+
+def random_poly(ring, rng, max_degree=3, max_terms=4,
+                nonzero=False) -> SkewPoly:
+    """Seeded random polynomial with total degree <= max_degree."""
+    n = ring.nvars
+    for _ in range(64):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            d = rng.randint(0, max_degree)
+            e = [0] * n
+            for _ in range(d):
+                if n:
+                    e[rng.randrange(n)] += 1
+            c = ring.domain.random(rng)
+            if not c.is_zero():
+                terms[tuple(e)] = c
+        p = SkewPoly(ring, terms)
+        if not (nonzero and p.is_zero()):
+            return p
+    raise RuntimeError("failed to draw a non-zero polynomial")
+
 
 
 @pytest.fixture(scope="session")

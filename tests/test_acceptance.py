@@ -37,10 +37,11 @@ from skewpoly.nullstellensatz import (
     make_evaluation_set,
     validate_sets,
 )
-from skewpoly.ore import OreRing, random_poly, reinterpret
+from skewpoly.ore import OreRing, reinterpret
 from skewpoly.parser import parse_expr
 from skewpoly.scalars import HQ, Q, QX, are_conjugate
 from skewpoly.cli import main as cli_main
+from conftest import random_poly
 from test_certification_oracle import is_automorphic
 
 

@@ -30,8 +30,9 @@ from skewpoly.maps import (
     sample_scalars,
     zero_der,
 )
-from skewpoly.ore import OreRing, SkewPoly, random_poly, reinterpret
+from skewpoly.ore import OreRing, SkewPoly, reinterpret
 from skewpoly.scalars import HQ, QX
+from conftest import random_poly
 from test_certification_oracle import is_automorphic
 
 I, J = HQ.i(), HQ.j()

@@ -33,9 +33,11 @@ from skewpoly.normalize import (
     reduce_by_monic,
 )
 from skewpoly.nullstellensatz import formal_substitute
-from skewpoly.ore import OreRing, evaluation_context, random_poly, reinterpret
+from skewpoly.ore import OreRing, SkewPoly, evaluation_context, reinterpret
 from skewpoly.parser import parse_expr
 from skewpoly.scalars import HQ, Q, QX
+
+from conftest import random_poly
 
 X = QX.x()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -407,6 +409,24 @@ class TestNormalize:
         result = normalize(ring, [parse_expr("t^2 + x*t + 1", ring)])
         assert result.presentation is ring
         assert result.steps[0].relation.ring is ring
+
+    def test_unshifted_steps_substitute_nothing(self, monkeypatch):
+        # a one-variable step shifts nothing, so the second relation, exprs
+        # and the monic tails are read in the new presentation, not
+        # evaluated through a tuple (4 + 2 of the 17 products before)
+        ring = load_ring(ROOT / "configs" / "qdiff.json")
+        f = parse_expr("t^2 + x*t + 1", ring)
+        count = [0]
+        original = SkewPoly.__mul__
+
+        def counted(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(SkewPoly, "__mul__", counted)
+        result = normalize(ring, [f, f])
+        assert [i for i, _ in result.skipped] == [1]
+        assert count[0] == 11
 
     def test_derived_rings_keep_the_settings(self):
         ring = load_ring(ROOT / "configs" / "weyl3.json", samples=8, seed=3)

@@ -19,8 +19,10 @@ from skewpoly.nullstellensatz import (
     validate_sets,
 )
 from skewpoly.maps import IdentityAut, zero_der
-from skewpoly.ore import OreRing, random_poly
+from skewpoly.ore import OreRing
 from skewpoly.scalars import HQ, Q, Quaternion, are_conjugate
+
+from conftest import random_poly
 
 I, J, K = HQ.i(), HQ.j(), HQ.k()
 

@@ -1,13 +1,19 @@
-"""Differential oracle for the Z[x] lane of ``SkewPoly.__mul__``.
+"""Differential oracles for the Z[x] lanes of ``SkewPoly.__mul__``.
 
 A product whose scalars are all integer polynomials sums its terms by
 Kronecker substitution (``_packed_sum``); every other product sums them in
 scalar arithmetic (``_scalar_sum``).  These tests give both accumulators
 the same gathered terms and require the same sums, and check that packing
 and unpacking round-trip at the edges of the digit range.
+
+In a ring whose twists are all (id, d/dx) or (id, 0), a product of integer
+polynomial operators skips the power table altogether (``_weyl_product``).
+Its reference is the power table's terms summed in scalar arithmetic,
+which shares no code with it.
 """
 
 import functools
+import itertools
 import pathlib
 
 from hypothesis import given, settings
@@ -23,6 +29,7 @@ from skewpoly.ore import (
     _PowerTable,
     _scalar_sum,
     _unpack,
+    _weyl_product,
 )
 from skewpoly.scalars import QX, RationalFunction
 
@@ -121,3 +128,72 @@ def test_pack_unpack_round_trip_at_digit_limits(width, data):
     coeffs.append(data.draw(st.sampled_from([limit, -limit])))
     assert _unpack(_pack(coeffs, width), width) == tuple(coeffs)
     assert _unpack(_pack([], width), width) == ()
+
+
+WEYL_RINGS = ["weyl", "weyl2", "weyl3"]  # weyl3's y2 has the zero derivation
+
+
+@st.composite
+def weyl_operands(draw, ring,
+                  kinds=("zero", "constant", "term", "dense", "strip")):
+    """Zero, a constant, one term of order up to 20, a dense operator of
+    order up to 3, or a dense strip of order 15 to 17 along one variable
+    (order at most 1 in the others)."""
+    n = ring.nvars
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "constant":
+        exps = [(0,) * n]
+    elif kind == "term":
+        exps = [tuple(draw(st.lists(st.integers(0, 20), min_size=n,
+                                    max_size=n)))]
+    elif kind == "dense":
+        order = draw(st.integers(0, 3))
+        exps = [e for e in itertools.product(range(order + 1), repeat=n)
+                if sum(e) <= order]
+    else:
+        tall, order = draw(st.integers(0, n - 1)), draw(st.integers(15, 17))
+        exps = [e for e in itertools.product(range(2), repeat=n)]
+        exps = [e[:tall] + (k,) + e[tall + 1:]
+                for e in exps if not e[tall] for k in range(order + 1)]
+    return SkewPoly(ring, {e: draw(integer_polys()) for e in exps})
+
+
+def power_table_product(f, g):
+    table = _PowerTable(f.ring)
+    return scalar_sum(list(f._contributions(g, table)), table)
+
+
+@settings(deadline=None)
+@given(data=st.data(), name=st.sampled_from(WEYL_RINGS))
+def test_weyl_product_matches_power_table(data, name):
+    ring = _ring(name)
+    f, g = data.draw(weyl_operands(ring)), data.draw(weyl_operands(ring))
+    expected = power_table_product(f, g)
+    lane = _weyl_product(f.terms, g.terms, ring.ddx)
+    assert lane is None or lane == expected
+    assert (f * g).terms == expected
+
+
+@settings(deadline=None)
+@given(data=st.data(), name=st.sampled_from(WEYL_RINGS))
+def test_weyl_product_takes_dense_operators(data, name):
+    # a strip times a constant is always packed: its exponent box has no
+    # more cells than the product has term pairs
+    ring = _ring(name)
+    f = data.draw(weyl_operands(ring, ("strip",)))
+    g = data.draw(weyl_operands(ring, ("constant",)))
+    for left, right in ((f, g), (g, f)):
+        assert (_weyl_product(left.terms, right.terms, ring.ddx)
+                == power_table_product(left, right))
+
+
+def test_weyl_lane_needs_integer_coefficients_and_plain_twists():
+    weyl, qdiff = _ring("weyl"), _ring("qdiff2")
+    assert weyl.ddx == (True,) and _ring("weyl3").ddx == (True, False, True)
+    assert qdiff.ddx is None
+    half = RationalFunction((1,), (2,))
+    f = SkewPoly(weyl, {(0,): half, (1,): RationalFunction((0, 1), (1,))})
+    assert _weyl_product(f.terms, f.terms, weyl.ddx) is None
+    assert (f * f).terms == power_table_product(f, f)

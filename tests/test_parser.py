@@ -16,9 +16,11 @@ from skewpoly.errors import (
     UnknownScalarLiteral,
     UnknownVariable,
 )
-from skewpoly.ore import SkewPoly, random_poly
+from skewpoly.ore import SkewPoly
 from skewpoly.parser import MAX_EXPONENT, parse_expr, parse_scalar, tokenize
 from skewpoly.scalars import HQ, Q, QX
+
+from conftest import random_poly
 
 
 class TestParsing:
@@ -268,7 +270,8 @@ class TestShortcuts:
         return ring
 
     @pytest.mark.parametrize("src", ["2*a", "a*2", "a*b", "x*a", "a/2", "2/3",
-                                     "0*a", "2^3", "a^2", "x^2"])
+                                     "0*a", "2^3", "a^2", "x^2", "(2*x)",
+                                     "(x^2 + 1)"])
     def test_failed_certificate_refuses_products(self, twisted, src):
         with pytest.raises(IncompatibleMaps):
             parse_expr(src, twisted)
@@ -509,3 +512,111 @@ class TestParserOracle:
     ], ids=_render)
     def test_shortcut_shapes(self, weyl, tree):
         assert parse_expr(_render(tree), weyl) == _evaluate(tree, weyl)
+
+
+def _general(src, ring):
+    """``parse_expr`` with the x-polynomial lane switched off."""
+    p = parser._Parser(src, ring)
+    p.xpoly_lane = False
+    return p.parse()
+
+
+def _outcomes(src, ring):
+    """The outcome, a value or an error's type and text, of the parser with
+    and without the x-polynomial lane."""
+    def outcome(parse):
+        try:
+            return parse(src, ring)
+        except SkewError as exc:
+            return type(exc), str(exc)
+    return outcome(parse_expr), outcome(_general)
+
+
+# (sign, coefficient, exponent, spelling) of one integer x-monomial
+_X_MONOMIALS = st.tuples(
+    st.sampled_from("+-"),
+    st.one_of(st.integers(0, 12), st.integers(2**64, 2**70)),
+    st.integers(0, MAX_EXPONENT),
+    st.sampled_from(["c*x^e", "c*x", "x^e", "x", "c"]))
+
+
+class TestXPolynomialLane:
+    """A parenthesized sum of integer x-monomials over Q(x) is read straight
+    into its coefficients.  Its oracles are the general path (the same
+    parser with the lane off) and integer arithmetic on the monomials."""
+
+    @settings(max_examples=_ORACLE_EXAMPLES, deadline=None)
+    @given(monomials=st.lists(_X_MONOMIALS, min_size=1, max_size=6),
+           space=st.sampled_from(["", " "]))
+    def test_matches_general_path(self, monomials, space):
+        weyl = OreRing(QX, [("t", IdentityAut(), DdxDer())])
+        coeffs, parts = {}, []
+        for i, (sign, c, e, spelling) in enumerate(monomials):
+            c, e = {"c*x^e": (c, e), "c*x": (c, 1), "x^e": (1, e),
+                    "x": (1, 1), "c": (c, 0)}[spelling]
+            text = spelling.replace("c", str(c)).replace("e", str(e))
+            text = text.replace("*", space + "*" + space)
+            if i or sign == "-":
+                text = sign + space + text
+            parts.append(text)
+            coeffs[e] = coeffs.get(e, 0) + (c if sign == "+" else -c)
+        src = "(" + space.join(parts) + ")"
+        assert parser._Parser(src, weyl).xpoly() is not None, src
+        want = [0] * (max(coeffs) + 1)
+        for e, c in coeffs.items():
+            want[e] = c
+        expected = weyl.constant(QX.from_coeffs(want))
+        assert parse_expr(src, weyl) == _general(src, weyl) == expected, src
+
+    # "^" or the ring variable "t", not both: an operator power can take
+    # seconds; with the digit 2 alone a power in bounds is at most 222
+    _SOUP = ["(", ")", "x", "2", "*", "+", "-", " ", "\n",
+             str(MAX_EXPONENT + 1)]
+
+    @settings(max_examples=_ORACLE_EXAMPLES, deadline=None)
+    @given(tokens=st.one_of(
+        st.lists(st.sampled_from(_SOUP + ["^"]), max_size=12),
+        st.lists(st.sampled_from(_SOUP + ["t"]), max_size=12)))
+    def test_any_text_after_a_parenthesis(self, tokens):
+        weyl = OreRing(QX, [("t", IdentityAut(), DdxDer())])
+        src = "(" + "".join(tokens)
+        lane, general = _outcomes(src, weyl)
+        assert lane == general, src
+
+    @pytest.mark.parametrize("src, printed", [
+        (f"(x^{MAX_EXPONENT + 1})", ParseError(
+            f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}", 1, 4)),
+        ("(3x)", ParseError("expected ')'", 1, 3)),
+        ("(--x)", "x"),
+        ("(x*3)", "3*x"),
+        ("(-3*x^2 - x + 2)", "-(3*x^2 + x - 2)"),
+        ("(x - x)", "0"),
+        ("(3*x^2 - x + 2)*t", "(3*x^2 - x + 2)*t"),
+        ("(x^0 + 0*x)", "1"),
+        ("(2*t)", "2*t"),
+        ("(x + 1)^2", "x^2 + 2*x + 1"),
+        ("(x +\n 1) $", ParseError("unexpected character '$'", 2, 5)),
+    ])
+    def test_pinned(self, weyl, src, printed):
+        lane, general = _outcomes(src, weyl)
+        assert lane == general
+        if isinstance(printed, ParseError):
+            assert lane == (ParseError, str(printed))
+        else:
+            assert str(lane) == printed
+
+    def test_nesting_at_the_bound(self, weyl):
+        depth = parser.MAX_DEPTH
+        inner = "3*x^2 - x + 2"
+        src = "(" * depth + inner + ")" * depth
+        assert _outcomes(src, weyl)[0] == parse_expr(f"({inner})", weyl)
+        lane, general = _outcomes("(" + src + ")", weyl)
+        assert lane == general == (ParseError, str(ParseError(
+            f"parentheses nested deeper than {depth}", 1, depth + 1)))
+
+    def test_variable_named_x(self):
+        ring = OreRing(QX, [("x", IdentityAut(), DdxDer())])
+        assert not parser._Parser("(x)", ring).xpoly_lane
+        x = ring.variable(0)
+        want = ring.constant(QX.from_int(2)) * x * x + ring.one()
+        assert parse_expr("(2*x^2 + 1)", ring) == want
