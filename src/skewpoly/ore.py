@@ -36,8 +36,10 @@ an integer polynomial, f * g = sum_j F_j * d^j g/dx^j with F_j = D^j(f)/j!
 commutative product in Z[x, t], packed whole into one integer with the same
 proved width (``_weyl_product``).  The packed integer has one x-polynomial
 slot per cell of the product's exponent box, so the lane is taken only when
-the box has no more cells than the product has term pairs; sparse and
-one-term products stay on the power table.  ``tests/test_packed_products.py``
+the box has no more cells than the product has term pairs and at most 8
+x-digits per pair; sparse and one-term products, and long operators with
+high x-degrees times short ones, stay on the power table.
+``tests/test_packed_products.py``
 checks the lane against the power table's terms summed in scalar
 arithmetic, and sympy's differential operators check Weyl products.
 """
@@ -369,7 +371,10 @@ def _lower(rows: list, ddx: tuple, j: int) -> list:
         for i, k in enumerate(e):
             if k and ddx[i]:
                 key = e[:i] + (k - 1,) + e[i + 1:]
-                row = acc.setdefault(key, [])
+                row = acc.get(key)
+                if row is None:
+                    acc[key] = [k * a for a in c]
+                    continue
                 if len(row) < len(c):
                     row.extend([0] * (len(c) - len(row)))
                 for d, a in enumerate(c):
@@ -389,27 +394,35 @@ def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
     e + sum K_i S_i of an integer in base 2^B, with strides S_i that leave
     room for the product's degrees, and one integer product per j.  B =
     bitlength(sum_j |F_j|_1 |G_j|_1) + 1 bounds every coefficient of the
-    sum below 2^(B-1), so its balanced digits are the coefficients.  None
-    when a coefficient has a denominator or the exponent box has more cells
-    than the product has term pairs.
+    sum below 2^(B-1), so its balanced digits are the coefficients.
+
+    None when a coefficient has a denominator, or when the packed integer
+    would cost more than the power table's work per term pair: when the
+    exponent box has more cells than the product has term pairs (small and
+    sparse products), or more than 8 x-digits per term pair (a long
+    operator with high x-degrees times a short one).
     """
     if not f or not g:
         return {}
+    pairs = len(f) * len(g)
     spans = [a + b + 1 for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
-    if prod(spans) > len(f) * len(g) or any(
+    box = prod(spans)
+    if box > pairs or any(
             c.ints_den != (1,) for p in (f, g) for c in p.values()):
         return None
     fs = [(e, c.ints_num) for e, c in f.items()]
     gs = [(e, c.ints_num) for e, c in g.items()]
-    order = max(sum(k for k, d in zip(e, ddx) if d) for e in f)
     fx = max(len(c) for _, c in fs)
     gx = max(len(c) for _, c in gs)
+    size = fx + gx - 1  # digits per x-polynomial
+    if box * size > 8 * pairs:
+        return None
+    order = max(sum(k for k, d in zip(e, ddx) if d) for e in f)
     left, right = [fs], [gs]
     for j in range(1, min(order, gx - 1) + 1):
         left.append(_lower(left[-1], ddx, j))
         right.append([(e, d) for e, c in right[-1]
                       if (d := [i * a for i, a in enumerate(c)][1:])])
-    size = fx + gx - 1  # digits per x-polynomial
     strides, s = [], size
     for span in spans:
         strides.append(s)
@@ -423,15 +436,15 @@ def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
         return sum(_pack(c, width) << width * sum(map(mul, e, strides))
                    for e, c in rows)
 
-    digits = _unpack(sum(packed(lf) * packed(rg)
-                         for lf, rg in zip(left, right)), width)
-    out = {}
-    # blocks of ``size`` digits in slot order: t_1's exponent runs fastest
+    total = sum(packed(lf) * packed(rg) for lf, rg in zip(left, right))
+    # a block of ``size`` balanced digits is itself one balanced digit of
+    # width * size bits, so the blocks split off first, one pass each,
+    # then each block splits into its coefficients; t_1's exponent runs
+    # fastest from block to block
     keys = product(*map(range, reversed(spans)))
-    for rev, start in zip(keys, range(0, len(digits), size)):
-        num = digits[start:start + size]
-        while num and not num[-1]:
-            num = num[:-1]
+    out = {}
+    for rev, block in zip(keys, _unpack(total, width * size)):
+        num = _unpack(block, width)
         if num:
             out[rev[::-1]] = RationalFunction(num, (1,))
     return out
