@@ -36,7 +36,7 @@ an integer polynomial, f * g = sum_j F_j * d^j g/dx^j with F_j = D^j(f)/j!
 commutative product in Z[x, t], packed whole into one integer with the same
 proved width (``_weyl_product``).  The packed integer has one x-polynomial
 slot per cell of the product's exponent box, so the lane is taken only when
-the box has no more cells than the product has term pairs and at most 8
+the box has fewer cells than the product has term pairs and at most 8
 x-digits per pair; sparse and one-term products, and long operators with
 high x-degrees times short ones, stay on the power table.
 ``tests/test_packed_products.py``
@@ -398,16 +398,16 @@ def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
 
     None when a coefficient has a denominator, or when the packed integer
     would cost more than the power table's work per term pair: when the
-    exponent box has more cells than the product has term pairs (small and
-    sparse products), or more than 8 x-digits per term pair (a long
-    operator with high x-degrees times a short one).
+    exponent box has as many cells as the product has term pairs or more
+    (small and sparse products), or more than 8 x-digits per term pair (a
+    long operator with high x-degrees times a short one).
     """
     if not f or not g:
         return {}
     pairs = len(f) * len(g)
     spans = [a + b + 1 for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
     box = prod(spans)
-    if box > pairs or any(
+    if box >= pairs or any(
             c.ints_den != (1,) for p in (f, g) for c in p.values()):
         return None
     fs = [(e, c.ints_num) for e, c in f.items()]
@@ -423,10 +423,7 @@ def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
         left.append(_lower(left[-1], ddx, j))
         right.append([(e, d) for e, c in right[-1]
                       if (d := [i * a for i, a in enumerate(c)][1:])])
-    strides, s = [], size
-    for span in spans:
-        strides.append(s)
-        s *= span
+    strides = [size * prod(spans[:i]) for i in range(len(spans))]
     bound = sum(sum(sum(map(abs, c)) for _, c in lf)
                 * sum(sum(map(abs, c)) for _, c in rg)
                 for lf, rg in zip(left, right))

@@ -179,12 +179,15 @@ def test_weyl_product_matches_power_table(data, name):
 @settings(deadline=None)
 @given(data=st.data(), name=st.sampled_from(WEYL_RINGS))
 def test_weyl_product_takes_strips(data, name):
-    # a strip times a constant of x-degree at most 3 is always packed: its
-    # exponent box has as many cells as the product has term pairs, and at
-    # most 8 x-digits per cell
+    # a strip times c1*t_i + c2, c1 and c2 of x-degree at most 3, is always
+    # packed: its exponent box has fewer cells than the product has term
+    # pairs, and at most 8 x-digits per pair
     ring = _ring(name)
     f = data.draw(weyl_operands(ring, ("strip",)))
-    g = SkewPoly(ring, {(0,) * ring.nvars: data.draw(integer_polys(3))})
+    i = data.draw(st.integers(0, ring.nvars - 1))
+    g = SkewPoly(ring, {tuple(int(k == i) for k in range(ring.nvars)):
+                        data.draw(integer_polys(3)),
+                        (0,) * ring.nvars: data.draw(integer_polys(3))})
     for left, right in ((f, g), (g, f)):
         assert (_weyl_product(left.terms, right.terms, ring.ddx)
                 == power_table_product(left, right))
