@@ -622,19 +622,15 @@ class SkewPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        names, one = self.ring.names, self.ring.domain.one()
+        names = self.ring.names
         multi = len(self.terms) > 1
         out = []
         for e, c in self.ordered_terms():
-            negative = c.is_display_negative()
-            if negative:
-                c = -c
+            negative, text, atomic = c.display()
             factors = [name if k == 1 else f"{name}^{k}"
                        for name, k in zip(names, e) if k]
-            if not factors or c != one:
-                text = str(c)
-                if not c.is_atomic_factor() and (factors or multi
-                                                 or negative):
+            if not factors or text != "1":  # only the value 1 prints as "1"
+                if not atomic and (factors or multi or negative):
                     text = f"({text})"
                 factors.insert(0, text)
             if out:

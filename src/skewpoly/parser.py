@@ -18,10 +18,17 @@ position by the ring arithmetic itself, so the result is always the
 canonical expansion.
 
 ``tokenize`` gives plain ``(kind, text, line, column)`` tuples, kind one
-of "num", "name", "op" and "end".  The parser reads their texts by index
-and knows an operator by its text alone, which no other token has.  A run
-of signs is counted in a loop, so only parentheses recurse, and the bound
-on their depth keeps every input clear of Python's recursion limit: a
+of "num", "name", "op" and "end", and is the only code that computes a
+line and column.  The parser takes its token texts from one ``findall``
+with an end sentinel ``""``, and knows a token's kind by its text: digits,
+an operator, the end, or else a name.  ASCII input made only of characters
+the grammar admits is checked by one ``fullmatch``; any other input goes
+through ``tokenize`` first, which raises at the first character it
+refuses.  Both scans split an admitted text at the same places, so the
+parser's index into its texts is an index into ``tokenize``'s tuples, and
+an error calls ``tokenize`` again only to report its position.  A run of
+signs is counted in a loop, so only parentheses recurse, and the bound on
+their depth keeps every input clear of Python's recursion limit: a
 deeper ``(`` is a ``ParseError`` at its position.
 
 Values are term dicts ``{exponents: non-zero left coefficient}``, wrapped
@@ -61,6 +68,11 @@ MAX_DEPTH = 100  # deepest nesting of parentheses; deeper input is refused
 # but a decimal digit, and ``tokenize`` rejects the rest (such as "²").
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<name>[^\W\d]\w*)"
                     r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
+# On input that ``tokenize`` accepts, the texts of its tokens but the end;
+# ASCII input is accepted exactly when ``_ASCII_TEXT`` matches it whole
+_TEXTS = re.compile(r"\s*([0-9]+|[^\W\d]\w*|[-+*/^()])")
+_ASCII_TEXT = re.compile(r"[\s\w+\-*/^()]*")
+_OPS = "+-*/^()"
 
 
 def tokenize(src: str) -> list[tuple[str, str, int, int]]:
@@ -84,8 +96,10 @@ def tokenize(src: str) -> list[tuple[str, str, int, int]]:
 
 class _Parser:
     def __init__(self, src: str, ring: OreRing):
-        self.tokens = tokenize(src)
-        self.texts = [tok[1] for tok in self.tokens]
+        if not (src.isascii() and _ASCII_TEXT.fullmatch(src)):
+            tokenize(src)  # raises at the first character it refuses
+        self.src = src
+        self.texts = _TEXTS.findall(src) + [""]
         self.pos = 0
         self.depth = 0  # parentheses open around the current position
         self.ring = ring
@@ -98,13 +112,13 @@ class _Parser:
         self.xpoly_lane = (ring.domain is QX and "x" not in ring.names
                            and ring.certificate.ok)
 
-    def fail(self, message: str, pos: int | None = None):
-        _, _, line, column = self.tokens[self.pos if pos is None else pos]
-        raise ParseError(message, line, column)
+    def fail(self, message: str, pos: int | None = None, error=ParseError):
+        token = tokenize(self.src)[self.pos if pos is None else pos]
+        raise error(message, token[2], token[3])
 
     def parse(self) -> SkewPoly:
         terms = self.expr()
-        if self.tokens[self.pos][0] != "end":
+        if self.texts[self.pos]:
             self.fail(f"unexpected {self.texts[self.pos]!r}")
         return SkewPoly(self.ring, terms)
 
@@ -165,14 +179,13 @@ class _Parser:
         if self.texts[self.pos] != "^":
             return base
         self.pos += 1
-        kind, text, line, column = self.tokens[self.pos]
-        if kind != "num":
+        text = self.texts[self.pos]
+        if not text.isdigit():
             self.fail("exponent must be a natural number")
-        self.pos += 1
         k = int(text)
         if k > MAX_EXPONENT:
-            raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
-                             line, column)
+            self.fail(f"exponent {k} exceeds {MAX_EXPONENT}")
+        self.pos += 1
         if k < 2:
             return base if k else {self.origin: self.one}
         self.ring._require_certificate("multiplication")
@@ -185,14 +198,14 @@ class _Parser:
         return (SkewPoly(self.ring, base) ** k).terms
 
     def atom(self) -> dict:
-        kind, text, line, column = self.tokens[self.pos]
-        if kind == "num":
+        text = self.texts[self.pos]
+        if text.isdigit():
             self.pos += 1
             n = int(text)
             return {self.origin: self.ring.domain.from_int(n)} if n else {}
-        if kind == "name":
+        if text not in _OPS:  # a name; the end's "" is in _OPS
             self.pos += 1
-            return self.resolve_name(text, line, column)
+            return self.resolve_name(text, self.pos - 1)
         if text == "(":
             if self.depth == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
@@ -207,7 +220,7 @@ class _Parser:
             self.depth -= 1
             return terms
         self.fail("expected a number, name or '('"
-                  if kind != "end" else "unexpected end of input")
+                  if text else "unexpected end of input")
 
     def xpoly(self) -> RationalFunction | None:
         """The integer polynomial written from the ``(`` at ``self.pos`` as
@@ -216,13 +229,13 @@ class _Parser:
         coefficients, and ``self.pos`` moved past the ``)``.  On any other
         token, or an exponent above ``MAX_EXPONENT``, None with ``self.pos``
         unchanged: the general path then gives the same value or error."""
-        tokens, texts = self.tokens, self.texts
+        texts = self.texts
         pos, sign, coeffs = self.pos + 1, 1, {}
         if texts[pos] == "-":
             pos, sign = pos + 1, -1
         while True:
             c, e = 1, 0
-            if tokens[pos][0] == "num":
+            if texts[pos].isdigit():
                 c = int(texts[pos])
                 pos += 1
                 has_x = texts[pos] == "*"
@@ -236,7 +249,7 @@ class _Parser:
                 e = 1
                 pos += 1
                 if texts[pos] == "^":
-                    if tokens[pos + 1][0] != "num":
+                    if not texts[pos + 1].isdigit():
                         return None
                     e = int(texts[pos + 1])
                     if e > MAX_EXPONENT:
@@ -261,7 +274,7 @@ class _Parser:
             num.pop()
         return RationalFunction(tuple(num), (1,))
 
-    def resolve_name(self, name: str, line: int, column: int) -> dict:
+    def resolve_name(self, name: str, at: int) -> dict:
         names = self.names
         if name in names:
             i = names.index(name)
@@ -272,10 +285,9 @@ class _Parser:
         if domain.name == "HQ" and name in ("i", "j", "k"):
             return {self.origin: getattr(domain, name)()}
         if name in _LITERALS:
-            raise UnknownScalarLiteral(
-                f"literal {name!r} is not available over {domain.name}",
-                line, column)
-        raise UnknownVariable(f"unknown name {name!r}", line, column)
+            self.fail(f"literal {name!r} is not available over {domain.name}",
+                      at, UnknownScalarLiteral)
+        self.fail(f"unknown name {name!r}", at, UnknownVariable)
 
 
 def parse_expr(src: str, ring: OreRing) -> SkewPoly:

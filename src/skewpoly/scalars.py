@@ -110,24 +110,19 @@ def _pgcd(a, b):
     return (1,)
 
 
-def _pstr(a) -> str:
-    if not a:
-        return "0"
-    parts = []
+def _pstr(a, sign=1) -> str:
+    """The text of ``sign`` times the polynomial with coefficients ``a``,
+    lowest degree first."""
+    if sign < 0:
+        a = [-c for c in a]
+    monos = []
     for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        if i == 0:
-            mono = str(c)
-        else:
-            xpow = "x" if i == 1 else f"x^{i}"
-            mono = xpow if c == 1 else f"-{xpow}" if c == -1 else f"{c}*{xpow}"
-        parts.append(mono)
-    text = parts[0]
-    for p in parts[1:]:
-        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return text
+        if c := a[i]:
+            unit = f"x^{i}" if i > 1 else "x"
+            monos.append(str(c) if not i else unit if c == 1
+                         else f"-{unit}" if c == -1 else f"{c}*{unit}")
+    # no monomial holds a space, so "+ -" is where a negative one is joined
+    return " + ".join(monos).replace("+ -", "- ") or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +194,10 @@ class Scalar:
         """Whether the element commutes with the whole ring (exact)."""
         raise NotImplementedError
 
-    def is_atomic_factor(self) -> bool:
-        """Whether str(self) can stand unparenthesized inside a product."""
+    def display(self) -> tuple[bool, str, bool]:
+        """Whether str(self) starts with "-", the text of the value with
+        that sign turned, and whether that text can stand unparenthesized
+        inside a product."""
         raise NotImplementedError
 
     @property
@@ -234,11 +231,8 @@ class Rational(Scalar):
     def is_central(self):
         return True
 
-    def is_display_negative(self):
-        return self.value < 0
-
-    def is_atomic_factor(self):
-        return True
+    def display(self):
+        return self.value < 0, str(abs(self.value)), True
 
     @property
     def domain(self):
@@ -347,12 +341,11 @@ class RationalFunction(Scalar):
     def is_central(self):
         return True
 
-    def is_display_negative(self):
-        return bool(self.ints_num) and self.ints_num[-1] < 0
-
-    def is_atomic_factor(self):
-        return (len(self.ints_den) == 1
-                and sum(1 for c in self.ints_num if c != 0) <= 1)
+    def display(self):
+        n, d = self.ints_num, self.ints_den
+        negative = bool(n) and n[-1] < 0
+        return (negative, self._str(-1 if negative else 1),
+                len(d) == 1 and len(n) - n.count(0) <= 1)
 
     def derivative(self) -> "RationalFunction":
         # with g = gcd(d, d'): (n/d)' = (n'(d/g) - n(d'/g)) / (d(d/g)),
@@ -384,11 +377,14 @@ class RationalFunction(Scalar):
         return QX
 
     def __str__(self):
+        return self._str(1)
+
+    def _str(self, sign):
         if self.ints_den == (1,):
-            return _pstr(self.ints_num)
+            return _pstr(self.ints_num, sign)
         if len(self.ints_den) == 1:
-            return _pstr(self.num)
-        return f"({_pstr(self.num)})/({_pstr(self.den)})"
+            return _pstr(self.num, sign)
+        return f"({_pstr(self.num, sign)})/({_pstr(self.den)})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
@@ -465,40 +461,26 @@ class Quaternion(Scalar):
         _, b, c, d = self.ints
         return b == 0 and c == 0 and d == 0
 
-    def is_display_negative(self):
-        for n in self.ints:
-            if n != 0:
-                return n < 0
-        return False
-
-    def is_atomic_factor(self):
-        return sum(1 for n in self.ints if n != 0) <= 1
+    def display(self):
+        negative = next((n < 0 for n in self.ints if n), False)
+        return (negative, self._str(-1 if negative else 1),
+                self.ints.count(0) >= 3)
 
     @property
     def domain(self):
         return HQ
 
     def __str__(self):
-        parts = []
-        m = self.den
+        return self._str(1)
+
+    def _str(self, sign):
+        m, monos = self.den, []
         for n, unit in zip(self.ints, ("", "i", "j", "k")):
-            if n == 0:
-                continue
-            c = n if m == 1 else Fraction(n, m)
-            if not unit:
-                parts.append(str(c))
-            elif n == m:
-                parts.append(unit)
-            elif n == -m:
-                parts.append(f"-{unit}")
-            else:
-                parts.append(f"{c}*{unit}")
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+            if n:
+                c = sign * n if m == 1 else Fraction(sign * n, m)
+                monos.append(str(c) if not unit else unit if c == 1
+                             else f"-{unit}" if c == -1 else f"{c}*{unit}")
+        return " + ".join(monos).replace("+ -", "- ") or "0"
 
     def __repr__(self):
         return f"Quaternion({self})"

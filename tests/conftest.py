@@ -15,8 +15,9 @@ from skewpoly.ore import SkewPoly
 from skewpoly.scalars import HQ, Q, QX
 
 # Ten times Hypothesis's default budget, for the oracles that guard the
-# scalar fast paths, the parser's shortcuts and x-polynomial lane, analytic
-# certification, the packed product sums and the Weyl product lane: ``pytest tests/test_scalars.py tests/test_parser.py
+# scalar fast paths, the parser's shortcuts, x-polynomial lane and token
+# scan, the printer, analytic certification, the packed product sums and
+# the Weyl product lane: ``pytest tests/test_scalars.py tests/test_parser.py
 # tests/test_certification_oracle.py tests/test_packed_products.py
 # --hypothesis-profile=scalar-oracles``.
 # The default run keeps the default.

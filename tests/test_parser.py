@@ -1,7 +1,10 @@
-"""Grammar, name resolution, print/parse round-trips, and the parser's
-shortcuts against full SkewPoly arithmetic."""
+"""Grammar, name resolution, print/parse round-trips, the parser's
+shortcuts against full SkewPoly arithmetic, its token scan against
+``tokenize``, and the printer against the one it replaced."""
 
+import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -110,6 +113,12 @@ class TestErrors:
             parse_expr("t $ 1", weyl)
 
 
+@pytest.fixture(scope="module")
+def tau3():
+    """A ring whose variable's name is not ASCII."""
+    return OreRing(Q, [("τ٣", IdentityAut(), zero_der())])
+
+
 class TestErrorPositions:
     """Every error path of the parser: exception type, message and the line
     and column it is reported at."""
@@ -154,6 +163,16 @@ class TestErrorPositions:
         ("weyl", "(", ParseError, "unexpected end of input", 1, 2),
         ("weyl", "--", ParseError, "unexpected end of input", 1, 3),
         ("weyl", "t^", ParseError, "exponent must be a natural number", 1, 3),
+        # whitespace other than "\n" starts no line; non-ASCII text has its
+        # positions counted in characters
+        ("weyl", "t +\r\n 3 t", ParseError, "unexpected 't'", 2, 4),
+        ("weyl", "t\x0b+ 1 *\n\x0c y", UnknownVariable, "unknown name 'y'",
+         2, 3),
+        ("weyl", f"x\x1c*\n t^{MAX_EXPONENT + 1}", ParseError,
+         f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}", 2, 4),
+        ("weyl", "\x0b\x0c\x1c\r\n(t", ParseError, "expected ')'", 2, 3),
+        ("tau3", "τ٣ +\n y", UnknownVariable, "unknown name 'y'", 2, 2),
+        ("tau3", "τ٣ +\n 2 τ٣", ParseError, "unexpected 'τ٣'", 2, 4),
     ])
     def test_error_table(self, fixture, src, error, message, line, column,
                          request):
@@ -380,6 +399,31 @@ class TestTokenizerOracle:
     def test_matches_char_loop_on_ascii(self, src):
         assert (_tokens_or_error(tokenize, src)
                 == _tokens_or_error(_char_loop_tokenize, src))
+
+
+class TestTokenScanOracle:
+    """The parser takes its token texts from one ``findall`` and calls
+    ``tokenize`` only to place an error, so its texts must be ``tokenize``'s,
+    index for index, and a text ``tokenize`` refuses must raise the same
+    error."""
+
+    @pytest.mark.parametrize("chars", [
+        st.sampled_from(list("019ab_tx+-*/^() \t\r\n\x0b$.")),
+        st.characters(max_codepoint=127),
+        st.sampled_from(list("0ab_t+-*^() \n\x1cτ٣²\xa0\u2003")),
+    ], ids=["tokens", "ascii", "non-ascii"])
+    @given(data=st.data())
+    def test_texts_are_tokenize_texts(self, chars, data):
+        src = data.draw(st.text(chars))
+        ring = OreRing(Q, [("t", IdentityAut(), zero_der())])
+        try:
+            got = parser._Parser(src, ring).texts
+        except ParseError as exc:
+            got = (str(exc), exc.line, exc.column)
+        want = _tokens_or_error(tokenize, src)
+        if isinstance(want, list):
+            want = [token[1] for token in want]
+        assert got == want
 
 
 # Expression trees: ("num", n), ("name", s), ("neg", a), ("par", a),
@@ -620,3 +664,134 @@ class TestXPolynomialLane:
         x = ring.variable(0)
         want = ring.constant(QX.from_int(2)) * x * x + ring.one()
         assert parse_expr("(2*x^2 + 1)", ring) == want
+
+
+# ---------------------------------------------------------------------------
+# printer oracle
+# ---------------------------------------------------------------------------
+# The printers as they were before ``Scalar.display``: ``SkewPoly.__str__``
+# negated each displayed-negative coefficient and printed the negation,
+# ``_pstr`` and the quaternion printer grew their text with ``+=``.
+
+def _reference_pstr(a):
+    if not a:
+        return "0"
+    parts = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        if i == 0:
+            mono = str(c)
+        else:
+            xpow = "x" if i == 1 else f"x^{i}"
+            mono = xpow if c == 1 else f"-{xpow}" if c == -1 else f"{c}*{xpow}"
+        parts.append(mono)
+    text = parts[0]
+    for p in parts[1:]:
+        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return text
+
+
+def _reference_scalar(c):
+    """Whether ``c`` prints with a leading "-", its text, and whether the
+    text can stand unparenthesized in a product."""
+    if c.domain is Q:
+        return c.value < 0, str(c.value), True
+    if c.domain is QX:
+        n, d = c.ints_num, c.ints_den
+        if d == (1,):
+            text = _reference_pstr(n)
+        elif len(d) == 1:
+            text = _reference_pstr(c.num)
+        else:
+            text = f"({_reference_pstr(c.num)})/({_reference_pstr(c.den)})"
+        return (bool(n) and n[-1] < 0, text,
+                len(d) == 1 and sum(1 for v in n if v != 0) <= 1)
+    parts, m = [], c.den
+    for n, unit in zip(c.ints, ("", "i", "j", "k")):
+        if n == 0:
+            continue
+        v = n if m == 1 else Fraction(n, m)
+        if not unit:
+            parts.append(str(v))
+        elif n == m:
+            parts.append(unit)
+        elif n == -m:
+            parts.append(f"-{unit}")
+        else:
+            parts.append(f"{v}*{unit}")
+    text = parts[0] if parts else "0"
+    for p in parts[1:]:
+        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    nonzero = [n for n in c.ints if n != 0]
+    return bool(nonzero) and nonzero[0] < 0, text, len(nonzero) <= 1
+
+
+def _reference_str(f):
+    if not f.terms:
+        return "0"
+    names, one = f.ring.names, f.ring.domain.one()
+    multi = len(f.terms) > 1
+    out = []
+    for e, c in f.ordered_terms():
+        negative = _reference_scalar(c)[0]
+        if negative:
+            c = -c
+        factors = [name if k == 1 else f"{name}^{k}"
+                   for name, k in zip(names, e) if k]
+        if not factors or c != one:
+            _, text, atomic = _reference_scalar(c)
+            if not atomic and (factors or multi or negative):
+                text = f"({text})"
+            factors.insert(0, text)
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append("*".join(factors))
+    return "".join(out)
+
+
+_SMALL = st.sampled_from([1, -1, 1, -1, 0, 2, -3, 12])
+_FRACTIONS = st.builds(Fraction, _SMALL, st.sampled_from([1, 1, 1, 2, 3]))
+# unit, constant and non-unit denominators
+_DENOMINATORS = st.sampled_from([(1,), (1,), (3,), (-2,), (1, 1), (0, 2),
+                                 (-1, 0, 1), (Fraction(1, 2), 1)])
+_PRINTER_COEFFS = {
+    Q: _FRACTIONS.map(Q.from_fraction),
+    QX: st.builds(QX.from_coeffs, st.lists(_FRACTIONS, max_size=4),
+                  _DENOMINATORS),
+    HQ: st.builds(HQ.make, _FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS),
+}
+
+
+@functools.cache
+def _printer_ring(domain, nvars):
+    return OreRing(domain, [(f"t{i}" if nvars > 1 else "t", IdentityAut(),
+                             zero_der()) for i in range(nvars)])
+
+
+class TestPrinterOracle:
+    """``SkewPoly.__str__`` with ``Scalar.display`` against the printers it
+    replaced, byte for byte, over Q, Q(x) (unit and other denominators)
+    and H(Q) (denominators 1 and above), with negative leading
+    coefficients, coefficients of 1 and -1, constants and several
+    variables."""
+
+    @pytest.mark.parametrize("domain", [Q, QX, HQ], ids=lambda d: d.name)
+    @settings(max_examples=_ORACLE_EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, domain, data):
+        ring = _printer_ring(domain, data.draw(st.integers(0, 3)))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * ring.nvars),
+            _PRINTER_COEFFS[domain], max_size=5))
+        f = SkewPoly(ring, terms)
+        assert str(f) == _reference_str(f)
+        assert str(-f) == _reference_str(-f)
+        for c in terms.values():
+            negative, text, atomic = _reference_scalar(c)
+            assert str(c) == text
+            magnitude = _reference_scalar(-c if negative else c)
+            assert c.display() == (negative,) + magnitude[1:]

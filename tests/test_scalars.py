@@ -310,9 +310,10 @@ def assert_matches(got, want):
     num, den = want
     assert (got.num, got.den) == want
     assert str(got) == ref_str(want)
-    assert got.is_display_negative() == (bool(num) and num[-1] < 0)
-    assert got.is_atomic_factor() == (den == (1,)
-                                      and sum(c != 0 for c in num) <= 1)
+    negative = bool(num) and num[-1] < 0
+    magnitude = (tuple(-c for c in num), den) if negative else want
+    assert got.display() == (negative, ref_str(magnitude),
+                             den == (1,) and sum(c != 0 for c in num) <= 1)
     rebuilt = RationalFunction.make(num, den)
     assert got == rebuilt and hash(got) == hash(rebuilt)
 
@@ -568,8 +569,10 @@ def assert_q_matches(got, want):
     nonzero = [c for c in want if c != 0]
     assert got.is_zero() == (not nonzero)
     assert got.is_central() == (not any(want[1:]))
-    assert got.is_display_negative() == (bool(nonzero) and nonzero[0] < 0)
-    assert got.is_atomic_factor() == (len(nonzero) <= 1)
+    negative = bool(nonzero) and nonzero[0] < 0
+    magnitude = tuple(-c for c in want) if negative else want
+    assert got.display() == (negative, ref_q_str(magnitude),
+                             len(nonzero) <= 1)
     rebuilt = HQ.make(*want)
     assert got == rebuilt and hash(got) == hash(rebuilt)
 
