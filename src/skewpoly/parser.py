@@ -204,8 +204,9 @@ class _Parser:
             n = int(text)
             return {self.origin: self.ring.domain.from_int(n)} if n else {}
         if text not in _OPS:  # a name; the end's "" is in _OPS
+            terms = self.resolve_name(text)
             self.pos += 1
-            return self.resolve_name(text, self.pos - 1)
+            return terms
         if text == "(":
             if self.depth == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
@@ -274,7 +275,7 @@ class _Parser:
             num.pop()
         return RationalFunction(tuple(num), (1,))
 
-    def resolve_name(self, name: str, at: int) -> dict:
+    def resolve_name(self, name: str) -> dict:
         names = self.names
         if name in names:
             i = names.index(name)
@@ -286,8 +287,8 @@ class _Parser:
             return {self.origin: getattr(domain, name)()}
         if name in _LITERALS:
             self.fail(f"literal {name!r} is not available over {domain.name}",
-                      at, UnknownScalarLiteral)
-        self.fail(f"unknown name {name!r}", at, UnknownVariable)
+                      error=UnknownScalarLiteral)
+        self.fail(f"unknown name {name!r}", error=UnknownVariable)
 
 
 def parse_expr(src: str, ring: OreRing) -> SkewPoly:

@@ -195,8 +195,8 @@ class Scalar:
         raise NotImplementedError
 
     def display(self) -> tuple[bool, str, bool]:
-        """Whether str(self) starts with "-", the text of the value with
-        that sign turned, and whether that text can stand unparenthesized
+        """Whether str(self) starts with "-", str(-self) if it does and
+        str(self) if not, and whether that text can stand unparenthesized
         inside a product."""
         raise NotImplementedError
 
