@@ -141,14 +141,14 @@ def _var_index(ring, name: str) -> int:
 
 def _run_normalform(ring, args):
     f = parse_expr(args.expr, ring)
-    data = {"command": "normalform", "input": args.expr,
+    data = {"input": args.expr,
             "normal_form": str(f), "terms": f.to_data()}
     return [str(f)], data
 
 
 def _run_multiply(ring, args):
     product = parse_expr(args.left, ring) * parse_expr(args.right, ring)
-    data = {"command": "multiply", "left": args.left, "right": args.right,
+    data = {"left": args.left, "right": args.right,
             "product": str(product), "terms": product.to_data()}
     return [str(product)], data
 
@@ -159,7 +159,6 @@ def _run_evaluate(ring, args):
     tup = certify_tuple(ring, elements, ring.twists())
     value = evaluate(f, tup)
     data = {
-        "command": "evaluate",
         "input": args.expr,
         "at": [str(e) for e in elements],
         "value": str(value),
@@ -175,7 +174,6 @@ def _run_mix(ring, args):
     mixed = mix_derivations(ring.domain, ders, coeffs,
                             ring.samples, ring.seed)
     data = {
-        "command": "mix",
         "coefficients": [str(c) for c in coeffs],
         "mixed_derivations": [
             {"name": name, "der": d.to_data()}
@@ -198,7 +196,6 @@ def _run_monicize(ring, args):
     target = _var_index(ring, args.target) if args.target else None
     sub, g = monicize(f, target)
     data = {
-        "command": "monicize",
         "input": args.expr,
         "substitution": sub.to_data(ring.names),
         "monic": str(g),
@@ -227,7 +224,7 @@ def _run_cns_search(ring, args):
             f"and size > deg = {degree})"
         )
     witness = cns_witness(f, sets)
-    data = {"command": "cns-search", "input": args.expr,
+    data = {"input": args.expr,
             "degree": degree,
             "sets": [s.to_data() for s in sets]}
     data.update(witness.to_data())
@@ -245,7 +242,7 @@ def _run_gm_check(ring, args):
     roots = [parse_scalar(part, ring.domain)
              for part in args.roots.split(",")]
     report = gordon_motzkin_check(f, roots)
-    data = {"command": "gm-check", "input": args.expr}
+    data = {"input": args.expr}
     data.update(report.to_data())
     lines = [f"degree: {report.degree}",
              f"conjugacy classes: {len(report.classes)}"]
@@ -260,8 +257,7 @@ def _run_gm_check(ring, args):
 def _run_normalize(ring, args):
     relations = [parse_expr(line, ring) for line in _read_lines(args.relations)]
     result = normalize(ring, relations)
-    data = {"command": "normalize"}
-    data.update(result.to_data())
+    data = result.to_data()
     lines = []
     for i, step in enumerate(result.steps, start=1):
         names = step.relation.ring.names
@@ -285,7 +281,6 @@ def _run_reduce(ring, args):
     rel = MonicRelation.read(rel_poly, _var_index(ring, args.var))
     quotient, remainder = divmod_by_monic(e, rel)
     data = {
-        "command": "reduce",
         "input": args.expr,
         "relation": str(rel_poly),
         "variable": args.var,
@@ -325,8 +320,9 @@ def main(argv=None) -> int:
     try:
         ring = load_ring(args.ring, samples=args.samples, seed=args.seed)
         lines, data = _HANDLERS[args.command](ring, args)
-        if args.format == "json":
-            _emit(json.dumps(data, indent=2) + "\n", args.output)
+        if args.format == "json":  # the command's name leads the data
+            _emit(json.dumps({"command": args.command, **data}, indent=2)
+                  + "\n", args.output)
         else:
             _emit("".join(line + "\n" for line in lines), args.output)
     except (ParseError, ConfigError) as exc:

@@ -12,7 +12,7 @@ F-linear combination of the variables whose combined derivation is the
 claimed one is proved (``analytic`` True, no sample compared); every other
 element is checked by operator products on seeded scalar samples.  Either
 way a record's ``samples`` is the size of the pool the law is stated over,
-drawn with the ambient ring's ``samples`` and ``seed``.
+the ambient ring's ``samples``; only a sampled law draws it, with ``seed``.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ def _linear_form(ambient: OreRing, s: SkewPoly, claimed_aut: RingMap):
     return pairs
 
 
-def _automorphic_record(ambient, s, aut, der, pool, law) -> CheckRecord:
-    """The law ``s*r = aut(r)*s + der(r)`` over ``pool``.  A linear form whose
-    combined derivation is ``der`` up to the order of its terms satisfies it
-    for every r, so it is proved and no sample is compared; every other
-    element counts the samples on which operator products break it."""
+def _automorphic_record(ambient, s, aut, der, law) -> CheckRecord:
+    """The law ``s*r = aut(r)*s + der(r)`` over the ambient sample pool.  A
+    linear form whose combined derivation is ``der`` up to the order of its
+    terms satisfies it for every r, so it is proved and draws no pool; every
+    other element counts the samples on which operator products break it."""
     pairs = _linear_form(ambient, s, aut)
     if pairs is not None:
         combined = lin_comb(pairs, twist=aut)
@@ -79,7 +79,8 @@ def _automorphic_record(ambient, s, aut, der, pool, law) -> CheckRecord:
                 else combined == der)
         if same:
             ambient._require_certificate("multiplication")
-            return CheckRecord(law, len(pool), 0, True)
+            return CheckRecord(law, ambient.samples, 0, True)
+    pool = sample_scalars(ambient.domain, ambient.seed, ambient.samples)
     failures = sum(s * ambient.constant(r)
                    != s.scale_left(aut(r)) + ambient.constant(der(r))
                    for r in pool)
@@ -88,7 +89,7 @@ def _automorphic_record(ambient, s, aut, der, pool, law) -> CheckRecord:
 
 def certify_tuple(ambient: OreRing, elements, twists) -> AutomorphicTuple:
     """Build a tuple and record its commutation / automorphic-law checks;
-    sampled laws draw their pool with ``ambient.samples`` and
+    only sampled laws draw their pool, with ``ambient.samples`` and
     ``ambient.seed``."""
     elements = tuple(elements)
     twists = tuple((a, d) for a, d in twists)
@@ -103,9 +104,8 @@ def certify_tuple(ambient: OreRing, elements, twists) -> AutomorphicTuple:
             equal = (elements[i] * elements[j] == elements[j] * elements[i])
             records.append(CheckRecord(f"commute(s{i + 1}, s{j + 1})",
                                        1, 0 if equal else 1))
-    pool = sample_scalars(ambient.domain, ambient.seed, ambient.samples)
     for idx, (s, (aut, der)) in enumerate(zip(elements, twists)):
-        records.append(_automorphic_record(ambient, s, aut, der, pool,
+        records.append(_automorphic_record(ambient, s, aut, der,
                                            f"automorphic(s{idx + 1})"))
     return AutomorphicTuple(ambient, elements, twists,
                             Certificate(tuple(records)))
@@ -116,6 +116,7 @@ def evaluate(f: SkewPoly, tup: AutomorphicTuple) -> SkewPoly:
 
     This is the ring homomorphism of the certified tuple; it requires the
     polynomial's ring twists to match the tuple's claimed twists exactly.
+    Its only products are by the s_i: no product by one starts a term.
     """
     if not tup.certificate.ok:
         raise CertificateFailed("tuple certificate did not pass")
@@ -128,22 +129,19 @@ def evaluate(f: SkewPoly, tup: AutomorphicTuple) -> SkewPoly:
             "polynomial ring twists differ from the tuple's claimed twists"
         )
     ambient = tup.ambient
-    powers: list[dict] = [{0: ambient.one()} for _ in tup.elements]
-
-    def power(i: int, e: int) -> SkewPoly:
-        cache = powers[i]
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * tup.elements[i]
-        return cache[e]
+    ambient._require_certificate("multiplication")  # as a product would
+    powers = [[s] for s in tup.elements]  # powers[i][e - 1] = s_i^e
 
     out = ambient.zero()
     for exps, b in f.terms.items():
-        term = ambient.one()
-        for i, e in enumerate(exps):
+        term = None
+        for chain, s, e in zip(powers, tup.elements, exps):
+            while len(chain) < e:
+                chain.append(chain[-1] * s)
             if e:
-                term = term * power(i, e)
-        out = out + term.scale_left(b)
+                term = chain[e - 1] if term is None else term * chain[e - 1]
+        out = out + (ambient.constant(b) if term is None
+                     else term.scale_left(b))
     return out
 
 

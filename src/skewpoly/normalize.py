@@ -98,16 +98,15 @@ class MonicRelation:
         return cls(ring, var, m, tails)
 
     def polynomial(self) -> SkewPoly:
-        one = self.ring.domain.one()
-        n = self.ring.nvars
-        out = self.ring.monomial(
-            tuple(self.degree if t == self.var else 0 for t in range(n)), one)
-        for j, eps in enumerate(self.tails, start=1):
-            power = self.ring.monomial(
-                tuple(self.degree - j if t == self.var else 0
-                      for t in range(n)), one)
-            out = out + eps * power
-        return out
+        """The relation's polynomial, written down rather than multiplied:
+        the variables fix each other and no tail involves t, so
+        eps_j * t^(m-j) is eps_j with m - j in t's slot."""
+        self.ring._require_certificate("multiplication")  # as a product would
+        v, m = self.var, self.degree
+        return SkewPoly(self.ring, {
+            e[:v] + (m - j,) + e[v + 1:]: c
+            for j, eps in enumerate((self.ring.one(), *self.tails))
+            for e, c in eps.terms.items()})
 
     def to_data(self) -> dict:
         return {

@@ -241,15 +241,14 @@ class _PowerTable:
     ``sum_j C(k, j) der^j(r) t^(k-j)``, which needs only additivity of the
     derivation.  Any other variable keeps the normal forms of t^0 * r,
     t^1 * r, ..., each one single step (aut, der) from the last.  A table
-    lives for one call; nothing is kept between products.
+    lives for one call and keeps nothing but its rows.
     """
 
-    __slots__ = ("ring", "rows", "ints")
+    __slots__ = ("ring", "rows")
 
     def __init__(self, ring: OreRing):
         self.ring = ring
         self.rows: dict = {}
-        self.ints: dict = {}
 
     def power(self, i: int, k: int, r: Scalar) -> list:
         """t_i^k * r as (power, integer factor, scalar) triples."""
@@ -286,15 +285,6 @@ class _PowerTable:
                        for p, f, d in self.power(i, k, c)]
         return cur
 
-    def scaled(self, m: int, c: Scalar) -> Scalar:
-        """m * c for an integer m, with each integer converted once."""
-        if m == 1:
-            return c
-        n = self.ints.get(m)
-        if n is None:
-            n = self.ints[m] = self.ring.domain.from_int(m)
-        return n * c
-
 
 def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
     """t * (sum_p c_p t^p) in normal form, from t*c = aut(c)*t + der(c)."""
@@ -313,7 +303,7 @@ def _scalar_sum(terms, table: _PowerTable) -> dict:
     """Sum ``m * a * c`` per exponent vector in scalar arithmetic."""
     out: dict = {}
     for exps, m, a, c in terms:
-        v = a * c if m == 1 else table.scaled(m, a * c)
+        v = a * c if m == 1 else table.ring.domain.from_int(m) * (a * c)
         out[exps] = out[exps] + v if exps in out else v
     return out
 

@@ -9,13 +9,13 @@ Grammar (whitespace insignificant, ``^`` takes a natural number of at most
     power  := atom ('^' NAT)?
     atom   := NAT | NAME | '(' expr ')'
 
-``NAT`` is ASCII digits.  Names resolve to ring variables first, then to
-the active ring's scalar literals (``x`` over Q(x); ``i``, ``j``, ``k``
-over the quaternions).  Division requires a scalar-valued divisor, which is
-how rational literals like ``1/2`` and entered denominators like
-``(x+1)/(x^2)`` are formed.  Right-side coefficients are commuted into left
-position by the ring arithmetic itself, so the result is always the
-canonical expansion.
+``NAT`` is ASCII digits, at most as many as ``int`` converts.  Names
+resolve to ring variables first, then to the active ring's scalar literals
+(``x`` over Q(x); ``i``, ``j``, ``k`` over the quaternions).  Division
+requires a scalar-valued divisor, which is how rational literals like
+``1/2`` and entered denominators like ``(x+1)/(x^2)`` are formed.
+Right-side coefficients are commuted into left position by the ring
+arithmetic itself, so the result is always the canonical expansion.
 
 ``tokenize`` gives plain ``(kind, text, line, column)`` tuples, kind one
 of "num", "name", "op" and "end", and is the only code that computes a
@@ -44,9 +44,9 @@ k >= 2 first checks the ring's certificate, shortcut or not.
 Over Q(x), where ``x`` is not a ring variable and the certificate holds, a
 parenthesized sum of integer x-monomials such as ``(3*x^2 - x + 2)`` is
 read straight into one integer coefficient tuple (``_Parser.xpoly``), with
-no term dicts or scalar products.  Any other token inside, or an exponent
-above ``MAX_EXPONENT``, leaves the position where it was, and the general
-path then gives the same value or the same error at the same position; a
+no term dicts or scalar products.  Any other token inside, an exponent
+above ``MAX_EXPONENT`` or a literal too long to convert leaves the position
+where it was, and the general path then gives the same value or error; a
 ``(`` past ``MAX_DEPTH`` is refused before the lane is tried.  The tests
 in ``tests/test_parser.py`` run the parser with the lane off as its
 oracle, and check the value against integer arithmetic on the monomials.
@@ -116,6 +116,15 @@ class _Parser:
         token = tokenize(self.src)[self.pos if pos is None else pos]
         raise error(message, token[2], token[3])
 
+    def natural(self, pos: int) -> int:
+        """The digits at ``pos``; more than ``int`` converts from text
+        (``sys.get_int_max_str_digits()``) is a ``ParseError`` there."""
+        try:
+            return int(self.texts[pos])
+        except ValueError:
+            self.fail(f"integer literal of {len(self.texts[pos])} digits "
+                      "is too long", pos)
+
     def parse(self) -> SkewPoly:
         terms = self.expr()
         if self.texts[self.pos]:
@@ -182,7 +191,7 @@ class _Parser:
         text = self.texts[self.pos]
         if not text.isdigit():
             self.fail("exponent must be a natural number")
-        k = int(text)
+        k = self.natural(self.pos)
         if k > MAX_EXPONENT:
             self.fail(f"exponent {k} exceeds {MAX_EXPONENT}")
         self.pos += 1
@@ -200,8 +209,8 @@ class _Parser:
     def atom(self) -> dict:
         text = self.texts[self.pos]
         if text.isdigit():
+            n = self.natural(self.pos)
             self.pos += 1
-            n = int(text)
             return {self.origin: self.ring.domain.from_int(n)} if n else {}
         if text not in _OPS:  # a name; the end's "" is in _OPS
             terms = self.resolve_name(text)
@@ -210,7 +219,11 @@ class _Parser:
         if text == "(":
             if self.depth == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
-            if self.xpoly_lane and (value := self.xpoly()) is not None:
+            try:
+                value = self.xpoly() if self.xpoly_lane else None
+            except ValueError:  # a literal too long: the general path says so
+                value = None
+            if value is not None:
                 return {self.origin: value} if value.ints_num else {}
             self.pos += 1
             self.depth += 1
@@ -229,7 +242,8 @@ class _Parser:
         ``mono := NUM ['*' 'x' ['^' NUM]] | 'x' ['^' NUM]``, read into its
         coefficients, and ``self.pos`` moved past the ``)``.  On any other
         token, or an exponent above ``MAX_EXPONENT``, None with ``self.pos``
-        unchanged: the general path then gives the same value or error."""
+        unchanged, and ``int``'s ValueError for a literal too long to
+        convert: the general path then gives the same value or error."""
         texts = self.texts
         pos, sign, coeffs = self.pos + 1, 1, {}
         if texts[pos] == "-":

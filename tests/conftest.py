@@ -16,9 +16,11 @@ from skewpoly.scalars import HQ, Q, QX
 
 # Ten times Hypothesis's default budget, for the oracles that guard the
 # scalar fast paths, the parser's shortcuts, x-polynomial lane and token
-# scan, the printer, analytic certification, the packed product sums and
-# the Weyl product lane: ``pytest tests/test_scalars.py tests/test_parser.py
-# tests/test_certification_oracle.py tests/test_packed_products.py
+# scan, the printer, analytic certification, the packed product sums, the
+# Weyl product lane and the written-down forms (monic relations,
+# evaluation, tuple records): ``pytest tests/test_scalars.py
+# tests/test_parser.py tests/test_certification_oracle.py
+# tests/test_packed_products.py tests/test_written_forms.py
 # --hypothesis-profile=scalar-oracles``.
 # The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)

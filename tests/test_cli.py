@@ -239,6 +239,24 @@ class TestExitCodes:
         assert (f"unexpected character {expr[column - 1]!r} "
                 f"(line 1, column {column})") in capsys.readouterr().err
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                        reason="int conversion has no digit limit")
+    @pytest.mark.parametrize("ring, argv", [
+        (WEYL, ["normalform", "{long}*t"]),
+        (WEYL, ["normalform", "(x^2 + {long}*x)*t"]),
+        (WEYL, ["normalform", "t^{long}"]),
+        (WEYL2, ["mix", "--coeff", "{long}", "t1", "t2"]),
+    ], ids=["coefficient", "x-polynomial", "exponent", "scalar"])
+    def test_long_literal_is_2(self, write, capsys, ring, argv):
+        # a literal past int()'s digit limit used to exit 1 with a bare
+        # ValueError
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        command, *rest = [a.format(long=long) for a in argv]
+        assert main([command, "--ring", write("r.json", ring), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"skewpoly: error: integer literal of "
+                              f"{len(long)} digits is too long (line 1, ")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_deep_nesting_is_2(self, write, capsys, fmt):
         # 200 nested parentheses used to exit 1 with a RecursionError

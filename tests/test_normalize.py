@@ -413,7 +413,11 @@ class TestNormalize:
     def test_unshifted_steps_substitute_nothing(self, monkeypatch):
         # a one-variable step shifts nothing, so the second relation, exprs
         # and the monic tails are read in the new presentation, not
-        # evaluated through a tuple (4 + 2 of the 17 products before)
+        # evaluated through a tuple (4 + 2 of the 17 products before).  The
+        # three products left: s*s for t^2 in monicize's evaluation, s*s in
+        # the replay check, and quotient 1 times rho when the second
+        # relation is reduced; evaluation makes no product by one, the
+        # proved tuple records take none, and rho is written down
         ring = load_ring(ROOT / "configs" / "qdiff.json")
         f = parse_expr("t^2 + x*t + 1", ring)
         count = [0]
@@ -426,7 +430,7 @@ class TestNormalize:
         monkeypatch.setattr(SkewPoly, "__mul__", counted)
         result = normalize(ring, [f, f])
         assert [i for i, _ in result.skipped] == [1]
-        assert count[0] == 11
+        assert count[0] == 3
 
     def test_derived_rings_keep_the_settings(self):
         ring = load_ring(ROOT / "configs" / "weyl3.json", samples=8, seed=3)

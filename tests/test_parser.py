@@ -4,6 +4,7 @@ shortcuts against full SkewPoly arithmetic, its token scan against
 
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,46 @@ class TestNesting:
                 == want * t + weyl.one())
         assert (parse_expr("x*" + "-" * signs + "(t)", weyl)
                 == weyl.constant(QX.x()) * want)
+
+
+# A literal one digit past what ``int`` converts from a string
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+LONG_MESSAGE = f"integer literal of {len(LONG)} digits is too long"
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int conversion has no digit limit")
+class TestLongLiterals:
+    """A literal past ``sys.get_int_max_str_digits()`` is a ``ParseError``
+    at its position, on the general path, through the x-polynomial lane
+    (which falls back), in an exponent and in ``parse_scalar``."""
+
+    @pytest.mark.parametrize("src, line, column", [
+        (f"{LONG}*t", 1, 1),
+        (f"t +\n {LONG}", 2, 2),
+        (f"(x^2 + {LONG}*x)*t", 1, 8),
+        (f"(x^{LONG})*t", 1, 4),
+        (f"t^{LONG}", 1, 3),
+        (f"(t + 1)^\n{LONG}", 2, 1),
+    ], ids=["coefficient", "second-line", "x-polynomial", "x-exponent",
+            "exponent", "exponent-on-next-line"])
+    def test_parse_error_at_the_literal(self, weyl, src, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_expr(src, weyl)
+        assert type(info.value) is ParseError
+        assert str(info.value) == (f"{LONG_MESSAGE} "
+                                   f"(line {line}, column {column})")
+
+    @pytest.mark.parametrize("domain", [Q, QX, HQ])
+    def test_scalar(self, domain):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(f"1/{LONG}", domain)
+        assert (info.value.line, info.value.column) == (1, 3)
+
+    def test_limit_itself_parses(self, weyl):
+        digits = "1" * sys.get_int_max_str_digits()
+        assert (parse_expr(f"(x + {digits})*t", weyl)
+                == parse_expr(f"x*t + {digits}*t", weyl))
 
 
 class TestScalarParsing:
