@@ -93,7 +93,6 @@ from .normalize import (
     monicize,
     normalize,
     normalize_step,
-    reduce_by_monic,
 )
 from .parser import parse_expr, parse_scalar
 from .config import load_ring, ring_from_data, ring_to_data

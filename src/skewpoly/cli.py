@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import load_ring
-from .errors import ConfigError, ParseError, SkewError
+from .errors import ConfigError, ParseError, SkewError, UnknownVariable
 from .evaluation import certify_tuple, evaluate, mix_derivations, mix_elements
 from .maps import DEFAULT_SAMPLES, DEFAULT_SEED
 from .normalize import MonicRelation, divmod_by_monic, monicize, normalize
@@ -133,7 +133,7 @@ def _read_lines(path) -> list[str]:
 
 def _var_index(ring, name: str) -> int:
     if name not in ring.names:
-        raise SkewError(f"no variable named {name!r} in the ring")
+        raise UnknownVariable(f"no variable named {name!r} in the ring")
     return ring.names.index(name)
 
 

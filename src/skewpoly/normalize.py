@@ -7,16 +7,18 @@ the witness search's coordinate-by-coordinate specialization of the
 relation's leading form (a non-zero left polynomial of degree d has at most
 d central roots, so d+1 candidates per coordinate always suffice).
 
-``normalize`` iterates this: each witness relation is re-expressed through
-the accumulated substitutions, reduced by the accumulated monic relations,
-and then used to eliminate the current last variable, producing a chain of
-monic relations that certifies left-module-finiteness over the residual
-variables.  Witness relations are inputs; the tool never searches for them.
+``normalize`` iterates this: the chain's ``reduce`` re-expresses each
+witness relation through the accumulated substitutions and divides it by
+the accumulated monic relations, oldest first, and the remainder eliminates
+the current last variable.  The monic relations certify left-module-
+finiteness over the residual variables.  Witness relations are inputs; the
+tool never searches for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 
 from .errors import (
@@ -214,20 +216,19 @@ def monicize(f: SkewPoly,
 
 @dataclass(frozen=True, eq=False)
 class NormalizationStep:
-    """One eliminated variable: the substitution, the new presentation's
-    (aut, der) tower, and the monic relation the variable satisfies."""
+    """One eliminated variable: the substitution and the monic relation the
+    variable satisfies, in the ring of the step's (aut, der) tower."""
 
     substitution: Substitution
-    tower: tuple
     relation: MonicRelation
 
     def to_data(self) -> dict:
+        ring = self.relation.ring
         return {
-            "substitution": self.substitution.to_data(self.relation.ring.names),
+            "substitution": self.substitution.to_data(ring.names),
             "mixed_derivations": [
                 {"name": name, "aut": aut.to_data(), "der": der.to_data()}
-                for name, (aut, der) in zip(self.relation.ring.names,
-                                            self.tower)
+                for name, (aut, der) in zip(ring.names, ring.twists())
             ],
             "monic_relation": self.relation.to_data(),
         }
@@ -258,7 +259,7 @@ def normalize_step(f: SkewPoly) -> NormalizationStep:
     replay_tup = certify_tuple(ring, t_elements, new_ring.twists())
     if evaluate(g, replay_tup) != f.scale_left(sub.scale):
         raise SkewError("internal error: replay identity g(t) = a*f failed")
-    return NormalizationStep(sub, new_ring.twists(), relation)
+    return NormalizationStep(sub, relation)
 
 
 def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly]:
@@ -286,21 +287,18 @@ def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly
     return q, r
 
 
-def reduce_by_monic(e: SkewPoly, rel: MonicRelation) -> SkewPoly:
-    """Remainder of ``e`` modulo the left ideal of the monic relation."""
-    return divmod_by_monic(e, rel)[1]
-
-
 @dataclass(frozen=True, eq=False)
 class NormalizationResult:
     """The replayable chain: one step per eliminated variable, the final
-    presentation ring, and the relations re-expressed in it."""
+    presentation ring, the relations re-expressed in it, and ``images``,
+    the input variables' images there (``None`` until a step shifts one)."""
 
     ring: OreRing
     steps: tuple[NormalizationStep, ...]
     presentation: OreRing
     relations: tuple[MonicRelation, ...]
     skipped: tuple[tuple[int, str], ...]
+    images: tuple[SkewPoly, ...] | None = None
 
     @property
     def residual_variables(self) -> tuple[str, ...]:
@@ -321,40 +319,28 @@ class NormalizationResult:
                         for i, why in self.skipped],
         }
 
+    def reduce(self, e: SkewPoly) -> SkewPoly:
+        """``e``, an element of ``ring``, read in ``presentation`` and
+        divided by ``relations`` oldest first.  Relation j is monic in its
+        variable and its tails involve only variables eliminated later; as
+        t*r = sigma(r)*t + delta(r) never raises t's degree, no later
+        division lifts an earlier variable back to its bound."""
+        if e.ring != self.ring:
+            raise RingMismatch("the element must live in the input ring")
+        if self.images is None:
+            w = reinterpret(e, self.presentation)
+        else:  # a step shifts coordinates even where the tower stays
+            w = evaluate(e, certify_tuple(self.presentation, self.images,
+                                          self.ring.twists()))
+        for rel in self.relations:
+            w = divmod_by_monic(w, rel)[1]
+        return w
 
-def normalize(ring: OreRing, relations) -> NormalizationResult:
-    """Run the normalization chain over the witness relations, in order.
-
-    Each relation is re-expressed through the accumulated substitutions and
-    reduced by the accumulated monic relations.  A relation that vanishes is
-    reported and skipped; one that still involves an eliminated variable
-    violates the witness precondition and raises ``NotAWitness``.  Every
-    ring of the chain is derived from ``ring`` and keeps its settings; a
-    step that shifts nothing reuses its ring, and until a step shifts a
-    variable, nothing is substituted: relations, ``exprs`` and tails are
-    read in the new presentation as they are.
-    """
-    _require_normalizable(ring)
-    presentation = ring
-    active = ring.nvars
-    exprs = [presentation.variable(i) for i in range(ring.nvars)]
-    rels: list[MonicRelation] = []
-    steps: list[NormalizationStep] = []
-    skipped: list[tuple[int, str]] = []
-
-    shifted = False  # whether any step so far shifted a variable
-    for index, f in enumerate(relations):
-        if f.ring != ring:
-            raise RingMismatch("relations must live in the input ring")
-        if shifted:  # a step shifts coordinates even where the tower stays
-            w = evaluate(f, certify_tuple(presentation, exprs, ring.twists()))
-        else:  # exprs are presentation's own variables
-            w = reinterpret(f, presentation)
-        for rel in reversed(rels):
-            w = reduce_by_monic(w, rel)
-        if w.is_zero():
-            skipped.append((index, "vanished after substitution and reduction"))
-            continue
+    def _eliminate(self, index: int, w: SkewPoly) -> "NormalizationResult":
+        """The chain one step longer: ``w``, relation ``index`` reduced by
+        this chain, eliminates the last active variable."""
+        presentation = self.presentation
+        active = self.ring.nvars - len(self.steps)
         if active == 0 or any(any(e[active:]) for e in w.terms):
             raise NotAWitness(
                 f"relation {index} still involves eliminated variables "
@@ -362,14 +348,12 @@ def normalize(ring: OreRing, relations) -> NormalizationResult:
             )
         step = normalize_step(reinterpret(
             w, presentation.with_variables(presentation.variables[:active])))
-        steps.append(step)
-
         step_ring = step.relation.ring
         new_presentation = step_ring.with_variables(
             step_ring.variables + presentation.variables[active:])
         shifts = step.substitution.shifts
+        images = self.images
         if any(not u.is_zero() for u in shifts):
-            shifted = True
             # the derivations of the shifted variables are presentation's up
             # to the order of LinComb terms, so the push claims
             # presentation's own
@@ -377,25 +361,40 @@ def normalize(ring: OreRing, relations) -> NormalizationResult:
                 new_presentation, active - 1, dict(enumerate(shifts)))
             tup = certify_tuple(new_presentation, push_elements,
                                 presentation.twists())
-
-            def push(e):
-                return evaluate(e, tup)
+            push = partial(evaluate, tup=tup)
+            if images is None:  # they are presentation's own variables
+                images = map(presentation.variable, range(self.ring.nvars))
         else:  # every shift is zero: each variable is pushed to itself
-            def push(e):
-                return reinterpret(e, new_presentation)
-        exprs = [push(e) for e in exprs]
-        pushed = [
+            push = partial(reinterpret, ring=new_presentation)
+        if images is not None:
+            images = tuple(map(push, images))
+        new = step.relation
+        relations = (*(
             MonicRelation(new_presentation, r.var, r.degree,
-                          tuple(push(t) for t in r.tails))
-            for r in rels
-        ]
-        new_rel = MonicRelation(
-            new_presentation, step.relation.var, step.relation.degree,
-            tuple(reinterpret(t, new_presentation)
-                  for t in step.relation.tails))
-        rels = pushed + [new_rel]
-        presentation = new_presentation
-        active -= 1
+                          tuple(map(push, r.tails)))
+            for r in self.relations
+        ), MonicRelation(new_presentation, new.var, new.degree, tuple(
+            reinterpret(t, new_presentation) for t in new.tails)))
+        return replace(self, steps=(*self.steps, step), images=images,
+                       presentation=new_presentation, relations=relations)
 
-    return NormalizationResult(ring, tuple(steps), presentation,
-                               tuple(rels), tuple(skipped))
+
+def normalize(ring: OreRing, relations) -> NormalizationResult:
+    """Fold the witness relations, in order, into a chain.
+
+    Each relation is reduced by the chain so far.  One that vanishes is
+    reported and skipped; one that still involves an eliminated variable
+    violates the witness precondition and raises ``NotAWitness``; any other
+    eliminates the last active variable.  Every ring of the chain is
+    derived from ``ring`` and keeps its settings.
+    """
+    _require_normalizable(ring)
+    chain = NormalizationResult(ring, (), ring, (), ())
+    for index, f in enumerate(relations):
+        w = chain.reduce(f)
+        if w.is_zero():
+            chain = replace(chain, skipped=(*chain.skipped, (
+                index, "vanished after substitution and reduction")))
+        else:
+            chain = chain._eliminate(index, w)
+    return chain

@@ -206,6 +206,19 @@ class TestCommands:
                      "--relations", rel_path]) == 0
         assert "step 1: eliminated t" in capsys.readouterr().out
 
+    def test_normalize_divides_oldest_first(self, write, capsys):
+        # the third relation is (c^3 + b^2) + a; dividing by b^2 + a first
+        # refused it with NotAWitness (exit 1)
+        ring_path = write("r.json", {"ring": "Q", "vars": [
+            {"name": n, "aut": {"kind": "identity"}, "der": {"kind": "zero"}}
+            for n in ("a", "b", "c")]})
+        rel_path = write("rels.txt", "c^3 + b^2\nb^2 + a\nc^3 + b^2 + a\n")
+        assert main(["normalize", "--ring", ring_path,
+                     "--relations", rel_path]) == 0
+        out = capsys.readouterr().out
+        assert "step 3: eliminated a" in out
+        assert out.endswith("residual variables: none\n")
+
     def test_reduce(self, write, capsys):
         assert main(["reduce", "--ring", write("r.json", QUAT),
                      "--relation", "t^2 - 3*t + 2", "--var", "t",
@@ -326,6 +339,18 @@ class TestExitCodes:
     def test_not_monic_is_1(self, write, capsys):
         assert main(["reduce", "--ring", write("r.json", QUAT),
                      "--relation", "2*t^2 + 1", "--var", "t", "t^3"]) == 1
+
+    @pytest.mark.parametrize("ring, argv", [
+        (QUAT, ["reduce", "--relation", "t^2 + 1", "--var", "s", "t^3"]),
+        (WEYL2, ["monicize", "--target", "s", "t1*t2"]),
+    ], ids=["reduce-var", "monicize-target"])
+    def test_unknown_option_variable_is_2(self, write, capsys, ring, argv):
+        # an unknown name given in an option used to exit 1, while the
+        # same name inside an expression exits 2
+        command, *rest = argv
+        assert main([command, "--ring", write("r.json", ring), *rest]) == 2
+        assert capsys.readouterr().err == (
+            "skewpoly: error: no variable named 's' in the ring\n")
 
     def test_failed_tuple_certificate_is_1(self, write, capsys):
         # a constant is not automorphic in the Weyl ring
@@ -457,6 +482,21 @@ def test_readme_library_example(capsys):
     assert len(printed) == len(comments) == 2
     for line, comment in zip(printed, comments):
         assert comment.startswith(line), (line, comment)
+
+
+def test_readme_reduce_example(capsys):
+    # the second block continues the first; its comment starts with the
+    # line it prints
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    comment = blocks[1].split("#")[-1].strip()
+    assert comment.startswith(printed[-1])
 
 
 def test_shipped_configs_load():

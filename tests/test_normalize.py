@@ -30,7 +30,6 @@ from skewpoly.normalize import (
     monicize,
     normalize,
     normalize_step,
-    reduce_by_monic,
 )
 from skewpoly.nullstellensatz import formal_substitute
 from skewpoly.ore import OreRing, SkewPoly, evaluation_context, reinterpret
@@ -233,9 +232,10 @@ class TestNormalizeStep:
         step = normalize_step(f)
         # shift u_1 = 1, so d_1 = delta_1 - delta_3 = ddx - ddx collapses
         assert step.substitution.shifts == (QX.from_int(1), QX.zero())
-        assert step.tower[0] == (IdentityAut(), zero_der(IdentityAut()))
-        assert step.tower[1] == (IdentityAut(), zero_der(IdentityAut()))
-        assert step.tower[2] == (IdentityAut(), DdxDer())
+        tower = step.relation.ring.twists()
+        assert tower[0] == (IdentityAut(), zero_der(IdentityAut()))
+        assert tower[1] == (IdentityAut(), zero_der(IdentityAut()))
+        assert tower[2] == (IdentityAut(), DdxDer())
 
 
 class TestReduce:
@@ -251,14 +251,14 @@ class TestReduce:
         rel_poly = t * t - t.scale_left(Q.from_int(3)) + rat1.constant(Q.from_int(2))
         rel = self.make_relation(rat1, rel_poly, 0)
         e = t + rat1.one()
-        assert reduce_by_monic(e, rel) == e
+        assert divmod_by_monic(e, rel)[1] == e
 
     def test_single_rewrite(self, rat1):
         # t^2 - 3t + 2 = 0 rewrites t^2 to 3t - 2
         t = rat1.variable(0)
         rel_poly = t * t - t.scale_left(Q.from_int(3)) + rat1.constant(Q.from_int(2))
         rel = self.make_relation(rat1, rel_poly, 0)
-        out = reduce_by_monic(t * t, rel)
+        out = divmod_by_monic(t * t, rel)[1]
         assert out == t.scale_left(Q.from_int(3)) - rat1.constant(Q.from_int(2))
 
     def test_weyl_relation_with_recheck(self, weyl2):
@@ -284,7 +284,7 @@ class TestReduce:
         t = rat1.variable(0)
         rel = self.make_relation(rat1, t * t + rat1.one(), 0)
         with pytest.raises(RingMismatch):
-            reduce_by_monic(weyl.one(), rel)
+            divmod_by_monic(weyl.one(), rel)[1]
 
 
 class TestNormalize:
@@ -350,7 +350,7 @@ class TestNormalize:
             for entry in data:
                 aut = aut_from_data(entry["aut"], QX)
                 rebuilt.append((aut, der_from_data(entry["der"], QX, aut)))
-            assert tuple(rebuilt) == step.tower
+            assert tuple(rebuilt) == step.relation.ring.twists()
 
     def test_chain_with_nonzero_shifts(self, weyl3):
         # first step shifts y1 -> y1 + y3, so the second relation must be
@@ -404,6 +404,16 @@ class TestNormalize:
         rels = [parse_expr(e, rat3) for e in ("a*c", "(a - c)^2 + 1")]
         assert len(normalize(rat3, rels).steps) == 2
 
+    def test_relations_divided_oldest_first(self, rat3):
+        # c^3 + b^2 + a is (c^3 + b^2) + a; dividing by b^2 + a first left
+        # c^3, then -b^2 after c^3 + b^2, and refused a valid witness
+        rels = [parse_expr(e, rat3)
+                for e in ("c^3 + b^2", "b^2 + a", "c^3 + b^2 + a")]
+        result = normalize(rat3, rels)
+        assert len(result.steps) == 3
+        assert result.generator_bounds == (3, 2, 1)
+        assert result.residual_variables == ()
+
     def test_unchanged_ring_is_reused(self):
         ring = load_ring(ROOT / "configs" / "qdiff.json")
         result = normalize(ring, [parse_expr("t^2 + x*t + 1", ring)])
@@ -441,3 +451,130 @@ class TestNormalize:
         rings = [result.presentation,
                  *(step.relation.ring for step in result.steps)]
         assert {(r.samples, r.seed) for r in rings} == {(8, 3)}
+
+
+def read_in_presentation(result, e):
+    """``e`` pushed into the chain's presentation through a certified
+    tuple, also where ``reduce`` only reads it there as it is."""
+    p = result.presentation
+    images = result.images or [p.variable(i) for i in range(p.nvars)]
+    return evaluate(e, certify_tuple(p, images, result.ring.twists()))
+
+
+# Chains for the finite-module checks: the README chain, a shifted chain in
+# each of weyl2.json and quat_inner.json (a relation repeated to be skipped
+# in weyl2), the one-variable qdiff.json chain with its skipped repeat and
+# the rat3 chain that needs the relations divided oldest first.
+CHAINS = {
+    "readme": ("weyl3.json", [
+        line for line in (ROOT / "configs" / "example_relations.txt")
+        .read_text().splitlines() if line.strip() and line[0] != "#"]),
+    "weyl2": ("weyl2.json", ["t1*t2", "(t1 - t2)^2 + x", "t1*t2"]),
+    "quat_inner": ("quat_inner.json", ["t1*t2 + j", "(t1 - t2)^2 + i"]),
+    "qdiff": ("qdiff.json", ["t^2 + x*t + 1", "t^2 + x*t + 1"]),
+    "rat3": (None, ["c^3 + b^2", "b^2 + a", "c^3 + b^2 + a"]),
+}
+
+
+class TestChainReduce:
+    """``NormalizationResult.reduce`` takes every element of R into the
+    span of the monomials below the generator bounds, congruent to it
+    modulo the chain's monic relations: the finite-module claim."""
+
+    @pytest.fixture(params=sorted(CHAINS))
+    def chain(self, request, rat3):
+        config, texts = CHAINS[request.param]
+        ring = load_ring(ROOT / "configs" / config) if config else rat3
+        relations = [parse_expr(t, ring) for t in texts]
+        return relations, normalize(ring, relations)
+
+    def test_chains_eliminate_and_shift(self, chain):
+        relations, result = chain
+        assert result.steps
+        shifted = any(not u.is_zero() for s in result.steps
+                      for u in s.substitution.shifts)
+        assert (result.images is not None) == shifted
+
+    def test_remainders_lie_below_the_bounds_and_rebuild(self, chain):
+        relations, result = chain
+        rng = random.Random(59)
+        for _ in range(6):
+            e = random_poly(result.ring, rng, 4)
+            r = result.reduce(e)
+            for step, bound in zip(result.steps, result.generator_bounds):
+                assert r.degree_in(step.relation.var) < bound
+            # e pushed = sum of q_i * rho_i + r, exactly
+            pushed = read_in_presentation(result, e)
+            rest, total = pushed, result.presentation.zero()
+            for rel in result.relations:
+                q, rest = divmod_by_monic(rest, rel)
+                total = total + q * rel.polynomial()
+            assert rest == r
+            assert total + r == pushed
+
+    def test_every_relation_reduces_to_zero(self, chain):
+        relations, result = chain
+        for f in relations:
+            assert result.reduce(f).is_zero()
+
+    def test_foreign_element_rejected(self, chain, rat1):
+        _, result = chain
+        with pytest.raises(RingMismatch):
+            result.reduce(rat1.variable(0))
+
+
+class TestOldestFirst:
+    """Differential test of the division order over zero-shift chains:
+    f1 monic in the last variable and f2 in the middle one, each with its
+    top power alone in top degree, and f3 = v^2 + 1 + g1*f1 + g2*f2 in the
+    first variable v.  Dividing the newest relation first refused some f3.
+
+    f1 and f2 have rational coefficients, so over weyl3.json d/dx meets
+    none of theirs and the monic relations reduce as over Q(x) with
+    commuting variables; g1 and g2 are any elements of the ring."""
+
+    @staticmethod
+    def monic_in(ring, rng, var, degree):
+        """A rational times y_var^degree plus terms of lower total degree
+        in the variables up to ``var``, all with rational coefficients."""
+        def rational(nonzero=False):
+            n = rng.randint(1 if nonzero else -4, 4) * rng.choice((1, -1))
+            return ring.domain.from_int(n) * ring.domain.from_int(
+                rng.randint(1, 4)).inv()
+        terms = {tuple(degree * (i == var) for i in range(ring.nvars)):
+                 rational(nonzero=True)}
+        for _ in range(rng.randint(0, 3)):
+            e = [0] * ring.nvars
+            for _ in range(rng.randint(0, degree - 1)):
+                e[rng.randint(0, var)] += 1
+            terms[tuple(e)] = rational()
+        return SkewPoly(ring, {e: c for e, c in terms.items()
+                               if not c.is_zero()})
+
+    @pytest.mark.parametrize("config", [None, "weyl3.json"])
+    def test_random_chains(self, config, rat3):
+        ring = load_ring(ROOT / "configs" / config) if config else rat3
+        rng = random.Random(71)
+        v = ring.variable(0)
+        refused = 0
+        for _ in range(16):
+            f1 = self.monic_in(ring, rng, 2, rng.randint(1, 3))
+            f2 = self.monic_in(ring, rng, 1, rng.randint(1, 2))
+            f3 = (v * v + ring.one() + random_poly(ring, rng, 2) * f1
+                  + random_poly(ring, rng, 2) * f2)
+            chain = normalize(ring, [f1, f2])
+            assert chain.images is None  # no step shifted
+            newest_first = read_in_presentation(chain, f3)
+            for rel in reversed(chain.relations):
+                newest_first = divmod_by_monic(newest_first, rel)[1]
+            reduced = chain.reduce(f3)
+            assert reduced == reinterpret(v * v + ring.one(),
+                                          chain.presentation)
+            if any(any(e[1:]) for e in newest_first.terms):
+                refused += 1
+            else:
+                assert newest_first == reduced
+            result = normalize(ring, [f1, f2, f3])
+            assert result.generator_bounds == (
+                f1.degree_in(2), f2.degree_in(1), 2)
+        assert refused  # the chains reach the order bug
