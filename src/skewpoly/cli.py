@@ -170,9 +170,14 @@ def _run_evaluate(ring, args):
 
 def _run_mix(ring, args):
     coeffs = [parse_scalar(c, ring.domain) for c in args.coeff]
-    ders = [v.der for v in ring.variables]
-    mixed = mix_derivations(ring.domain, ders, coeffs,
-                            ring.samples, ring.seed)
+    if args.elements:
+        elements = [parse_expr(e, ring) for e in args.elements]
+        out = mix_elements(certify_tuple(ring, elements, ring.twists()),
+                           coeffs)
+        mixed = [d for _, d in out.twists]
+    else:
+        mixed = mix_derivations(ring.domain, [v.der for v in ring.variables],
+                                coeffs, ring.samples, ring.seed)
     data = {
         "coefficients": [str(c) for c in coeffs],
         "mixed_derivations": [
@@ -182,9 +187,6 @@ def _run_mix(ring, args):
     }
     lines = [f"{name}: {d.describe()}" for name, d in zip(ring.names, mixed)]
     if args.elements:
-        elements = [parse_expr(e, ring) for e in args.elements]
-        out = mix_elements(certify_tuple(ring, elements, ring.twists()),
-                           coeffs)
         data["mixed_elements"] = [str(e) for e in out.elements]
         data["certificate"] = out.certificate.to_data()
         lines += [f"u{i + 1} = {e}" for i, e in enumerate(out.elements)]

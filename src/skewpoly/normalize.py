@@ -18,7 +18,6 @@ tool never searches for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     SkewError,
     ZeroPolynomial,
 )
-from .evaluation import certify_tuple, evaluate
+from .evaluation import AutomorphicTuple, certify_tuple, evaluate
 from .maps import central_fixed_stream, lin_comb
 from .nullstellensatz import nonvanishing_points
 from .ore import Flavor, OreRing, SkewPoly, Variable, reinterpret
@@ -290,15 +289,15 @@ def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly
 @dataclass(frozen=True, eq=False)
 class NormalizationResult:
     """The replayable chain: one step per eliminated variable, the final
-    presentation ring, the relations re-expressed in it, and ``images``,
-    the input variables' images there (``None`` until a step shifts one)."""
+    presentation ring, the relations re-expressed in it, and ``images``, the
+    certified tuple of the input variables' images (``None`` before shifts)."""
 
     ring: OreRing
     steps: tuple[NormalizationStep, ...]
     presentation: OreRing
     relations: tuple[MonicRelation, ...]
     skipped: tuple[tuple[int, str], ...]
-    images: tuple[SkewPoly, ...] | None = None
+    images: AutomorphicTuple | None = None
 
     @property
     def residual_variables(self) -> tuple[str, ...]:
@@ -327,11 +326,9 @@ class NormalizationResult:
         division lifts an earlier variable back to its bound."""
         if e.ring != self.ring:
             raise RingMismatch("the element must live in the input ring")
-        if self.images is None:
-            w = reinterpret(e, self.presentation)
-        else:  # a step shifts coordinates even where the tower stays
-            w = evaluate(e, certify_tuple(self.presentation, self.images,
-                                          self.ring.twists()))
+        # presentation is ring until a step shifts; from then coordinates
+        # move, even where the tower stays
+        w = e if self.images is None else evaluate(e, self.images)
         for rel in self.relations:
             w = divmod_by_monic(w, rel)[1]
         return w
@@ -346,35 +343,35 @@ class NormalizationResult:
                 f"relation {index} still involves eliminated variables "
                 "after reduction"
             )
-        step = normalize_step(reinterpret(
-            w, presentation.with_variables(presentation.variables[:active])))
+        prefix = presentation.with_variables(presentation.variables[:active])
+        step = normalize_step(reinterpret(w, prefix))
         step_ring = step.relation.ring
-        new_presentation = step_ring.with_variables(
-            step_ring.variables + presentation.variables[active:])
+        new_presentation = presentation if step_ring is prefix else (
+            step_ring.with_variables(
+                step_ring.variables + presentation.variables[active:]))
+        relations, images = self.relations, self.images
         shifts = step.substitution.shifts
-        images = self.images
         if any(not u.is_zero() for u in shifts):
             # the derivations of the shifted variables are presentation's up
             # to the order of LinComb terms, so the push claims
-            # presentation's own
+            # presentation's own; before the first shift presentation is
+            # ring, so the push is the images tuple
             push_elements, _ = _shift_variables(
                 new_presentation, active - 1, dict(enumerate(shifts)))
-            tup = certify_tuple(new_presentation, push_elements,
-                                presentation.twists())
-            push = partial(evaluate, tup=tup)
-            if images is None:  # they are presentation's own variables
-                images = map(presentation.variable, range(self.ring.nvars))
-        else:  # every shift is zero: each variable is pushed to itself
-            push = partial(reinterpret, ring=new_presentation)
-        if images is not None:
-            images = tuple(map(push, images))
+            push = certify_tuple(new_presentation, push_elements,
+                                 presentation.twists())
+            relations = tuple(
+                MonicRelation(new_presentation, r.var, r.degree,
+                              tuple(evaluate(t, push) for t in r.tails))
+                for r in relations)
+            images = push if images is None else certify_tuple(
+                new_presentation,
+                (evaluate(s, push) for s in images.elements),
+                self.ring.twists())
         new = step.relation
-        relations = (*(
-            MonicRelation(new_presentation, r.var, r.degree,
-                          tuple(map(push, r.tails)))
-            for r in self.relations
-        ), MonicRelation(new_presentation, new.var, new.degree, tuple(
-            reinterpret(t, new_presentation) for t in new.tails)))
+        relations += (MonicRelation(new_presentation, new.var, new.degree,
+                                    tuple(reinterpret(t, new_presentation)
+                                          for t in new.tails)),)
         return replace(self, steps=(*self.steps, step), images=images,
                        presentation=new_presentation, relations=relations)
 

@@ -1,5 +1,6 @@
 """Command front-end: configs, subcommands, formats, exit codes."""
 
+import importlib
 import json
 import pathlib
 import shlex
@@ -12,6 +13,7 @@ import pytest
 from skewpoly.cli import main
 from skewpoly.config import load_ring, ring_from_data, ring_to_data
 from skewpoly.errors import ConfigError
+from skewpoly.evaluation import mix_derivations
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -455,6 +457,26 @@ def test_readme_json_is_byte_identical(argv, monkeypatch, capsys):
     assert main(argv + ["--format", "json"]) == 0
     expected = (ROOT / "perfbench" / "expected" / f"{argv[0]}.json")
     assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
+
+
+def test_readme_mix_mixes_once(monkeypatch, capsys):
+    # mixing elements alongside reads the mixed derivations off the mixed
+    # tuple: the tower is built and certified once, not again for the JSON
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mix_derivations(*args, **kwargs)
+
+    for name in ("skewpoly.cli", "skewpoly.evaluation"):
+        monkeypatch.setattr(importlib.import_module(name), "mix_derivations",
+                            counted)
+    monkeypatch.chdir(ROOT)
+    (argv,) = [a for a in _readme_commands() if a[0] == "mix"]
+    assert main(argv + ["--format", "json"]) == 0
+    expected = ROOT / "perfbench" / "expected" / "mix.json"
+    assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])

@@ -1,5 +1,6 @@
 """Monicization, the normalization chain and monic reduction."""
 
+import importlib
 import itertools
 import pathlib
 import random
@@ -457,7 +458,8 @@ def read_in_presentation(result, e):
     """``e`` pushed into the chain's presentation through a certified
     tuple, also where ``reduce`` only reads it there as it is."""
     p = result.presentation
-    images = result.images or [p.variable(i) for i in range(p.nvars)]
+    images = (result.images.elements if result.images is not None
+              else [p.variable(i) for i in range(p.nvars)])
     return evaluate(e, certify_tuple(p, images, result.ring.twists()))
 
 
@@ -521,6 +523,83 @@ class TestChainReduce:
         _, result = chain
         with pytest.raises(RingMismatch):
             result.reduce(rat1.variable(0))
+
+
+@pytest.fixture
+def chain_work(monkeypatch):
+    """Counts of operator products, ``certify_tuple`` calls made by the
+    normalization module and ``OreRing`` constructions."""
+    counts = dict.fromkeys(("products", "certifications", "rings"), 0)
+    module = importlib.import_module("skewpoly.normalize")
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(SkewPoly, "__mul__",
+                        counting("products", SkewPoly.__mul__))
+    monkeypatch.setattr(module, "certify_tuple",
+                        counting("certifications", module.certify_tuple))
+    monkeypatch.setattr(OreRing, "__init__",
+                        counting("rings", OreRing.__init__))
+    return counts
+
+
+class TestOneCertifiedSubstitution:
+    """The chain holds its substitution as one tuple, certified when a step
+    shifts, and a step that shifts nothing builds and pushes nothing."""
+
+    @staticmethod
+    def chains(rat3):
+        for config, texts in CHAINS.values():
+            ring = load_ring(ROOT / "configs" / config) if config else rat3
+            relations = [parse_expr(t, ring) for t in texts]
+            yield relations, normalize(ring, relations)
+
+    def test_reduce_certifies_nothing(self, rat3, chain_work):
+        chains = list(self.chains(rat3))
+        chain_work["certifications"] = 0
+        for relations, result in chains:
+            for f in relations:
+                assert result.reduce(f).is_zero()
+        assert chain_work["certifications"] == 0
+
+    def test_images_live_in_the_presentation(self, rat3):
+        shifted = [result for _, result in self.chains(rat3)
+                   if result.images is not None]
+        assert len(shifted) == 3  # the README, weyl2 and quat_inner chains
+        for result in shifted:
+            assert result.images.ambient is result.presentation
+            assert result.images.twists == result.ring.twists()
+            assert result.images.certificate.ok
+
+    def test_unshifted_chain_keeps_the_input_ring(self):
+        ring = load_ring(ROOT / "configs" / "weyl3.json")
+        result = normalize(ring, [parse_expr(t, ring)
+                                  for t in ("y3 + y1 + y2", "y2^2 + y1")])
+        assert result.generator_bounds == (1, 2)
+        assert result.images is None
+        assert result.presentation is ring
+        assert all(rel.ring is ring for rel in result.relations)
+
+    def test_readme_chain_work(self, chain_work):
+        # as in a fresh process, loaded ring excluded: the two leading
+        # forms' evaluation rings, shared across calls, are built again.
+        # The reductions make no certification and their 4 products are
+        # the divisions' quo * rho
+        config, texts = CHAINS["readme"]
+        ring = load_ring(ROOT / "configs" / config)
+        relations = [parse_expr(t, ring) for t in texts]
+        importlib.import_module("skewpoly.ore")._evaluation_ring.cache_clear()
+        chain_work.update(products=0, certifications=0, rings=0)
+        result = normalize(ring, relations)
+        assert chain_work == {"products": 28, "certifications": 5, "rings": 5}
+        chain_work.update(products=0, certifications=0, rings=0)
+        for f in relations:
+            assert result.reduce(f).is_zero()
+        assert chain_work == {"products": 4, "certifications": 0, "rings": 0}
 
 
 class TestOldestFirst:
