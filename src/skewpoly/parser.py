@@ -33,23 +33,25 @@ deeper ``(`` is a ``ParseError`` at its position.
 
 Values are term dicts ``{exponents: non-zero left coefficient}``, wrapped
 in one ``SkewPoly`` at the end.  Products whose result is already a normal
-form skip ``SkewPoly.__mul__``: a constant times f is left scaling of f,
-and f times a unit monomial ``t^J`` adds J to every exponent vector, since
-the variables fix each other and every automorphism fixes 1 and every
-derivation kills it.  Likewise ``c^k`` of a constant is ``Scalar ** k`` and
-``(t^J)^k`` is ``t^(kJ)``.  Any other product or power is one
-``SkewPoly.__mul__`` or ``__pow__``.  Every ``*``, ``/`` and ``^k`` with
-k >= 2 first checks the ring's certificate, shortcut or not.
+form skip ``SkewPoly.__mul__``: f times a unit monomial ``t^J`` adds J to
+every exponent vector, since the variables fix each other and every
+automorphism fixes 1 and every derivation kills it, and a constant times
+any other f is left scaling of f.  Likewise ``c^k`` of a constant is
+``Scalar ** k`` and ``(t^J)^k`` is ``t^(kJ)``.  Any other product or power
+is one ``SkewPoly.__mul__`` or ``__pow__``.  Every ``*``, ``/`` and ``^k``
+with k >= 2 first checks the ring's certificate, shortcut or not.
 
-Over Q(x), where ``x`` is not a ring variable and the certificate holds, a
-parenthesized sum of integer x-monomials such as ``(3*x^2 - x + 2)`` is
-read straight into one integer coefficient tuple (``_Parser.xpoly``), with
-no term dicts or scalar products.  Any other token inside, an exponent
-above ``MAX_EXPONENT`` or a literal too long to convert leaves the position
-where it was, and the general path then gives the same value or error; a
-``(`` past ``MAX_DEPTH`` is refused before the lane is tried.  The tests
-in ``tests/test_parser.py`` run the parser with the lane off as its
-oracle, and check the value against integer arithmetic on the monomials.
+Where no literal unit (``x`` over Q(x); ``i``, ``j``, ``k`` over the
+quaternions) is a ring variable and the certificate holds, a parenthesized
+integer combination of the units such as ``(3*x^2 - x + 2)`` or
+``(2 + i - 3*k)``, and a whole ``parse_scalar`` text such as ``-3*i + k``,
+is read straight into one coefficient (``_Parser.literal``), with no term
+dicts or scalar products.  Any other token, an exponent above
+``MAX_EXPONENT`` or a literal too long to convert leaves the position where
+it was, and the general path then gives the same value or error; a ``(``
+past ``MAX_DEPTH`` is refused before the lane is tried.  The tests in
+``tests/test_parser.py`` run the parser with the lane off as its oracle,
+and check the value against integer arithmetic on the monomials.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ import re
 
 from .errors import ParseError, UnknownScalarLiteral, UnknownVariable
 from .ore import OreRing, SkewPoly, evaluation_context
-from .scalars import QX, RationalFunction, Scalar, ScalarDomain
+from .scalars import Quaternion, RationalFunction, Scalar, ScalarDomain
 
-_LITERALS = {"x", "i", "j", "k"}
+# each domain's literal units and their slots in ``_Parser.literal``: the
+# exponent of x, the coordinate of i, j and k
+_UNITS = {"Qx": {"x": 1}, "HQ": {"i": 1, "j": 2, "k": 3}}
+_LITERALS = {u for units in _UNITS.values() for u in units}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
 MAX_Q_DIGITS = 100  # most decimal digits of a q_shift's q, above and below
 MAX_DEPTH = 100  # deepest nesting of parentheses; deeper input is refused
@@ -107,10 +112,11 @@ class _Parser:
         self.constant = {self.origin}  # the key set of a non-zero constant
         self.names = ring.names
         self.one = ring.domain.one()
-        # where x is the scalar literal and products are allowed, a
-        # parenthesized sum of integer x-monomials is read directly
-        self.xpoly_lane = (ring.domain is QX and "x" not in ring.names
-                           and ring.certificate.ok)
+        # where no unit is a variable and products are allowed, an integer
+        # combination of the units is read directly; {} turns the lane off
+        units = _UNITS.get(ring.domain.name, {})
+        self.units = (units if ring.certificate.ok
+                      and units.keys().isdisjoint(self.names) else {})
 
     def fail(self, message: str, pos: int | None = None, error=ParseError):
         token = tokenize(self.src)[self.pos if pos is None else pos]
@@ -165,13 +171,13 @@ class _Parser:
     def product(self, a: dict, b: dict) -> dict:
         ring = self.ring
         ring._require_certificate("multiplication")
-        if a.keys() <= self.constant:  # a constant or zero: left scaling
-            return {e: c * v for c in a.values() for e, v in b.items()}
         if len(b) == 1:
             (right, v), = b.items()
             if v == self.one:  # a unit monomial: exponent shift
                 return {tuple(p + q for p, q in zip(e, right)): c
                         for e, c in a.items()}
+        if a.keys() <= self.constant:  # a constant or zero: left scaling
+            return {e: c * v for c in a.values() for e, v in b.items()}
         return (SkewPoly(ring, a) * SkewPoly(ring, b)).terms
 
     def unary(self) -> dict:
@@ -219,12 +225,9 @@ class _Parser:
         if text == "(":
             if self.depth == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
-            try:
-                value = self.xpoly() if self.xpoly_lane else None
-            except ValueError:  # a literal too long: the general path says so
-                value = None
+            value = self.literal(self.pos + 1, ")")
             if value is not None:
-                return {self.origin: value} if value.ints_num else {}
+                return {} if value.is_zero() else {self.origin: value}
             self.pos += 1
             self.depth += 1
             terms = self.expr()
@@ -236,55 +239,56 @@ class _Parser:
         self.fail("expected a number, name or '('"
                   if text else "unexpected end of input")
 
-    def xpoly(self) -> RationalFunction | None:
-        """The integer polynomial written from the ``(`` at ``self.pos`` as
-        ``'(' ['-'] mono (('+' | '-') mono)* ')'``, with
-        ``mono := NUM ['*' 'x' ['^' NUM]] | 'x' ['^' NUM]``, read into its
-        coefficients, and ``self.pos`` moved past the ``)``.  On any other
-        token, or an exponent above ``MAX_EXPONENT``, None with ``self.pos``
-        unchanged, and ``int``'s ValueError for a literal too long to
-        convert: the general path then gives the same value or error."""
-        texts = self.texts
-        pos, sign, coeffs = self.pos + 1, 1, {}
+    def literal(self, pos: int, close: str) -> Scalar | None:
+        """The integer combination of the domain's units written from
+        ``pos`` to the token ``close`` as ``['-'] mono (('+' | '-') mono)*``,
+        with ``mono := NUM ['*' UNIT] | UNIT`` and, over Q(x), ``'^' NUM``
+        after the unit, read into one coefficient, and ``self.pos`` moved
+        past ``close``.  On any other token, an exponent above
+        ``MAX_EXPONENT`` or a literal too long for ``int``, None with
+        ``self.pos`` unchanged: the general path then gives the same value
+        or error."""
+        texts, units, powers = self.texts, self.units, "x" in self.units
+        if not units:
+            return None
+        sign, coeffs = 1, {}
         if texts[pos] == "-":
             pos, sign = pos + 1, -1
-        while True:
-            c, e = 1, 0
-            if texts[pos].isdigit():
-                c = int(texts[pos])
-                pos += 1
-                has_x = texts[pos] == "*"
-                if has_x:
-                    if texts[pos + 1] != "x":
-                        return None
+        try:
+            while True:
+                c, slot = 1, 0
+                if texts[pos].isdigit():
+                    c = int(texts[pos])
                     pos += 1
-            elif not (has_x := texts[pos] == "x"):
-                return None
-            if has_x:  # at the "x"
-                e = 1
-                pos += 1
+                    if texts[pos] == "*":
+                        if not (slot := units.get(texts[pos + 1])):
+                            return None
+                        pos += 2
+                elif slot := units.get(texts[pos]):
+                    pos += 1
+                else:
+                    return None
                 if texts[pos] == "^":
-                    if not texts[pos + 1].isdigit():
+                    if not (slot and powers and texts[pos + 1].isdigit()):
                         return None
-                    e = int(texts[pos + 1])
-                    if e > MAX_EXPONENT:
+                    slot = int(texts[pos + 1])
+                    if slot > MAX_EXPONENT:
                         return None
                     pos += 2
-            coeffs[e] = coeffs.get(e, 0) + sign * c
-            text = texts[pos]
-            pos += 1
-            if text == ")":
-                break
-            if text == "+":
-                sign = 1
-            elif text == "-":
-                sign = -1
-            else:
-                return None
+                coeffs[slot] = coeffs.get(slot, 0) + sign * c
+                text = texts[pos]
+                pos += 1
+                if text == close:
+                    break
+                if text != "+" and text != "-":
+                    return None
+                sign = -1 if text == "-" else 1
+        except ValueError:
+            return None
         self.pos = pos
-        num = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            num[e] = c
+        if not powers:
+            return Quaternion(tuple(coeffs.get(s, 0) for s in range(4)), 1)
+        num = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
         while num and not num[-1]:
             num.pop()
         return RationalFunction(tuple(num), (1,))
@@ -295,9 +299,7 @@ class _Parser:
             i = names.index(name)
             return {tuple(int(t == i) for t in range(len(names))): self.one}
         domain = self.ring.domain
-        if domain.name == "Qx" and name == "x":
-            return {self.origin: domain.x()}
-        if domain.name == "HQ" and name in ("i", "j", "k"):
+        if name in _UNITS.get(domain.name, ()):
             return {self.origin: getattr(domain, name)()}
         if name in _LITERALS:
             self.fail(f"literal {name!r} is not available over {domain.name}",
@@ -311,6 +313,9 @@ def parse_expr(src: str, ring: OreRing) -> SkewPoly:
 
 
 def parse_scalar(src: str, domain: ScalarDomain) -> Scalar:
-    """Parse a scalar-valued expression over a coefficient ring."""
-    value = _Parser(src, evaluation_context(domain, ())).parse()
-    return value.constant_value()
+    """Parse a scalar-valued expression over a coefficient ring.  A whole
+    text that is an integer combination of the domain's units, such as
+    ``-3*i + k``, is read by the parser's literal lane."""
+    p = _Parser(src, evaluation_context(domain, ()))
+    value = p.literal(0, "")
+    return p.parse().constant_value() if value is None else value

@@ -15,7 +15,7 @@ from skewpoly.ore import SkewPoly
 from skewpoly.scalars import HQ, Q, QX
 
 # Ten times Hypothesis's default budget, for the oracles that guard the
-# scalar fast paths, the parser's shortcuts, x-polynomial lane and token
+# scalar fast paths, the parser's shortcuts, literal lane and token
 # scan, the printer, analytic certification, the packed product sums, the
 # Weyl product lane and the written-down forms (monic relations,
 # evaluation, tuple records): ``pytest tests/test_scalars.py

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from skewpoly import DdxDer, IdentityAut, OreRing, parser, q_shift, zero_der
+from skewpoly import (
+    DdxDer,
+    IdentityAut,
+    InnerDer,
+    OreRing,
+    inner_aut,
+    parser,
+    q_shift,
+    zero_der,
+)
 from skewpoly.errors import (
     DivisionByZero,
     IncompatibleMaps,
@@ -20,9 +29,9 @@ from skewpoly.errors import (
     UnknownScalarLiteral,
     UnknownVariable,
 )
-from skewpoly.ore import SkewPoly
+from skewpoly.ore import SkewPoly, evaluation_context
 from skewpoly.parser import MAX_EXPONENT, parse_expr, parse_scalar, tokenize
-from skewpoly.scalars import HQ, Q, QX
+from skewpoly.scalars import HQ, Q, QX, Quaternion, RationalFunction
 
 from conftest import random_poly
 
@@ -236,8 +245,8 @@ LONG_MESSAGE = f"integer literal of {len(LONG)} digits is too long"
                     reason="int conversion has no digit limit")
 class TestLongLiterals:
     """A literal past ``sys.get_int_max_str_digits()`` is a ``ParseError``
-    at its position, on the general path, through the x-polynomial lane
-    (which falls back), in an exponent and in ``parse_scalar``."""
+    at its position, on the general path, through the literal lane (which
+    falls back) over Q(x) and H(Q), in an exponent and in ``parse_scalar``."""
 
     @pytest.mark.parametrize("src, line, column", [
         (f"{LONG}*t", 1, 1),
@@ -260,6 +269,17 @@ class TestLongLiterals:
         with pytest.raises(ParseError) as info:
             parse_scalar(f"1/{LONG}", domain)
         assert (info.value.line, info.value.column) == (1, 3)
+
+    @pytest.mark.parametrize("parse, src, column", [
+        (parse_expr, f"(2 + {LONG}*i)*t1", 6),
+        (parse_scalar, f"2 - {LONG}*i", 5),
+        (parse_scalar, f"-{LONG}", 2),
+    ], ids=["parenthesized", "scalar", "scalar-constant"])
+    def test_quaternion_literal(self, quat_inner2, parse, src, column):
+        with pytest.raises(ParseError) as info:
+            parse(src, quat_inner2 if parse is parse_expr else HQ)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"{LONG_MESSAGE} (line 1, column {column})"
 
     def test_limit_itself_parses(self, weyl):
         digits = "1" * sys.get_int_max_str_digits()
@@ -363,6 +383,26 @@ class TestShortcuts:
         monkeypatch.setattr(SkewPoly, "__mul__", counted)
         parse_expr(src, ring)
         assert count[0] == products
+
+    @pytest.mark.parametrize("fixture, variant, src", [
+        ("quat_inner2", Quaternion, "(2 - k)*t1^2*t2"),
+        ("weyl", RationalFunction, "(3*x^2 - x + 2)*t^2"),
+    ])
+    def test_no_scalar_products_by_one(self, fixture, variant, src, request,
+                                       monkeypatch):
+        # a constant times a unit monomial is an exponent shift
+        ring = request.getfixturevalue(fixture)
+        want = parse_expr(src, ring)
+        count = [0]
+        original = variant._mul
+
+        def counted(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(variant, "_mul", counted)
+        assert parse_expr(src, ring) == want
+        assert count[0] == 0
 
 
 class TestUnicodeDigits:
@@ -600,73 +640,129 @@ class TestParserOracle:
 
 
 def _general(src, ring):
-    """``parse_expr`` with the x-polynomial lane switched off."""
+    """``parse_expr`` with the literal lane switched off."""
     p = parser._Parser(src, ring)
-    p.xpoly_lane = False
+    p.units = {}
     return p.parse()
 
 
-def _outcomes(src, ring):
+def _general_scalar(src, domain):
+    """``parse_scalar`` with the literal lane switched off."""
+    p = parser._Parser(src, evaluation_context(domain, ()))
+    p.units = {}
+    return p.parse().constant_value()
+
+
+def _outcomes(src, ring, lane=parse_expr, general=_general):
     """The outcome, a value or an error's type and text, of the parser with
-    and without the x-polynomial lane."""
+    and without the literal lane."""
     def outcome(parse):
         try:
             return parse(src, ring)
         except SkewError as exc:
             return type(exc), str(exc)
-    return outcome(parse_expr), outcome(_general)
+    return outcome(lane), outcome(general)
 
 
-# (sign, coefficient, exponent, spelling) of one integer x-monomial
-_X_MONOMIALS = st.tuples(
-    st.sampled_from("+-"),
-    st.one_of(st.integers(0, 12), st.integers(2**64, 2**70)),
-    st.integers(0, MAX_EXPONENT),
-    st.sampled_from(["c*x^e", "c*x", "x^e", "x", "c"]))
+@functools.cache
+def _lane_ring(domain):
+    """One variable t over Q(x) twisted by d/dx, or two over H(Q) as in
+    ``quat_inner2``: neither names a literal unit."""
+    if domain is QX:
+        return OreRing(QX, [("t", IdentityAut(), DdxDer())])
+    aut = inner_aut(HQ.i())
+    return OreRing(HQ, [("t1", aut, InnerDer(HQ.make(1, 2), aut)),
+                        ("t2", aut, zero_der(aut))])
 
 
-class TestXPolynomialLane:
-    """A parenthesized sum of integer x-monomials over Q(x) is read straight
-    into its coefficients.  Its oracles are the general path (the same
-    parser with the lane off) and integer arithmetic on the monomials."""
+_SIGNS = st.sampled_from("+-")
+_COEFFICIENTS = st.one_of(st.integers(0, 12), st.integers(2**64, 2**70))
+# (sign, coefficient, slot, spelling) of one integer monomial of a literal:
+# the slot is x's exponent over Q(x) and the coordinate of i, j or k over
+# H(Q), and a spelling without "c" has coefficient 1
+_MONOMIALS = {
+    QX: st.tuples(_SIGNS, _COEFFICIENTS, st.integers(0, MAX_EXPONENT),
+                  st.sampled_from(["c*x^e", "c*x", "x^e", "x", "c"])),
+    HQ: st.tuples(_SIGNS, _COEFFICIENTS, st.integers(1, 3),
+                  st.sampled_from(["c*u", "u", "c"])),
+}
+
+
+def _literal(domain, monomials, space):
+    """The text of a sum of integer monomials and its value, by integer
+    arithmetic on the monomials."""
+    coeffs, parts = {}, []
+    for n, (sign, c, slot, spelling) in enumerate(monomials):
+        if "c" not in spelling:
+            c = 1
+        if spelling in ("c", "c*x", "x"):
+            slot = int(spelling != "c")
+        text = spelling.replace("c", str(c)).replace("e", str(slot))
+        if "u" in spelling:
+            text = text.replace("u", " ijk"[slot])
+        text = text.replace("*", space + "*" + space)
+        if n or sign == "-":
+            text = sign + space + text
+        parts.append(text)
+        coeffs[slot] = coeffs.get(slot, 0) + (c if sign == "+" else -c)
+    ints = [coeffs.get(s, 0) for s in range(max(max(coeffs), 3) + 1)]
+    value = QX.from_coeffs(ints) if domain is QX else HQ.make(*ints)
+    return space.join(parts), value
+
+
+def _lane_oracles(domain, soup, variable):
+    """The lane's oracle tests over one domain.  A parenthesized integer
+    combination of the domain's units, and a whole ``parse_scalar`` text of
+    one, is read straight into one coefficient; its oracles are the general
+    path (the same parser with the lane off) and integer arithmetic on the
+    monomials.  Token soups add "^" or the ring variable, not both, since
+    an operator power can take seconds; with the digit 2 alone a power in
+    bounds is at most 222."""
+    ring = _lane_ring(domain)
 
     @settings(max_examples=_ORACLE_EXAMPLES, deadline=None)
-    @given(monomials=st.lists(_X_MONOMIALS, min_size=1, max_size=6),
+    @given(monomials=st.lists(_MONOMIALS[domain], min_size=1, max_size=6),
            space=st.sampled_from(["", " "]))
     def test_matches_general_path(self, monomials, space):
-        weyl = OreRing(QX, [("t", IdentityAut(), DdxDer())])
-        coeffs, parts = {}, []
-        for i, (sign, c, e, spelling) in enumerate(monomials):
-            c, e = {"c*x^e": (c, e), "c*x": (c, 1), "x^e": (1, e),
-                    "x": (1, 1), "c": (c, 0)}[spelling]
-            text = spelling.replace("c", str(c)).replace("e", str(e))
-            text = text.replace("*", space + "*" + space)
-            if i or sign == "-":
-                text = sign + space + text
-            parts.append(text)
-            coeffs[e] = coeffs.get(e, 0) + (c if sign == "+" else -c)
-        src = "(" + space.join(parts) + ")"
-        assert parser._Parser(src, weyl).xpoly() is not None, src
-        want = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            want[e] = c
-        expected = weyl.constant(QX.from_coeffs(want))
-        assert parse_expr(src, weyl) == _general(src, weyl) == expected, src
-
-    # "^" or the ring variable "t", not both: an operator power can take
-    # seconds; with the digit 2 alone a power in bounds is at most 222
-    _SOUP = ["(", ")", "x", "2", "*", "+", "-", " ", "\n",
-             str(MAX_EXPONENT + 1)]
+        text, value = _literal(domain, monomials, space)
+        src = "(" + text + ")"
+        assert parser._Parser(src, ring).literal(1, ")") is not None, src
+        assert (parse_expr(src, ring) == _general(src, ring)
+                == ring.constant(value)), src
+        scalar = parser._Parser(text, evaluation_context(domain, ()))
+        assert scalar.literal(0, "") is not None, text
+        assert (parse_scalar(text, domain) == _general_scalar(text, domain)
+                == value), text
 
     @settings(max_examples=_ORACLE_EXAMPLES, deadline=None)
     @given(tokens=st.one_of(
-        st.lists(st.sampled_from(_SOUP + ["^"]), max_size=12),
-        st.lists(st.sampled_from(_SOUP + ["t"]), max_size=12)))
+        st.lists(st.sampled_from(soup + ["^"]), max_size=12),
+        st.lists(st.sampled_from(soup + [variable]), max_size=12)))
     def test_any_text_after_a_parenthesis(self, tokens):
-        weyl = OreRing(QX, [("t", IdentityAut(), DdxDer())])
-        src = "(" + "".join(tokens)
-        lane, general = _outcomes(src, weyl)
+        src = "".join(tokens)
+        lane, general = _outcomes("(" + src, ring)
+        assert lane == general, "(" + src
+        lane, general = _outcomes(src, domain, parse_scalar, _general_scalar)
         assert lane == general, src
+
+    return test_matches_general_path, test_any_text_after_a_parenthesis
+
+
+def _check_pinned(outcomes, printed):
+    lane, general = outcomes
+    assert lane == general
+    if isinstance(printed, SkewError):
+        assert lane == (type(printed), str(printed))
+    else:
+        assert str(lane) == printed
+
+
+class TestXPolynomialLane:
+    """The literal lane over Q(x), whose units are the powers of x."""
+
+    test_matches_general_path, test_any_text_after_a_parenthesis = (
+        _lane_oracles(QX, ["(", ")", "x", "2", "*", "+", "-", " ", "\n",
+                           str(MAX_EXPONENT + 1)], "t"))
 
     @pytest.mark.parametrize("src, printed", [
         (f"(x^{MAX_EXPONENT + 1})", ParseError(
@@ -681,14 +777,10 @@ class TestXPolynomialLane:
         ("(2*t)", "2*t"),
         ("(x + 1)^2", "x^2 + 2*x + 1"),
         ("(x +\n 1) $", ParseError("unexpected character '$'", 2, 5)),
+        ("(2^3 + x)", "x + 8"),
     ])
     def test_pinned(self, weyl, src, printed):
-        lane, general = _outcomes(src, weyl)
-        assert lane == general
-        if isinstance(printed, ParseError):
-            assert lane == (ParseError, str(printed))
-        else:
-            assert str(lane) == printed
+        _check_pinned(_outcomes(src, weyl), printed)
 
     def test_nesting_at_the_bound(self, weyl):
         depth = parser.MAX_DEPTH
@@ -701,10 +793,61 @@ class TestXPolynomialLane:
 
     def test_variable_named_x(self):
         ring = OreRing(QX, [("x", IdentityAut(), DdxDer())])
-        assert not parser._Parser("(x)", ring).xpoly_lane
+        assert not parser._Parser("(x)", ring).units
         x = ring.variable(0)
         want = ring.constant(QX.from_int(2)) * x * x + ring.one()
         assert parse_expr("(2*x^2 + 1)", ring) == want
+
+
+class TestQuaternionLiteralLane:
+    """The literal lane over H(Q), whose units are i, j and k."""
+
+    test_matches_general_path, test_any_text_after_a_parenthesis = (
+        _lane_oracles(HQ, ["(", ")", "i", "j", "k", "2", "*", "+", "-", " ",
+                           "\n", str(MAX_EXPONENT + 1)], "t1"))
+
+    @pytest.mark.parametrize("src, printed", [
+        ("(i - i)", "0"),
+        ("(i^2)", "-1"),
+        ("(2i)", ParseError("expected ')'", 1, 3)),
+        ("(i*j)", "k"),
+        ("(-2 - 3*j - 2*k)", "-(2 + 3*j + 2*k)"),
+        ("(2 + i - 3*k)*t1", "(2 + i - 3*k)*t1"),
+        ("(--k)", "k"),
+        ("(i + x)", UnknownScalarLiteral(
+            "literal 'x' is not available over HQ", 1, 6)),
+    ])
+    def test_pinned(self, src, printed):
+        _check_pinned(_outcomes(src, _lane_ring(HQ)), printed)
+
+    @pytest.mark.parametrize("src, printed", [
+        ("-3*i + 1*k", "-3*i + k"), ("i - i", "0"), ("2 - 2", "0"),
+        ("i^2", "-1"), ("2*i*j", "2*k"), ("1/2*i", "1/2*i"),
+        ("i +\n 2i", ParseError("unexpected 'i'", 2, 3)),
+    ])
+    def test_pinned_scalars(self, src, printed):
+        _check_pinned(_outcomes(src, HQ, parse_scalar, _general_scalar),
+                      printed)
+
+    def test_scalar_text_makes_no_products(self, monkeypatch):
+        count = [0]
+        original = Quaternion._mul
+
+        def counted(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Quaternion, "_mul", counted)
+        assert parse_scalar("-2 - 3*j - 2*k", HQ) == HQ.make(-2, 0, -3, -2)
+        assert count[0] == 0
+
+    def test_variable_named_i(self):
+        # one unit named by a variable turns the whole lane off
+        ring = OreRing(HQ, [("i", IdentityAut(), zero_der())])
+        assert not parser._Parser("(j)", ring).units
+        i = ring.variable(0)
+        want = ring.constant(HQ.from_int(2)) * i + ring.constant(HQ.j())
+        assert parse_expr("(2*i + j)", ring) == want
 
 
 # ---------------------------------------------------------------------------
