@@ -39,9 +39,7 @@ from .maps import (
 )
 from .ore import Flavor, OreRing
 from .parser import MAX_Q_DIGITS, parse_scalar
-from .scalars import DOMAINS, ScalarDomain
-
-_RESERVED = {"Q": set(), "Qx": {"x"}, "HQ": {"i", "j", "k"}}
+from .scalars import DOMAINS, Scalar
 
 
 def _bounded_q(text: str) -> Fraction:
@@ -53,7 +51,7 @@ def _bounded_q(text: str) -> Fraction:
     return q
 
 
-def aut_from_data(data, domain: ScalarDomain) -> RingMap:
+def aut_from_data(data, domain: type[Scalar]) -> RingMap:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError(f"map descriptor must be a tagged object: {data!r}")
     kind = data["kind"]
@@ -68,7 +66,7 @@ def aut_from_data(data, domain: ScalarDomain) -> RingMap:
     raise ConfigError(f"unknown automorphism kind {kind!r}")
 
 
-def der_from_data(data, domain: ScalarDomain, aut: RingMap) -> RingMap:
+def der_from_data(data, domain: type[Scalar], aut: RingMap) -> RingMap:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError(f"map descriptor must be a tagged object: {data!r}")
     kind = data["kind"]
@@ -130,7 +128,7 @@ def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
         if (not isinstance(name, str) or not name.isidentifier()
                 or not name[0].isalpha()):
             raise ConfigError(f"bad variable name {name!r}")
-        if name in _RESERVED[domain.name]:
+        if name in domain.units:
             raise ConfigError(
                 f"variable name {name!r} collides with a scalar literal"
             )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExhaustedCandidates, NotInF, UnsupportedRing
-from .scalars import RationalFunction, Scalar, ScalarDomain
+from .scalars import RationalFunction, Scalar
 
 DEFAULT_SEED = 12345
 DEFAULT_SAMPLES = 64
@@ -365,7 +365,7 @@ class Certificate:
 
 
 @lru_cache(maxsize=None)
-def sample_scalars(domain: ScalarDomain, seed: int, count: int):
+def sample_scalars(domain: type[Scalar], seed: int, count: int):
     """The shared deterministic sample pool used by all law checks."""
     rng = random.Random(seed)
     return tuple(domain.random(rng) for _ in range(count))

@@ -66,7 +66,7 @@ from .maps import (
     commutation_record,
     derivation_record,
 )
-from .scalars import QX, RationalFunction, Scalar, ScalarDomain
+from .scalars import QX, RationalFunction, Scalar
 
 
 class Flavor(str, Enum):
@@ -109,7 +109,7 @@ class OreRing:
     ``samples`` and ``seed``.
     """
 
-    def __init__(self, domain: ScalarDomain, variables, flavor=Flavor.COMMUTING,
+    def __init__(self, domain: type[Scalar], variables, flavor=Flavor.COMMUTING,
                  *, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
         vs = tuple(v if isinstance(v, Variable) else Variable(*v)
                    for v in variables)
@@ -437,7 +437,7 @@ def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
     return out
 
 
-def evaluation_context(domain: ScalarDomain, names) -> OreRing:
+def evaluation_context(domain: type[Scalar], names) -> OreRing:
     """A trivially twisted commuting ring used for leading forms, whose
     variables stand for central arguments.  One ring is built and certified
     per (domain, names) and shared; rings are never mutated."""
@@ -445,7 +445,7 @@ def evaluation_context(domain: ScalarDomain, names) -> OreRing:
 
 
 @lru_cache(maxsize=256)
-def _evaluation_ring(domain: ScalarDomain, names: tuple) -> OreRing:
+def _evaluation_ring(domain: type[Scalar], names: tuple) -> OreRing:
     ident = IdentityAut()
     return OreRing(domain, [(n, ident, ZeroDer(ident)) for n in names])
 

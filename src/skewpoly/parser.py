@@ -60,12 +60,10 @@ import re
 
 from .errors import ParseError, UnknownScalarLiteral, UnknownVariable
 from .ore import OreRing, SkewPoly, evaluation_context
-from .scalars import Quaternion, RationalFunction, Scalar, ScalarDomain
+from .scalars import DOMAINS, Quaternion, RationalFunction, Scalar
 
-# each domain's literal units and their slots in ``_Parser.literal``: the
-# exponent of x, the coordinate of i, j and k
-_UNITS = {"Qx": {"x": 1}, "HQ": {"i": 1, "j": 2, "k": 3}}
-_LITERALS = {u for units in _UNITS.values() for u in units}
+# every domain's literal units
+_LITERALS = {u for domain in DOMAINS.values() for u in domain.units}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
 MAX_Q_DIGITS = 100  # most decimal digits of a q_shift's q, above and below
 MAX_DEPTH = 100  # deepest nesting of parentheses; deeper input is refused
@@ -114,7 +112,7 @@ class _Parser:
         self.one = ring.domain.one()
         # where no unit is a variable and products are allowed, an integer
         # combination of the units is read directly; {} turns the lane off
-        units = _UNITS.get(ring.domain.name, {})
+        units = ring.domain.units
         self.units = (units if ring.certificate.ok
                       and units.keys().isdisjoint(self.names) else {})
 
@@ -299,7 +297,7 @@ class _Parser:
             i = names.index(name)
             return {tuple(int(t == i) for t in range(len(names))): self.one}
         domain = self.ring.domain
-        if name in _UNITS.get(domain.name, ()):
+        if name in domain.units:
             return {self.origin: getattr(domain, name)()}
         if name in _LITERALS:
             self.fail(f"literal {name!r} is not available over {domain.name}",
@@ -312,7 +310,7 @@ def parse_expr(src: str, ring: OreRing) -> SkewPoly:
     return _Parser(src, ring).parse()
 
 
-def parse_scalar(src: str, domain: ScalarDomain) -> Scalar:
+def parse_scalar(src: str, domain: type[Scalar]) -> Scalar:
     """Parse a scalar-valued expression over a coefficient ring.  A whole
     text that is an integer combination of the domain's units, such as
     ``-3*i + k``, is read by the parser's literal lane."""

@@ -1,23 +1,31 @@
 """Exact scalar arithmetic in the supported coefficient division rings.
 
-Three rings are available, each with a canonical representation so that
-equality and the zero test are structural:
+Each ring is one class, and the class is the domain: ``Q``, ``QX`` and
+``HQ`` are the classes themselves, ``r.domain`` is ``type(r)``, and the
+constructors (``zero``, ``one``, ``from_int``, ``from_fraction``,
+``random``) are classmethods.  Each class keeps a canonical representation,
+so equality and the zero test are structural:
 
-* ``Q``   -- rational numbers, reduced fractions;
-* ``Qx``  -- rational functions in one commuting indeterminate ``x``,
-  stored as a fraction of coprime integer-coefficient polynomials with
-  jointly primitive contents and a positive leading denominator
-  coefficient, so arithmetic needs no ``Fraction``; gcds are primitive
-  PRS over Python integers.  Sums, products and derivatives of integer
-  polynomials (denominator 1) stay in Z[x] with no gcd or content pass:
-  a polynomial over 1 is already in lowest terms and jointly primitive.
-  Printing (and ``num``/``den``) divides through to the monic denominator;
-* ``HQ``  -- the rational quaternions (the (-1,-1 / Q) algebra), the only
-  noncommutative ring of the three, stored as four integer numerators over
-  one positive common denominator, all five jointly primitive; each
-  operation works on Python integers and ends in one 5-way gcd.
+* ``Q``   -- :class:`Rational`, reduced fractions;
+* ``Qx``  -- :class:`RationalFunction`, rational functions in one commuting
+  indeterminate ``x``, stored as a fraction of coprime integer-coefficient
+  polynomials with jointly primitive contents and a positive leading
+  denominator coefficient, so arithmetic needs no ``Fraction``; gcds are
+  primitive PRS over Python integers.  Sums, products and derivatives of
+  integer polynomials (denominator 1) stay in Z[x] with no gcd or content
+  pass: a polynomial over 1 is already in lowest terms and jointly
+  primitive.  Printing (and ``num``/``den``) divides through to the monic
+  denominator;
+* ``HQ``  -- :class:`Quaternion`, the rational quaternions (the (-1,-1 / Q)
+  algebra), the only noncommutative ring of the three, stored as four
+  integer numerators over one positive common denominator, all five
+  jointly primitive; each operation works on Python integers and ends in
+  one 5-way gcd.
 
-Mixing scalars from different rings raises :class:`VariantMismatch`; every
+A class's ``name`` is its key in ring files and ``DOMAINS``, and its
+``units`` are the names of its literal units (``x``; ``i``, ``j``, ``k``),
+which the parser reads and ring files may not use as variables.  Mixing
+scalars from different rings raises :class:`VariantMismatch`; every
 computation is tagged with exactly one active ring.
 """
 
@@ -130,39 +138,53 @@ def _pstr(a, sign=1) -> str:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Common interface of the three scalar variants. Values are immutable."""
+    """Common interface of the three scalar variants, each of which is also
+    its own domain.  Values are immutable."""
 
     __slots__ = ()
+    name = ""  # the ring's key in ring files and DOMAINS
+    # literal unit -> its slot in the parser's literal lane: the exponent
+    # of x, the coordinate of i, j and k
+    units = {}
 
-    def _same_variant(self, other):
-        if self.__class__ is not other.__class__:
-            raise VariantMismatch(
-                f"cannot combine {self.__class__.__name__} with "
-                f"{other.__class__.__name__}"
-            )
+    @property
+    def domain(self):
+        return self.__class__
 
-    def __add__(self, other):
+    @classmethod
+    def zero(cls):
+        return cls.from_int(0)
+
+    @classmethod
+    def one(cls):
+        return cls.from_int(1)
+
+    def _refuse(self, other):
+        """NotImplemented for a non-scalar ``other``; a scalar of another
+        variant raises VariantMismatch."""
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._same_variant(other)
+        raise VariantMismatch(f"cannot combine {self.__class__.__name__} "
+                              f"with {other.__class__.__name__}")
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return self._refuse(other)
         return self._add(other)
 
     def __sub__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._same_variant(other)
+        if other.__class__ is not self.__class__:
+            return self._refuse(other)
         return self._add(-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._same_variant(other)
+        if other.__class__ is not self.__class__:
+            return self._refuse(other)
         return self._mul(other)
 
     def __truediv__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._same_variant(other)
+        if other.__class__ is not self.__class__:
+            return self._refuse(other)
         return self._mul(other.inv())
 
     def __pow__(self, k: int):
@@ -174,7 +196,7 @@ class Scalar:
         if k < 0:
             return self.inv() ** (-k)
         if k == 0:
-            return self.domain.one()
+            return self.one()
         out = self
         for bit in bin(k)[3:]:
             out = out * out
@@ -200,18 +222,25 @@ class Scalar:
         inside a product."""
         raise NotImplementedError
 
-    @property
-    def domain(self) -> "ScalarDomain":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, slots=True)
 class Rational(Scalar):
     value: Fraction
+    name = "Q"
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
+
+    @classmethod
+    def from_fraction(cls, q):
+        return cls(Fraction(q))
+
+    from_int = from_fraction
+
+    @classmethod
+    def random(cls, rng):
+        return cls(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def _add(self, other):
         return Rational(self.value + other.value)
@@ -233,10 +262,6 @@ class Rational(Scalar):
 
     def display(self):
         return self.value < 0, str(abs(self.value)), True
-
-    @property
-    def domain(self):
-        return Q
 
     def __str__(self):
         return str(self.value)
@@ -276,6 +301,19 @@ class RationalFunction(Scalar):
 
     ints_num: tuple[int, ...]
     ints_den: tuple[int, ...]
+    name = "Qx"
+    units = {"x": 1}
+
+    @classmethod
+    def from_int(cls, n):
+        return cls((n,) if n else (), (1,))
+
+    @classmethod
+    def from_fraction(cls, q):
+        q = Fraction(q)
+        return cls((q.numerator,) if q else (), (q.denominator,))
+
+    x = classmethod(lambda cls: cls((0, 1), (1,)))
 
     @staticmethod
     def make(num, den=(1,)) -> "RationalFunction":
@@ -286,6 +324,14 @@ class RationalFunction(Scalar):
         m = lcm(*(c.denominator for c in num + den))
         return _reduced(tuple(c.numerator * (m // c.denominator) for c in num),
                         tuple(c.numerator * (m // c.denominator) for c in den))
+
+    from_coeffs = make
+
+    @classmethod
+    def random(cls, rng):
+        num = _trim([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        den = (rng.randint(1, 3), 1) if rng.random() < 0.3 else (1,)
+        return _reduced(num, den)
 
     @property
     def num(self) -> tuple[Fraction, ...]:
@@ -372,10 +418,6 @@ class RationalFunction(Scalar):
         return _qx(*(tuple(c * a**i * b**(top - i) for i, c in enumerate(p))
                      for p in (self.ints_num, self.ints_den)))
 
-    @property
-    def domain(self):
-        return QX
-
     def __str__(self):
         return self._str(1)
 
@@ -409,10 +451,39 @@ class Quaternion(Scalar):
     ints: tuple[int, int, int, int]
     den: int
 
+    name = "HQ"
+    units = {"i": 1, "j": 2, "k": 3}
+
     w = property(lambda self: Fraction(self.ints[0], self.den))
     x = property(lambda self: Fraction(self.ints[1], self.den))
     y = property(lambda self: Fraction(self.ints[2], self.den))
     z = property(lambda self: Fraction(self.ints[3], self.den))
+    i = classmethod(lambda cls: cls((0, 1, 0, 0), 1))
+    j = classmethod(lambda cls: cls((0, 0, 1, 0), 1))
+    k = classmethod(lambda cls: cls((0, 0, 0, 1), 1))
+
+    @classmethod
+    def from_int(cls, n):
+        return cls((n, 0, 0, 0), 1)
+
+    @classmethod
+    def from_fraction(cls, q):
+        q = Fraction(q)
+        return cls((q.numerator, 0, 0, 0), q.denominator)
+
+    @classmethod
+    def make(cls, w, x=0, y=0, z=0) -> "Quaternion":
+        # over the lcm of reduced denominators the five are jointly primitive
+        parts = [Fraction(v) for v in (w, x, y, z)]
+        m = lcm(*(p.denominator for p in parts))
+        return cls(tuple(p.numerator * (m // p.denominator) for p in parts), m)
+
+    @classmethod
+    def random(cls, rng):
+        # the draws of four Fraction(randint(-5, 5), randint(1, 3))
+        parts = [(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+        m = lcm(*(d for _, d in parts))
+        return _hq(*(n * (m // d) for n, d in parts), m)
 
     def _add(self, other):
         a, b, c, d = self.ints
@@ -466,10 +537,6 @@ class Quaternion(Scalar):
         return (negative, self._str(-1 if negative else 1),
                 self.ints.count(0) >= 3)
 
-    @property
-    def domain(self):
-        return HQ
-
     def __str__(self):
         return self._str(1)
 
@@ -486,106 +553,7 @@ class Quaternion(Scalar):
         return f"Quaternion({self})"
 
 
-# ---------------------------------------------------------------------------
-# domains
-# ---------------------------------------------------------------------------
-
-class ScalarDomain:
-    """Singleton handle for one coefficient ring."""
-
-    name: str = ""
-
-    def zero(self) -> Scalar:
-        return self.from_int(0)
-
-    def one(self) -> Scalar:
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> Scalar:
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction) -> Scalar:
-        raise NotImplementedError
-
-    def random(self, rng) -> Scalar:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<domain {self.name}>"
-
-
-class _RationalDomain(ScalarDomain):
-    name = "Q"
-
-    def from_int(self, n):
-        return Rational(Fraction(n))
-
-    def from_fraction(self, q):
-        return Rational(Fraction(q))
-
-    def random(self, rng):
-        return Rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-
-
-class _FunctionFieldDomain(ScalarDomain):
-    name = "Qx"
-
-    def from_int(self, n):
-        return RationalFunction((n,) if n else (), (1,))
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        return RationalFunction((q.numerator,) if q else (), (q.denominator,))
-
-    def x(self) -> RationalFunction:
-        return RationalFunction((0, 1), (1,))
-
-    def from_coeffs(self, num, den=(1,)) -> RationalFunction:
-        return RationalFunction.make(num, den)
-
-    def random(self, rng):
-        num = _trim([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
-        den = (rng.randint(1, 3), 1) if rng.random() < 0.3 else (1,)
-        return _reduced(num, den)
-
-
-class _QuaternionDomain(ScalarDomain):
-    name = "HQ"
-
-    def from_int(self, n):
-        return Quaternion((n, 0, 0, 0), 1)
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        return Quaternion((q.numerator, 0, 0, 0), q.denominator)
-
-    def i(self):
-        return Quaternion((0, 1, 0, 0), 1)
-
-    def j(self):
-        return Quaternion((0, 0, 1, 0), 1)
-
-    def k(self):
-        return Quaternion((0, 0, 0, 1), 1)
-
-    def make(self, w, x=0, y=0, z=0) -> Quaternion:
-        # over the lcm of reduced denominators the five are jointly primitive
-        parts = [Fraction(v) for v in (w, x, y, z)]
-        m = lcm(*(p.denominator for p in parts))
-        return Quaternion(tuple(p.numerator * (m // p.denominator)
-                                for p in parts), m)
-
-    def random(self, rng):
-        # the draws of four Fraction(randint(-5, 5), randint(1, 3))
-        parts = [(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
-        m = lcm(*(d for _, d in parts))
-        return _hq(*(n * (m // d) for n, d in parts), m)
-
-
-Q = _RationalDomain()
-QX = _FunctionFieldDomain()
-HQ = _QuaternionDomain()
-
+Q, QX, HQ = Rational, RationalFunction, Quaternion
 DOMAINS = {d.name: d for d in (Q, QX, HQ)}
 
 

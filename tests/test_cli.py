@@ -121,6 +121,19 @@ class TestConfig:
                 "vars": [{"name": "x", "aut": {"kind": "identity"},
                           "der": {"kind": "zero"}}],
             })
+        # a name is reserved exactly over the ring whose literal it is
+        for ring, name, refused in [
+                ("HQ", "i", True), ("HQ", "j", True), ("HQ", "k", True),
+                ("HQ", "x", False), ("Qx", "i", False), ("Q", "x", False),
+                ("Q", "i", False), ("Q", "j", False), ("Q", "k", False)]:
+            data = {"ring": ring, "vars": [{"name": name,
+                                            "aut": {"kind": "identity"},
+                                            "der": {"kind": "zero"}}]}
+            if refused:
+                with pytest.raises(ConfigError, match="scalar literal"):
+                    ring_from_data(data)
+            else:
+                assert ring_from_data(data).names == (name,)
 
     def test_qdiff_needs_qshift(self):
         with pytest.raises(ConfigError):

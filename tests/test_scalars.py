@@ -1,6 +1,8 @@
 """Exact arithmetic in the three coefficient rings."""
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -129,6 +131,10 @@ class TestCanonicalForms:
         assert str(Q.from_fraction(Fraction(-3, 2))) == "-3/2"
 
 
+OPERATORS = pytest.mark.parametrize(
+    "apply", [operator.add, operator.sub, operator.mul, operator.truediv])
+
+
 class TestErrors:
     def test_variant_mismatch(self):
         with pytest.raises(VariantMismatch):
@@ -142,6 +148,36 @@ class TestErrors:
         for domain in (Q, QX, HQ):
             with pytest.raises(DivisionByZero):
                 domain.zero().inv()
+
+    @OPERATORS
+    def test_every_operator_refuses_another_variant_both_ways(self, apply):
+        for left, right in itertools.permutations((Q, QX, HQ), 2):
+            with pytest.raises(VariantMismatch):
+                apply(left.one(), right.one())
+
+    @OPERATORS
+    def test_every_operator_refuses_a_non_scalar_both_ways(self, apply):
+        for domain in (Q, QX, HQ):
+            for other in (1, Fraction(1, 2), "1"):
+                with pytest.raises(TypeError):
+                    apply(domain.one(), other)
+                with pytest.raises(TypeError):
+                    apply(other, domain.one())
+
+
+@pytest.mark.parametrize("domain", list(scalars.DOMAINS.values()),
+                         ids=list(scalars.DOMAINS))
+def test_each_class_is_its_own_domain(domain):
+    assert scalars.DOMAINS[domain.name] is domain
+    assert Q is Rational and QX is RationalFunction and HQ is Quaternion
+    assert domain.zero().is_zero() and domain.zero().domain is domain
+    rng = random.Random(7)
+    for _ in range(5):
+        r = domain.random(rng)
+        assert type(r) is domain
+        assert r.domain is domain
+        assert domain.one() * r == r == r * domain.one()
+        assert r + domain.zero() == r
 
 
 class TestConjugacy:
