@@ -125,7 +125,7 @@ def _read_lines(path) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return [ln.strip() for ln in lines
             if ln.strip() and not ln.strip().startswith("#")]

@@ -145,7 +145,7 @@ def load_ring(path, *, samples: int = DEFAULT_SAMPLES,
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read ring configuration: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"ring configuration is not valid JSON: {exc}") from None

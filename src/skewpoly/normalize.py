@@ -179,6 +179,8 @@ def monicize(f: SkewPoly,
 
     Returns the substitution data and g = a * f(..., y_k + u_k y_target, ...)
     whose ``target`` degree equals deg(f) with leading coefficient exactly 1.
+    g lives in the step's ring, built and certified here once per step: its
+    y_k has (aut, der_k - u_k der_target), so stands for y_k - u_k y_target.
     Certification uses the settings of ``f.ring``.
     """
     ring = f.ring
@@ -199,17 +201,18 @@ def monicize(f: SkewPoly,
     scale = search.value.inv()
 
     others = [i for i in range(ring.nvars) if i != target]
-    elements, variables = _shift_variables(
-        ring, target, dict(zip(others, search.point)))
-    mixed_ring = ring.with_variables(variables)
-    tup = certify_tuple(ring, elements, mixed_ring.twists())
-    g = evaluate(reinterpret(f, mixed_ring), tup).scale_left(scale)
+    shifts = dict(zip(others, search.point))
+    _, variables = _shift_variables(
+        ring, target, {i: -u for i, u in shifts.items()})
+    step_ring = ring.with_variables(variables)
+    step_ring._require_certificate("normalization")
+    elements, _ = _shift_variables(step_ring, target, shifts)
+    tup = certify_tuple(step_ring, elements, ring.twists())
+    g = evaluate(f, tup).scale_left(scale)
 
     top = tuple(degree if t == target else 0 for t in range(ring.nvars))
     if g.degree_in(target) != degree or g.coeff(top) != ring.domain.one():
-        raise SkewError(
-            "internal error: monicization postcondition failed"
-        )
+        raise SkewError("internal error: monicization postcondition failed")
     return Substitution(target, search.point, scale, search.value), g
 
 
@@ -236,26 +239,21 @@ class NormalizationStep:
 def normalize_step(f: SkewPoly) -> NormalizationStep:
     """Eliminate the last variable using the witness relation ``f``.
 
-    Monicizes f in the last variable, forms the new variables
-    t_k = y_k - u_k y_n with the mixed tower (aut, der_k - u_k der_n), reads
-    the monic relation off g, and asserts the replay identity
-    g(t_1, ..., t_n) = a*f exactly.  The mixed tower is certified by the
-    ring it defines (Leibniz per derivation, commutation of every pair of
-    maps); normalization is refused when that certificate fails.
-    Certification uses the settings of ``f.ring``.
+    Monicizes f in the last variable, reads the monic relation off g and
+    asserts the replay identity g(t_1, ..., t_n) = a*f exactly.  g lives in
+    the step's ring, t_k = y_k - u_k y_n with the mixed tower
+    (aut, der_k - u_k der_n), which ``monicize`` builds once and refuses when
+    its certificate (Leibniz per derivation, commutation of every pair of
+    maps) fails.  Certification uses the settings of ``f.ring``.
     """
     ring = f.ring
     target = ring.nvars - 1
     sub, g = monicize(f, target)
 
-    t_elements, variables = _shift_variables(
+    t_elements, _ = _shift_variables(
         ring, target, {i: -u for i, u in enumerate(sub.shifts)})
-    new_ring = ring.with_variables(variables)
-    new_ring._require_certificate("normalization")
-
-    g = reinterpret(g, new_ring)
     relation = MonicRelation.read(g, target)
-    replay_tup = certify_tuple(ring, t_elements, new_ring.twists())
+    replay_tup = certify_tuple(ring, t_elements, g.ring.twists())
     if evaluate(g, replay_tup) != f.scale_left(sub.scale):
         raise SkewError("internal error: replay identity g(t) = a*f failed")
     return NormalizationStep(sub, relation)

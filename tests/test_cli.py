@@ -314,6 +314,27 @@ class TestExitCodes:
         assert main(["normalform", "--ring", write("r.json", "{broken"),
                      "t"]) == 2
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe t\n"],
+                             ids=["missing", "not-utf8"])
+    @pytest.mark.parametrize("argv", [
+        ["normalform", "--ring", "{path}", "t"],
+        ["normalize", "--ring", "weyl3.json", "--relations", "{path}"],
+        ["cns-search", "--ring", "quat.json", "--sets", "{path}", "t^2 + 1"],
+    ], ids=["ring", "relations", "sets"])
+    def test_unreadable_file_is_2(self, tmp_path, capsys, argv, content):
+        # a file that is not UTF-8 used to exit 1 with a bare
+        # UnicodeDecodeError
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        argv = [str(path) if a == "{path}" else
+                str(ROOT / "configs" / a) if a.endswith(".json") else a
+                for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skewpoly: error: cannot read ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("data", [
         {"ring": "Qx", "vars": ["t"]},
         {"ring": "Qx", "vars": [dict(WEYL["vars"][0], name=5)]},

@@ -115,8 +115,10 @@ class TestMonicize:
         sub, g = monicize(f)
         assert sub.shifts == (QX.from_int(1),)
         assert sub.scale == QX.one()
-        # oracle: substitute y1 -> y1 + y2 and expand
-        assert g == f + weyl2.monomial((0, 2), QX.one())
+        # oracle: substitute y1 -> y1 + y2 and expand; g lives in the
+        # step's ring, where y1 stands for y1 - y2
+        assert g == g.ring.monomial((1, 1), QX.one()) + g.ring.monomial(
+            (0, 2), QX.one())
 
     def test_already_monic(self, weyl2):
         f = weyl2.monomial((0, 3), QX.one()) + weyl2.monomial((1, 0), QX.one())
@@ -130,8 +132,9 @@ class TestMonicize:
         sub, g = monicize(f)
         assert sub.shifts == (QX.from_int(1),)
         assert sub.scale == QX.from_coeffs(("1/2",))
-        # oracle: (1/2) * 2 (y1 + y2)^2 with trivial coefficient twists
-        s = weyl2.variable(0) + weyl2.variable(1)
+        # oracle: (1/2) * 2 (y1 + y2)^2 with trivial coefficient twists,
+        # expanded in the step's ring, where g lives
+        s = g.ring.variable(0) + g.ring.variable(1)
         assert g == s * s
 
     def test_middle_target(self, weyl3):
@@ -586,20 +589,43 @@ class TestOneCertifiedSubstitution:
 
     def test_readme_chain_work(self, chain_work):
         # as in a fresh process, loaded ring excluded: the two leading
-        # forms' evaluation rings, shared across calls, are built again.
-        # The reductions make no certification and their 4 products are
-        # the divisions' quo * rho
+        # forms' evaluation rings, shared across calls, are built again,
+        # the shifting first step builds its ring and the second step its
+        # prefix.  The reductions make no certification and their 4
+        # products are the divisions' quo * rho
         config, texts = CHAINS["readme"]
         ring = load_ring(ROOT / "configs" / config)
         relations = [parse_expr(t, ring) for t in texts]
         importlib.import_module("skewpoly.ore")._evaluation_ring.cache_clear()
         chain_work.update(products=0, certifications=0, rings=0)
         result = normalize(ring, relations)
-        assert chain_work == {"products": 28, "certifications": 5, "rings": 5}
+        assert chain_work == {"products": 28, "certifications": 5, "rings": 4}
         chain_work.update(products=0, certifications=0, rings=0)
         for f in relations:
             assert result.reduce(f).is_zero()
         assert chain_work == {"products": 4, "certifications": 0, "rings": 0}
+
+
+class TestOneRingPerStep:
+    """A step builds one ring, the one its g lives in, and only when it
+    shifts; the replay builds none."""
+
+    @pytest.mark.parametrize("text, rings", [("y1*y3 + y2", 1),
+                                             ("y3^2 + y1*y2", 0)],
+                             ids=["shifted", "unshifted"])
+    def test_monicize_and_step_rings(self, chain_work, text, rings):
+        ring = load_ring(ROOT / "configs" / "weyl3.json")
+        f = parse_expr(text, ring)
+        monicize(f)  # the leading form's evaluation ring is built once
+        chain_work["rings"] = 0
+        sub, g = monicize(f)
+        assert any(not u.is_zero() for u in sub.shifts) == bool(rings)
+        assert (g.ring is ring) == (not rings)
+        assert chain_work["rings"] == rings
+        chain_work["rings"] = 0
+        step = normalize_step(f)
+        assert chain_work["rings"] == rings
+        assert step.relation.ring == g.ring
 
 
 class TestOldestFirst:

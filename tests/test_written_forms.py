@@ -5,8 +5,10 @@
 draws its sample pool only for a law it samples.  Each is held here against
 the implementation it replaced, kept as the reference: rho as operator
 products, evaluation with a product by one at the start of every term and
-power chain, and tuple records over a pool drawn for every tuple.  A ring
-whose certificate failed is still refused, and a proved tuple draws no
+power chain, and tuple records over a pool drawn for every tuple.
+``monicize`` evaluates f straight into the step's ring; it is held to the
+route through a second ring whose result was read into the step's ring.  A
+ring whose certificate failed is still refused, and a proved tuple draws no
 pool.
 """
 
@@ -36,8 +38,8 @@ from skewpoly.maps import (
     lin_comb,
     sample_scalars,
 )
-from skewpoly.normalize import MonicRelation, _shift_variables
-from skewpoly.ore import OreRing, SkewPoly
+from skewpoly.normalize import MonicRelation, _shift_variables, monicize
+from skewpoly.ore import Flavor, OreRing, SkewPoly, reinterpret
 from skewpoly.scalars import HQ
 
 from conftest import random_poly
@@ -181,6 +183,47 @@ def test_evaluate_equals_the_reference(case, seed):
     value = evaluate(f, tup)
     assert value == reference_evaluate(f, tup)
     assert str(value) == str(reference_evaluate(f, tup))
+
+
+def reference_monicize(f: SkewPoly, target: int, shifts, scale) -> SkewPoly:
+    """The monicization by way of a second ring: f read in the ring whose
+    variables have (aut, der_i + u_i der_target), evaluated at
+    y_i + u_i y_target certified in f's ring, scaled, and the terms read in
+    the step's ring, where y_i has (aut, der_i - u_i der_target)."""
+    ring = f.ring
+    others = [i for i in range(ring.nvars) if i != target]
+    elements, variables = _shift_variables(ring, target,
+                                           dict(zip(others, shifts)))
+    plus = ring.with_variables(variables)
+    tup = certify_tuple(ring, elements, plus.twists())
+    g = evaluate(reinterpret(f, plus), tup).scale_left(scale)
+    _, variables = _shift_variables(
+        ring, target, {i: -u for i, u in zip(others, shifts)})
+    return reinterpret(g, ring.with_variables(variables))
+
+
+@settings(deadline=None)
+@given(path=st.sampled_from(RING_FILES), seed=st.integers(0, 2**32 - 1))
+def test_monicize_equals_the_old_route(path, seed):
+    ring = _ring(path, 0)
+    assume(ring.flavor is Flavor.COMMUTING and ring.certificate.ok
+           and len({v.aut for v in ring.variables}) == 1)
+    f = random_poly(ring, random.Random(seed), max_degree=2, max_terms=3,
+                    nonzero=True)
+    assume(f.total_degree() >= 1)
+    one = ring.domain.one()
+    for target in range(ring.nvars):
+        sub, g = monicize(f, target)
+        reference = reference_monicize(f, target, sub.shifts, sub.scale)
+        assert g.ring == reference.ring
+        assert g.terms == reference.terms
+        der_target = ring.variables[target].der
+        others = [i for i in range(ring.nvars) if i != target]
+        u = dict(zip(others, sub.shifts))
+        assert g.ring.twists() == tuple(
+            (v.aut, lin_comb([(one, v.der), (-u[i], der_target)],
+                             twist=v.aut) if i in u else v.der)
+            for i, v in enumerate(ring.variables))
 
 
 @pytest.fixture(scope="module")
