@@ -18,7 +18,6 @@ the ambient ring's ``samples``; only a sampled law draws it, with ``seed``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import CertificateFailed, RingMismatch, TwistMismatch
 from .maps import (
@@ -34,17 +33,17 @@ from .maps import (
     sample_scalars,
 )
 from .ore import OreRing, SkewPoly
+from .values import Record
 
 
-@dataclass(frozen=True, eq=False)
-class AutomorphicTuple:
+class AutomorphicTuple(Record):
     """Elements of an ambient ring with their claimed twists and the
     certificate that they behave like variables."""
 
-    ambient: OreRing
-    elements: tuple[SkewPoly, ...]
-    twists: tuple[tuple[RingMap, RingMap], ...]
-    certificate: Certificate
+    __slots__ = ("ambient", "elements", "twists", "certificate")
+
+    def __init__(self, ambient, elements, twists, certificate):
+        self._set(ambient, elements, twists, certificate)
 
     def __len__(self):
         return len(self.elements)

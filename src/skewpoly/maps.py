@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExhaustedCandidates, NotInF, UnsupportedRing
 from .scalars import RationalFunction, Scalar
+from .values import Value
 
 DEFAULT_SEED = 12345
 DEFAULT_SAMPLES = 64
 
 
-class RingMap:
-    """Base class; concrete maps are immutable dataclasses."""
+class RingMap(Value):
+    """Base class; concrete maps are immutable values."""
 
+    __slots__ = ()
     role = ""
 
     def __call__(self, r: Scalar) -> Scalar:
@@ -38,9 +39,6 @@ class RingMap:
         by the variable it belongs to."""
         raise NotImplementedError
 
-    def __repr__(self):
-        return self.describe()
-
 
 def _expect(r, cls, what):
     if not isinstance(r, cls):
@@ -51,8 +49,8 @@ def _expect(r, cls, what):
 # automorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class IdentityAut(RingMap):
+    __slots__ = ()
     role = "automorphism"
 
     def __call__(self, r):
@@ -65,22 +63,20 @@ class IdentityAut(RingMap):
         return {"kind": "identity"}
 
 
-@dataclass(frozen=True, slots=True)
 class InnerAut(RingMap):
     """Conjugation r -> c r c^-1 by a non-central witness c."""
 
-    c: Scalar
-    c_inv: Scalar = field(init=False, repr=False, compare=False)
+    __slots__ = ("c", "c_inv")
+    _fields = ("c",)
     role = "automorphism"
 
-    def __post_init__(self):
-        if self.c.is_zero():
+    def __init__(self, c: Scalar):
+        if c.is_zero():
             raise ValueError("inner automorphism needs a non-zero witness")
-        if self.c.is_central():
-            raise ValueError(
-                "central witness gives the identity; use inner_aut()"
-            )
-        object.__setattr__(self, "c_inv", self.c.inv())
+        if c.is_central():
+            raise ValueError("central witness gives the identity; "
+                             "use inner_aut()")
+        self._set(c, c.inv())
 
     def __call__(self, r):
         _expect(r, type(self.c), "this inner automorphism")
@@ -93,15 +89,14 @@ class InnerAut(RingMap):
         return {"kind": "inner_aut", "c": str(self.c)}
 
 
-@dataclass(frozen=True, slots=True)
 class QShiftAut(RingMap):
     """On Q(x): f(x) -> f(q*x) for a non-zero rational q != 1."""
 
-    q: Fraction
+    __slots__ = ("q",)
     role = "automorphism"
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, q: Fraction):
+        self._set(Fraction(q))
         if self.q == 0:
             raise ValueError("q-shift needs q != 0")
         if self.q == 1:
@@ -138,10 +133,12 @@ def q_shift(q) -> RingMap:
 # derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class ZeroDer(RingMap):
-    twist: RingMap = field(default_factory=IdentityAut)
+    __slots__ = ("twist",)
     role = "derivation"
+
+    def __init__(self, twist: RingMap = IdentityAut()):
+        self._set(twist)
 
     def __call__(self, r):
         return r.domain.zero()
@@ -153,10 +150,10 @@ class ZeroDer(RingMap):
         return {"kind": "zero"}
 
 
-@dataclass(frozen=True, slots=True)
 class DdxDer(RingMap):
     """d/dx on Q(x); an identity-twisted derivation."""
 
+    __slots__ = ()
     role = "derivation"
 
     @property
@@ -174,13 +171,14 @@ class DdxDer(RingMap):
         return {"kind": "ddx"}
 
 
-@dataclass(frozen=True, slots=True)
 class InnerDer(RingMap):
     """r -> c*r - twist(r)*c, a twist-derivation for any c."""
 
-    c: Scalar
-    twist: RingMap
+    __slots__ = ("c", "twist")
     role = "derivation"
+
+    def __init__(self, c: Scalar, twist: RingMap):
+        self._set(c, twist)
 
     def __call__(self, r):
         _expect(r, type(self.c), "this inner derivation")
@@ -193,17 +191,15 @@ class InnerDer(RingMap):
         return {"kind": "inner_der", "c": str(self.c)}
 
 
-@dataclass(frozen=True, slots=True)
 class QDiffDer(RingMap):
     """q-difference quotient f -> (f(qx) - f(x)) / (qx - x) on Q(x)."""
 
-    shift: QShiftAut
-    step_inv: RationalFunction = field(init=False, repr=False, compare=False)
+    __slots__ = ("shift", "step_inv")
+    _fields = ("shift",)
     role = "derivation"
 
-    def __post_init__(self):
-        step = RationalFunction.make((Fraction(0), self.shift.q - 1))
-        object.__setattr__(self, "step_inv", step.inv())
+    def __init__(self, shift: QShiftAut):
+        self._set(shift, RationalFunction.make((0, shift.q - 1)).inv())
 
     @property
     def twist(self):
@@ -220,24 +216,24 @@ class QDiffDer(RingMap):
         return {"kind": "q_diff"}
 
 
-@dataclass(frozen=True, slots=True)
 class LinComb(RingMap):
     """Sum of derivations scaled on the left by central twist-fixed scalars."""
 
-    terms: tuple[tuple[Scalar, RingMap], ...]
+    __slots__ = ("terms",)
     role = "derivation"
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[Scalar, RingMap], ...]):
+        if not terms:
             raise ValueError("empty combination; use lin_comb()")
-        twist = self.terms[0][1].twist
-        for coeff, der in self.terms:
+        twist = terms[0][1].twist
+        for coeff, der in terms:
             if der.role != "derivation":
                 raise ValueError(f"{der.describe()} is not a derivation")
             if der.twist != twist:
                 raise ValueError("combined derivations must share one twist")
             if not coeff.is_central() or twist(coeff) != coeff:
                 raise NotInF(f"coefficient {coeff} is not central and fixed")
+        self._set(terms)
 
     @property
     def twist(self):
@@ -322,8 +318,7 @@ def apply_power(m: RingMap, r: Scalar, k: int) -> Scalar:
 # sampling for every law the family does not prove
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CheckRecord:
+class CheckRecord(Value):
     """Outcome of one law check: sampled failures plus an analytic verdict.
 
     ``analytic`` is True when the constructor family certifies the law,
@@ -331,10 +326,10 @@ class CheckRecord:
     record with no samples passes only on an analytic proof.
     """
 
-    law: str
-    samples: int
-    failures: int
-    analytic: bool | None = None
+    __slots__ = ("law", "samples", "failures", "analytic")
+
+    def __init__(self, law, samples, failures, analytic=None):
+        self._set(law, samples, failures, analytic)
 
     @property
     def ok(self) -> bool:
@@ -350,15 +345,14 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(Value):
     """The law checks of a ring or a tuple; it passes when every one does."""
 
-    records: tuple[CheckRecord, ...]
-    ok: bool = field(init=False, repr=False, compare=False)  # frozen records
+    __slots__ = ("records", "ok")  # the verdict of the frozen records
+    _fields = ("records",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ok", all(r.ok for r in self.records))
+    def __init__(self, records: tuple[CheckRecord, ...]):
+        self._set(records, all(r.ok for r in records))
 
     def to_data(self) -> list:
         return [r.to_data() for r in self.records]

@@ -17,7 +17,6 @@ tool never searches for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice
 
 from .errors import (
@@ -28,15 +27,14 @@ from .errors import (
     SkewError,
     ZeroPolynomial,
 )
-from .evaluation import AutomorphicTuple, certify_tuple, evaluate
+from .evaluation import certify_tuple, evaluate
 from .maps import central_fixed_stream, lin_comb
 from .nullstellensatz import nonvanishing_points
 from .ore import Flavor, OreRing, SkewPoly, Variable, reinterpret
-from .scalars import Scalar
+from .values import Record, Value
 
 
-@dataclass(frozen=True, eq=False)
-class Substitution:
+class Substitution(Record):
     """The change of variables of one monicization.
 
     ``shifts`` holds u_k for the non-target variables in variable order;
@@ -44,10 +42,10 @@ class Substitution:
     h(u) recorded for audit.
     """
 
-    target: int
-    shifts: tuple[Scalar, ...]
-    scale: Scalar
-    leading_value: Scalar
+    __slots__ = ("target", "shifts", "scale", "leading_value")
+
+    def __init__(self, target, shifts, scale, leading_value):
+        self._set(target, shifts, scale, leading_value)
 
     def to_data(self, names) -> dict:
         return {
@@ -59,26 +57,23 @@ class Substitution:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class MonicRelation:
+class MonicRelation(Record):
     """t^m + eps_1 t^{m-1} + ... + eps_m = 0, leading coefficient exactly 1.
 
     The tails eps_j live in ``ring`` with zero degree in ``var``.
     """
 
-    ring: OreRing
-    var: int
-    degree: int
-    tails: tuple[SkewPoly, ...]
+    __slots__ = ("ring", "var", "degree", "tails")
 
-    def __post_init__(self):
-        if self.degree < 1 or len(self.tails) != self.degree:
+    def __init__(self, ring, var, degree, tails):
+        if degree < 1 or len(tails) != degree:
             raise ValueError("need exactly `degree` tail coefficients")
-        for t in self.tails:
-            if t.ring != self.ring:
+        for t in tails:
+            if t.ring != ring:
                 raise RingMismatch("tails must live in the relation's ring")
-            if t.degree_in(self.var) > 0:
+            if t.degree_in(var) > 0:
                 raise ValueError("tails must not involve the monic variable")
+        self._set(ring, var, degree, tails)
 
     @classmethod
     def read(cls, poly: SkewPoly, var: int) -> "MonicRelation":
@@ -117,11 +112,11 @@ class MonicRelation:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class PointSearch:
-    point: tuple[Scalar, ...]
-    value: Scalar
-    specializations: int
+class PointSearch(Value):
+    __slots__ = ("point", "value", "specializations")
+
+    def __init__(self, point, value, specializations):
+        self._set(point, value, specializations)
 
 
 def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
@@ -153,24 +148,24 @@ def _require_normalizable(ring: OreRing):
         )
 
 
-def _shift_variables(ring: OreRing, target: int, shifts: dict):
-    """The change of variables y_i -> y_i + u_i * y_target for each index i
-    of ``shifts`` (u_i = shifts[i] in F): the shifted elements of ``ring``
-    and the variables (aut_i, der_i + u_i * der_target) they behave like."""
-    one = ring.domain.one()
+def _shifted_elements(ring: OreRing, target: int, shifts: dict) -> list:
+    """Each y_i, plus u_i * y_target when u_i = shifts[i] (in F) is given."""
     y_target = ring.variable(target)
-    der_target = ring.variables[target].der
-    elements, variables = [], []
-    for i, v in enumerate(ring.variables):
-        if i in shifts:
-            u = shifts[i]
-            elements.append(ring.variable(i) + y_target.scale_left(u))
-            variables.append(Variable(v.name, v.aut, lin_comb(
-                [(one, v.der), (u, der_target)], twist=v.aut)))
-        else:
-            elements.append(ring.variable(i))
-            variables.append(v)
-    return elements, variables
+    return [ring.variable(i) + y_target.scale_left(shifts[i]) if i in shifts
+            else ring.variable(i) for i in range(ring.nvars)]
+
+
+def _shifted_variables(ring: OreRing, target: int, shifts: dict) -> list:
+    """The variables (aut_i, der_i + u_i * der_target) of the shifted y_i."""
+    one, der_target = ring.domain.one(), ring.variables[target].der
+    return [Variable(v.name, v.aut, lin_comb(
+        [(one, v.der), (shifts[i], der_target)], twist=v.aut))
+        if i in shifts else v for i, v in enumerate(ring.variables)]
+
+
+def _shift_variables(*args):
+    """Both halves, as the written-form oracles take them."""
+    return _shifted_elements(*args), _shifted_variables(*args)
 
 
 def monicize(f: SkewPoly,
@@ -202,11 +197,11 @@ def monicize(f: SkewPoly,
 
     others = [i for i in range(ring.nvars) if i != target]
     shifts = dict(zip(others, search.point))
-    _, variables = _shift_variables(
+    variables = _shifted_variables(
         ring, target, {i: -u for i, u in shifts.items()})
     step_ring = ring.with_variables(variables)
     step_ring._require_certificate("normalization")
-    elements, _ = _shift_variables(step_ring, target, shifts)
+    elements = _shifted_elements(step_ring, target, shifts)
     tup = certify_tuple(step_ring, elements, ring.twists())
     g = evaluate(f, tup).scale_left(scale)
 
@@ -216,13 +211,14 @@ def monicize(f: SkewPoly,
     return Substitution(target, search.point, scale, search.value), g
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizationStep:
+class NormalizationStep(Record):
     """One eliminated variable: the substitution and the monic relation the
     variable satisfies, in the ring of the step's (aut, der) tower."""
 
-    substitution: Substitution
-    relation: MonicRelation
+    __slots__ = ("substitution", "relation")
+
+    def __init__(self, substitution: Substitution, relation: MonicRelation):
+        self._set(substitution, relation)
 
     def to_data(self) -> dict:
         ring = self.relation.ring
@@ -250,7 +246,7 @@ def normalize_step(f: SkewPoly) -> NormalizationStep:
     target = ring.nvars - 1
     sub, g = monicize(f, target)
 
-    t_elements, _ = _shift_variables(
+    t_elements = _shifted_elements(
         ring, target, {i: -u for i, u in enumerate(sub.shifts)})
     relation = MonicRelation.read(g, target)
     replay_tup = certify_tuple(ring, t_elements, g.ring.twists())
@@ -284,18 +280,17 @@ def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly
     return q, r
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizationResult:
+class NormalizationResult(Record):
     """The replayable chain: one step per eliminated variable, the final
     presentation ring, the relations re-expressed in it, and ``images``, the
     certified tuple of the input variables' images (``None`` before shifts)."""
 
-    ring: OreRing
-    steps: tuple[NormalizationStep, ...]
-    presentation: OreRing
-    relations: tuple[MonicRelation, ...]
-    skipped: tuple[tuple[int, str], ...]
-    images: AutomorphicTuple | None = None
+    __slots__ = ("ring", "steps", "presentation", "relations", "skipped",
+                 "images")
+
+    def __init__(self, ring, steps, presentation, relations, skipped,
+                 images=None):
+        self._set(ring, steps, presentation, relations, skipped, images)
 
     @property
     def residual_variables(self) -> tuple[str, ...]:
@@ -354,7 +349,7 @@ class NormalizationResult:
             # to the order of LinComb terms, so the push claims
             # presentation's own; before the first shift presentation is
             # ring, so the push is the images tuple
-            push_elements, _ = _shift_variables(
+            push_elements = _shifted_elements(
                 new_presentation, active - 1, dict(enumerate(shifts)))
             push = certify_tuple(new_presentation, push_elements,
                                  presentation.twists())
@@ -370,8 +365,9 @@ class NormalizationResult:
         relations += (MonicRelation(new_presentation, new.var, new.degree,
                                     tuple(reinterpret(t, new_presentation)
                                           for t in new.tails)),)
-        return replace(self, steps=(*self.steps, step), images=images,
-                       presentation=new_presentation, relations=relations)
+        return NormalizationResult(self.ring, (*self.steps, step),
+                                   new_presentation, relations, self.skipped,
+                                   images)
 
 
 def normalize(ring: OreRing, relations) -> NormalizationResult:
@@ -388,8 +384,10 @@ def normalize(ring: OreRing, relations) -> NormalizationResult:
     for index, f in enumerate(relations):
         w = chain.reduce(f)
         if w.is_zero():
-            chain = replace(chain, skipped=(*chain.skipped, (
-                index, "vanished after substitution and reduction")))
+            skip = (index, "vanished after substitution and reduction")
+            chain = NormalizationResult(
+                ring, chain.steps, chain.presentation, chain.relations,
+                (*chain.skipped, skip), chain.images)
         else:
             chain = chain._eliminate(index, w)
     return chain

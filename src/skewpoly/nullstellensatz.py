@@ -15,8 +15,6 @@ at most |A_1| + ... + |A_n| specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     ArityMismatch,
     BoundViolated,
@@ -27,14 +25,16 @@ from .errors import (
 from .maps import IdentityAut, ZeroDer
 from .ore import SkewPoly
 from .scalars import Quaternion, Scalar, are_conjugate
+from .values import Value
 
 
-@dataclass(frozen=True, slots=True)
-class EvaluationSet:
+class EvaluationSet(Value):
     """An ordered candidate set with its pairwise non-conjugacy certificate."""
 
-    elements: tuple[Scalar, ...]
-    conjugate_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("elements", "conjugate_pairs")
+
+    def __init__(self, elements, conjugate_pairs):
+        self._set(elements, conjugate_pairs)
 
     @property
     def ok(self) -> bool:
@@ -114,11 +114,11 @@ def validate_sets(sets, degree: int) -> bool:
     return all(s.ok and len(s) > degree for s in sets)
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    point: tuple[Scalar, ...]
-    value: Scalar
-    scanned: int
+class Witness(Value):
+    __slots__ = ("point", "value", "scanned")
+
+    def __init__(self, point: tuple[Scalar, ...], value: Scalar, scanned: int):
+        self._set(point, value, scanned)
 
     def to_data(self) -> dict:
         return {
@@ -155,11 +155,11 @@ def cns_witness(f: SkewPoly, sets) -> Witness:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ConjugacyClass:
-    members: tuple[Scalar, ...]
-    trace: object
-    norm: object
+class ConjugacyClass(Value):
+    __slots__ = ("members", "trace", "norm")
+
+    def __init__(self, members: tuple[Scalar, ...], trace, norm):
+        self._set(members, trace, norm)
 
     def to_data(self) -> dict:
         return {
@@ -169,10 +169,11 @@ class ConjugacyClass:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ClassPartition:
-    degree: int
-    classes: tuple[ConjugacyClass, ...]
+class ClassPartition(Value):
+    __slots__ = ("degree", "classes")
+
+    def __init__(self, degree: int, classes: tuple[ConjugacyClass, ...]):
+        self._set(degree, classes)
 
     def to_data(self) -> dict:
         return {

@@ -46,7 +46,6 @@ arithmetic, and sympy's differential operators check Weyl products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -58,6 +57,7 @@ from .maps import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     Certificate,
+    CheckRecord,
     DdxDer,
     IdentityAut,
     RingMap,
@@ -67,6 +67,7 @@ from .maps import (
     derivation_record,
 )
 from .scalars import QX, RationalFunction, Scalar
+from .values import Value
 
 
 class Flavor(str, Enum):
@@ -74,11 +75,11 @@ class Flavor(str, Enum):
     COMMUTING = "commuting"
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
-    aut: RingMap
-    der: RingMap
+class Variable(Value):
+    __slots__ = ("name", "aut", "der")
+
+    def __init__(self, name: str, aut: RingMap, der: RingMap):
+        self._set(name, aut, der)
 
 
 def _certify(domain, variables, samples, seed) -> Certificate:
@@ -86,7 +87,8 @@ def _certify(domain, variables, samples, seed) -> Certificate:
     records = []
     for v in variables:
         rec = derivation_record(domain, v.aut, v.der, samples, seed)
-        records.append(replace(rec, law=f"leibniz({v.name})"))
+        records.append(CheckRecord(f"leibniz({v.name})", rec.samples,
+                                   rec.failures, rec.analytic))
     for i in range(len(variables)):
         for j in range(i + 1, len(variables)):
             a, b = variables[i], variables[j]

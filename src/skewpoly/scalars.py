@@ -31,11 +31,11 @@ computation is tagged with exactly one active ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DivisionByZero, VariantMismatch
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def _pstr(a, sign=1) -> str:
 # scalar variants
 # ---------------------------------------------------------------------------
 
-class Scalar:
+class Scalar(Value):
     """Common interface of the three scalar variants, each of which is also
     its own domain.  Values are immutable."""
 
@@ -223,14 +223,20 @@ class Scalar:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
 class Rational(Scalar):
-    value: Fraction
+    __slots__ = ("value",)
     name = "Q"
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        _set_value(self, value if isinstance(value, Fraction)
+                   else Fraction(value))
+
+    def __eq__(self, other):
+        return (self.value == other.value if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.value,))
 
     @classmethod
     def from_fraction(cls, q):
@@ -292,17 +298,27 @@ def _reduced(n, d) -> "RationalFunction":
     return _qx(n, d)
 
 
-@dataclass(frozen=True, slots=True)
 class RationalFunction(Scalar):
     """Element of Q(x): ``ints_num/ints_den``, integer coefficients lowest
     degree first, coprime, jointly primitive, with a positive leading
     denominator coefficient.  ``num`` and ``den`` give the same fraction
     over Q with a monic denominator."""
 
-    ints_num: tuple[int, ...]
-    ints_den: tuple[int, ...]
+    __slots__ = ("ints_num", "ints_den")
     name = "Qx"
     units = {"x": 1}
+
+    def __init__(self, ints_num: tuple[int, ...], ints_den: tuple[int, ...]):
+        _set_num(self, ints_num)
+        _set_den(self, ints_den)
+
+    def __eq__(self, other):
+        return (self.ints_num == other.ints_num
+                and self.ints_den == other.ints_den
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.ints_num, self.ints_den))
 
     @classmethod
     def from_int(cls, n):
@@ -441,18 +457,26 @@ def _hq(a, b, c, d, m) -> "Quaternion":
     return Quaternion((a, b, c, d), m)
 
 
-@dataclass(frozen=True, slots=True)
 class Quaternion(Scalar):
     """Element of the (-1,-1 / Q) quaternion division algebra:
     ``(a + b i + c j + d k)/den`` with ``ints = (a, b, c, d)``, the five
     integers jointly primitive and ``den > 0``.  ``w``, ``x``, ``y`` and
     ``z`` give the four coordinates as ``Fraction``s."""
 
-    ints: tuple[int, int, int, int]
-    den: int
-
+    __slots__ = ("ints", "den")
     name = "HQ"
     units = {"i": 1, "j": 2, "k": 3}
+
+    def __init__(self, ints: tuple[int, int, int, int], den: int):
+        _set_ints(self, ints)
+        _set_hq_den(self, den)
+
+    def __eq__(self, other):
+        return (self.ints == other.ints and self.den == other.den
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.ints, self.den))
 
     w = property(lambda self: Fraction(self.ints[0], self.den))
     x = property(lambda self: Fraction(self.ints[1], self.den))
@@ -554,6 +578,8 @@ class Quaternion(Scalar):
 
 
 Q, QX, HQ = Rational, RationalFunction, Quaternion
+_set_value, _set_num, _set_den, _set_ints, _set_hq_den = (  # bound setters
+    s.__set__ for s in (Q.value, QX.ints_num, QX.ints_den, HQ.ints, HQ.den))
 DOMAINS = {d.name: d for d in (Q, QX, HQ)}
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import pathlib
 import shlex
 import shutil
@@ -590,3 +591,16 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "x*t + 1\n"
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # the value classes are plain __slots__ classes, so a cold import of
+    # the CLI, without site-packages, runs no generated code
+    code = ("import sys, skewpoly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -605,6 +605,23 @@ class TestOneCertifiedSubstitution:
             assert result.reduce(f).is_zero()
         assert chain_work == {"products": 4, "certifications": 0, "rings": 0}
 
+    def test_readme_chain_combines_derivations_once_per_shift(self,
+                                                              monkeypatch):
+        # only the step's ring needs the shifted variables' derivations: the
+        # elements of its tuple, the replay and the push need none.  The
+        # README chain's shifting step has two non-target variables, and
+        # the second step one
+        module = importlib.import_module("skewpoly.normalize")
+        calls = []
+        original = module.lin_comb
+        monkeypatch.setattr(module, "lin_comb",
+                            lambda *args, **kwargs: calls.append(args)
+                            or original(*args, **kwargs))
+        config, texts = CHAINS["readme"]
+        ring = load_ring(ROOT / "configs" / config)
+        normalize(ring, [parse_expr(t, ring) for t in texts])
+        assert len(calls) == 3
+
 
 class TestOneRingPerStep:
     """A step builds one ring, the one its g lives in, and only when it
