@@ -5,13 +5,18 @@ Every subcommand loads the ring from ``--ring`` with the ``--samples`` and
 library operation and prints either a human-readable text report or a JSON
 document with stable key order.
 Exit codes: 0 success, 1 domain errors, 2 usage/parse/configuration errors.
+
+Arguments are read against one table, ``_COMMANDS``, as argparse read them
+but for option prefixes (``--rel`` is unknown): a "-"-led token is a
+positional if it is "-", a negative number or has a space, and the first
+"--" ends the options.  A usage error exits 2 with one stderr line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .config import load_ring
 from .errors import ConfigError, ParseError, SkewError, UnknownVariable
@@ -27,98 +32,6 @@ from .nullstellensatz import (
 from .parser import parse_expr, parse_scalar
 
 PROG = "skewpoly"
-
-
-def positive_int(text: str) -> int:
-    """A sample count: zero samples would certify any claim vacuously."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", required=True, metavar="PATH",
-                        help="ring configuration file (JSON)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for sampled certificates")
-    common.add_argument("--samples", type=positive_int,
-                        default=DEFAULT_SAMPLES,
-                        help="sample count for sampled certificates (>= 1)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--output", metavar="PATH",
-                        help="write the report here instead of stdout")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="exact skew polynomial arithmetic, evaluation, "
-                    "Nullstellensatz witness search and normalization",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common()]
-
-    p = sub.add_parser("normalform", parents=common,
-                       help="normal form of an expression")
-    p.add_argument("expr")
-
-    p = sub.add_parser("multiply", parents=common,
-                       help="product of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("evaluate", parents=common,
-                       help="evaluation homomorphism at an automorphic tuple")
-    p.add_argument("expr")
-    p.add_argument("--at", action="append", required=True, metavar="ELEM",
-                   help="tuple element (one per variable, in order)")
-
-    p = sub.add_parser("mix", parents=common,
-                       help="mix the tower derivations (and elements) with "
-                            "central fixed coefficients")
-    p.add_argument("--coeff", action="append", required=True, metavar="C",
-                   help="mixing coefficient (one per variable except the last)")
-    p.add_argument("elements", nargs="*",
-                   help="optional automorphic elements to mix alongside")
-
-    p = sub.add_parser("monicize", parents=common,
-                       help="monic form of a relation in the target variable")
-    p.add_argument("expr")
-    p.add_argument("--target", metavar="NAME",
-                   help="variable to make monic (default: last)")
-
-    p = sub.add_parser("cns-search", parents=common,
-                       help="first non-vanishing point over the product of "
-                            "the evaluation sets")
-    p.add_argument("expr")
-    p.add_argument("--sets", required=True, metavar="PATH",
-                   help="one set per line, elements comma-separated")
-
-    p = sub.add_parser("gm-check", parents=common,
-                       help="verify roots and partition them into conjugacy "
-                            "classes")
-    p.add_argument("expr")
-    p.add_argument("--roots", required=True, metavar="LIST",
-                   help="comma-separated root scalars")
-
-    p = sub.add_parser("normalize", parents=common,
-                       help="run the normalization chain over witness "
-                            "relations")
-    p.add_argument("--relations", required=True, metavar="PATH",
-                   help="one relation expression per line")
-
-    p = sub.add_parser("reduce", parents=common,
-                       help="reduce an element by a monic relation")
-    p.add_argument("expr")
-    p.add_argument("--relation", required=True, metavar="EXPR",
-                   help="the monic relation polynomial")
-    p.add_argument("--var", required=True, metavar="NAME",
-                   help="the relation's monic variable")
-
-    return parser
 
 
 def _read_lines(path) -> list[str]:
@@ -293,17 +206,110 @@ def _run_reduce(ring, args):
     return [str(remainder)], data
 
 
-_HANDLERS = {
-    "normalform": _run_normalform,
-    "multiply": _run_multiply,
-    "evaluate": _run_evaluate,
-    "mix": _run_mix,
-    "monicize": _run_monicize,
-    "cns-search": _run_cns_search,
-    "gm-check": _run_gm_check,
-    "normalize": _run_normalize,
-    "reduce": _run_reduce,
+# -- the command line: one table, and a reader that walks argv against it --
+
+# Each command's arguments, written as its usage: "[...]" is optional, "..."
+# repeats and gives a list (any other option its last value), and "--name
+# METAVAR" is an option, any other word a positional.  INT and COUNT (>= 1)
+# values are integers; "a|b" lists the choices.  _COMMON comes first.
+_COMMON = ("--ring PATH [--seed INT] [--samples COUNT] [--format text|json]"
+           " [--output PATH]")
+_DEFAULTS = {"--seed": DEFAULT_SEED, "--samples": DEFAULT_SAMPLES,
+             "--format": "text"}
+_COMMANDS = {  # name: (handler, arguments after _COMMON, help)
+    "normalform": (_run_normalform, "EXPR", "normal form of an expression"),
+    "multiply": (_run_multiply, "LEFT RIGHT", "product of two expressions"),
+    "evaluate": (_run_evaluate, "--at ELEM... EXPR",
+                 "evaluation homomorphism at an automorphic tuple"),
+    "mix": (_run_mix, "--coeff C... [ELEMENTS...]", "mix the tower "
+            "derivations (and elements) with central fixed coefficients"),
+    "monicize": (_run_monicize, "[--target NAME] EXPR",
+                 "monic form of a relation in the target variable"),
+    "cns-search": (_run_cns_search, "--sets PATH EXPR", "first non-vanishing"
+                   " point over the product of the evaluation sets"),
+    "gm-check": (_run_gm_check, "--roots LIST EXPR",
+                 "verify roots and partition them into conjugacy classes"),
+    "normalize": (_run_normalize, "--relations PATH",
+                  "run the normalization chain over witness relations"),
+    "reduce": (_run_reduce, "--relation EXPR --var NAME EXPR",
+               "reduce an element by a monic relation"),
 }
+
+
+def _usage_error(message):
+    print(f"{PROG}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command):
+    """Print the usage of every command, or of one, from the table; exit 0."""
+    for name, (_, usage, text) in _COMMANDS.items():
+        if command in (None, name):
+            print(f"usage: {PROG} {name} [-h] {_COMMON} {usage}\n  {text}")
+    raise SystemExit(0)
+
+
+def _positional(token, options):
+    """Whether a token is a positional, by the module docstring's rules."""
+    number = token[1:].replace(".", "", 1)  # -1, -.5 or -1.5
+    return token[:1] != "-" or token == "-" or (
+        " " in token or number.isdecimal() and token[-1] != "."
+    ) and token.partition("=")[0] not in options
+
+
+def _read_args(argv):
+    """The command and its values, read from argv against the table."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help(None)
+    if not argv or argv[0] not in _COMMANDS:
+        _usage_error(f"unknown command {argv[0]!r}" if argv else "no command")
+    usage, positionals = {}, []
+    words = iter(f"{_COMMON} {_COMMANDS[argv[0]][1]}".split())
+    for word in words:
+        if word.lstrip("[").startswith("--"):
+            usage[word.lstrip("[")] = f"{word} {next(words)}"
+        else:
+            positionals.append(word)
+    options, found, tokens = {name: [] for name in usage}, [], iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "--":  # the first "--" ends the options
+            found += tokens
+        elif token in ("-h", "--help"):
+            _help(argv[0])
+        elif _positional(token, options):
+            found.append(token)
+        elif name not in options:
+            _usage_error(f"unknown option {token!r}")
+        elif eq or _positional(value := next(tokens, "--"), options):
+            options[name].append(value)
+        else:
+            _usage_error(f"argument {name}: expected a value")
+    fixed = [p for p in positionals if p[0] != "["]
+    missing = [name for name, values in options.items()
+               if not values and usage[name][0] != "["] + fixed[len(found):]
+    if missing:
+        _usage_error(f"missing {', '.join(missing)}")
+    if fixed == positionals and len(found) > len(fixed):
+        _usage_error(f"unexpected argument {found[len(fixed)]!r}")
+    args = {p.strip("[.]").lower(): found[len(fixed):]
+            for p in positionals[len(fixed):]}
+    args.update((p.lower(), value) for p, value in zip(fixed, found))
+    for name, values in options.items():
+        kind = usage[name].split()[1].strip("[].")
+        for i, value in enumerate(values):
+            if "|" in kind and value not in kind.split("|"):
+                _usage_error(f"argument {name}: {value!r} is not {kind}")
+            if kind in ("INT", "COUNT"):
+                try:
+                    values[i] = int(value)
+                except ValueError:
+                    _usage_error(f"argument {name}: {value!r} is no integer")
+                if kind == "COUNT" and values[i] < 1:  # a vacuous pass
+                    _usage_error(f"argument {name}: must be at least 1")
+        args[name[2:]] = (values if usage[name].endswith("...") else
+                          values[-1] if values else _DEFAULTS.get(name))
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def _emit(text: str, output):
@@ -318,10 +324,10 @@ def _emit(text: str, output):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else list(argv))
     try:
         ring = load_ring(args.ring, samples=args.samples, seed=args.seed)
-        lines, data = _HANDLERS[args.command](ring, args)
+        lines, data = _COMMANDS[args.command][0](ring, args)
         if args.format == "json":  # the command's name leads the data
             _emit(json.dumps({"command": args.command, **data}, indent=2)
                   + "\n", args.output)

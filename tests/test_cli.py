@@ -1,6 +1,10 @@
 """Command front-end: configs, subcommands, formats, exit codes."""
 
+import argparse
+import contextlib
+import functools
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -10,11 +14,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
+from skewpoly import cli
 from skewpoly.cli import main
 from skewpoly.config import load_ring, ring_from_data, ring_to_data
 from skewpoly.errors import ConfigError
 from skewpoly.evaluation import mix_derivations
+from skewpoly.maps import DEFAULT_SAMPLES, DEFAULT_SEED
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -306,7 +314,8 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["normal_form"] == "-t"
 
     def test_leading_minus_after_double_dash_is_0(self, capsys):
-        # without "--" argparse reads "-t" as an option (README grammar)
+        # without "--" the command line reads "-t" as an option (README
+        # grammar)
         assert main(["normalform", "--ring", str(ROOT / "configs/weyl.json"),
                      "--", "-t"]) == 0
         assert capsys.readouterr().out == "-t\n"
@@ -595,12 +604,221 @@ def test_module_entry_point(tmp_path):
 
 def test_cold_import_loads_no_dataclasses_or_inspect():
     # the value classes are plain __slots__ classes, so a cold import of
-    # the CLI, without site-packages, runs no generated code
-    code = ("import sys, skewpoly.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # the CLI, without site-packages, runs no generated code; the argv
+    # reader walks a table, so neither argparse nor its gettext is loaded
+    code = ("import sys, skewpoly.cli; print(sorted({'dataclasses', "
+            "'inspect', 'argparse', 'gettext'} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _parsed(parse, argv):
+    """The values a parser reads from argv, or its exit code."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@functools.lru_cache(maxsize=None)
+def _argparse_from_table():
+    """The oracle: an argparse parser built from the CLI's table, with
+    prefixes of long options switched off as the reader has them."""
+    def count(text):
+        if int(text) < 1:
+            raise ValueError(text)
+        return int(text)
+
+    parser = argparse.ArgumentParser(prog="skewpoly", allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, usage, _) in cli._COMMANDS.items():
+        sub = commands.add_parser(name, allow_abbrev=False)
+        words = iter(f"{cli._COMMON} {usage}".split())
+        for word in words:
+            if not word.lstrip("[").startswith("--"):
+                sub.add_argument(word.strip("[.]").lower(),
+                                 nargs="*" if word[0] == "[" else None)
+                continue
+            option, metavar = word.lstrip("["), next(words).rstrip("]")
+            kind = metavar.rstrip(".")
+            checks = ({"type": int} if kind == "INT" else
+                      {"type": count} if kind == "COUNT" else
+                      {"choices": kind.split("|")} if "|" in kind else {})
+            sub.add_argument(option, required=word[0] != "[",
+                             default=cli._DEFAULTS.get(option),
+                             action="append" if metavar.endswith("...")
+                             else "store", **checks)
+    return parser
+
+
+# Tokens for positionals and option values.  _QUIET ones read as
+# positionals: expressions, "-", negative numbers, and "-"-led texts with a
+# space.  _LOUD ones read as options: "-"-led tokens without a space,
+# unknown options, an option's prefix and an option given its value.  None
+# starts with "-h", which argparse reads as -h with an attached value.
+_QUIET = ["t", "t+1", "x*t", "i, j", "0", "7", "text", "", "-", "-1", "-12",
+          "-.5", "-1.5", "-1*t1*t1 + 3*t2", "-2*t + t^2", "-x y",
+          "--bogus=a b"]
+_LOUD = ["-t", "-zz", "-1*t", "--bogus", "--rel", "--form", "--ring=a b"]
+_CHECKED = {"--seed": (["3", "-3", " 7"], ["abc", "1.5"]),
+            "--samples": (["5", "1"], ["0", "-1", "x"]),
+            "--format": (["text", "json"], ["xml", ""])}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one command: its options, as "--name value" or
+    "--name=value", and its positionals, shuffled, maybe with one "--"
+    before a positional after the last option, and after it positionals
+    that would read as options.  At most one kind of noise is added: an
+    invalid value, a missing required option, a positional too few or too
+    many, a token that reads as an option, a "--" before options, or a
+    trailing option with no value.  mix's positionals stay together, as
+    argparse refuses a list of them split by options, and argparse (3.11)
+    refuses a "--" that no positional follows, so none is drawn."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from([[], ["bogus", "t"], ["--ring", "t"]]))
+    noise = draw(st.sampled_from([None, None, "value", "missing", "count",
+                                  "token", "dashes", "trailing"]))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    words = iter(f"{cli._COMMON} {cli._COMMANDS[command][1]}".split())
+    units, names, wanted = [], [], 0  # units: (whether an option, tokens)
+    for word in words:
+        if not word.lstrip("[").startswith("--"):
+            wanted += word[0] != "["
+            continue
+        name = word.lstrip("[")
+        names.append(name)
+        next(words)
+        required = word[0] != "[" and noise != "missing"
+        for _ in range(draw(st.sampled_from([0, 1, 2][required:]))):
+            good, bad = _CHECKED.get(name, (_QUIET, _LOUD))
+            value = draw(st.sampled_from(good + bad * (noise == "value")))
+            units.append((True, [f"{name}={value}"] if draw(st.booleans())
+                          else [name, value]))
+    if noise == "count":
+        wanted += draw(st.sampled_from([1, -1] if wanted else [1]))
+    positionals = [draw(st.sampled_from(_QUIET)) for _ in range(
+        draw(st.integers(0, 3)) if command == "mix" else wanted)]
+    if noise == "token":
+        positionals.insert(draw(st.integers(0, len(positionals))),
+                           draw(st.sampled_from(_LOUD)))
+    units += ([(False, positionals)] if command == "mix" else
+              [(False, [p]) for p in positionals])
+    units = draw(st.permutations(units))
+    first = 0 if noise == "dashes" else max(
+        [i + 1 for i, (option, _) in enumerate(units) if option], default=0)
+    cut = draw(st.sampled_from([None] + [
+        i for i, (option, _) in enumerate(units) if i >= first and not option]))
+    if cut is not None:
+        for option, unit in units[cut:]:
+            if not option:
+                unit[:] = [draw(st.sampled_from(_QUIET + _LOUD)) for _ in unit]
+        units.insert(cut, (False, ["--"]))
+    argv = [command] + [token for _, unit in units for token in unit]
+    if noise == "trailing":
+        argv.append(draw(st.sampled_from(names)))
+    return argv
+
+
+class TestArgvReader:
+    """The table-driven argv reader: one-line usage errors, help from the
+    table, and argparse's reading rules, held to argparse itself."""
+
+    CONFIGS = {"{weyl}": str(ROOT / "configs" / "weyl.json"),
+               "{rels}": str(ROOT / "configs" / "example_relations.txt")}
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no command"),
+        (["normalfrom", "t"], "unknown command 'normalfrom'"),
+        (["normalform", "--ring", "{weyl}", "--bogus", "t"],
+         "unknown option '--bogus'"),
+        (["normalize", "--ring", "{weyl}", "--rel", "{rels}"],
+         "unknown option '--rel'"),
+        (["normalform", "t"], "missing --ring"),
+        (["normalform", "--ring", "{weyl}"], "missing EXPR"),
+        (["multiply", "--ring", "{weyl}", "t", "t", "x"],
+         "unexpected argument 'x'"),
+        (["normalform", "--ring", "{weyl}", "t", "--format"],
+         "argument --format: expected a value"),
+        (["normalform", "--ring", "--format", "json", "t"],
+         "argument --ring: expected a value"),
+        (["normalform", "--ring", "{weyl}", "--samples", "0", "t"],
+         "argument --samples: must be at least 1"),
+        (["normalform", "--ring", "{weyl}", "--samples=-1", "t"],
+         "argument --samples: must be at least 1"),
+        (["normalform", "--ring", "{weyl}", "--format", "xml", "t"],
+         "argument --format: 'xml' is not text|json"),
+        (["normalform", "--ring", "{weyl}", "--seed", "abc", "t"],
+         "argument --seed: 'abc' is no integer"),
+    ], ids=["no-arguments", "unknown-command", "unknown-option",
+            "option-prefix", "missing-option", "missing-positional",
+            "extra-positional", "missing-value", "value-is-an-option",
+            "samples-0", "samples=-1", "format-xml", "seed-abc"])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main([self.CONFIGS.get(a, a) for a in argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"skewpoly: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["evaluate", "--at", "t", "-x y", "--ring=r", "--at=-1"],
+         {"at": ["t", "-1"], "expr": "-x y", "ring": "r"}),
+        (["normalform", "--format", "json", "--ring", "r", "--format=text",
+          "--seed", "-3", "-"], {"format": "text", "seed": -3, "expr": "-"}),
+        (["multiply", "--ring", "-", "-.5", "--", "-t"],
+         {"ring": "-", "left": "-.5", "right": "-t"}),
+        (["mix", "--coeff", "3", "--ring", "r"],
+         {"coeff": ["3"], "elements": [], "seed": DEFAULT_SEED,
+          "samples": DEFAULT_SAMPLES, "output": None}),
+    ], ids=["repeated", "last-wins", "dashes", "defaults"])
+    def test_reads(self, argv, expected):
+        args = vars(cli._read_args(argv))
+        assert {name: args[name] for name in expected} == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["monicize", "--ring", "configs/weyl2.json", "-1*t1*t1 + 3*t2"],
+        ["evaluate", "--ring", "configs/weyl.json", "-2*t + t^2",
+         "--at", "t+1"],
+    ], ids=["monicize", "evaluate"])
+    def test_leading_minus_with_a_space_is_an_expression(
+            self, monkeypatch, capsys, argv):
+        # the seeded cli_cold variants pass such expressions without "--"
+        monkeypatch.chdir(ROOT)
+        command, ring, path, expr, *rest = argv
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([command, ring, path, *rest, "--", expr]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.strip()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                      ["normalize", "-h"]])
+    def test_help_prints_the_table(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        shown = [argv[0]] if argv[0] in cli._COMMANDS else cli._COMMANDS
+        for name, (_, usage, text) in cli._COMMANDS.items():
+            entry = (f"usage: skewpoly {name} [-h] {cli._COMMON} {usage}\n"
+                     f"  {text}\n")
+            assert (entry in out) == (name in shown), name
+        assert len(out.splitlines()) == 2 * len(shown)
+
+    @given(_argvs())
+    def test_reads_as_argparse(self, argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            expected = _parsed(_argparse_from_table().parse_args, argv)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert _parsed(cli._read_args, argv) == expected
+        event("read" if expected != 2 else "usage error")
+        if expected == 2:
+            assert err.getvalue().startswith("skewpoly: error: ")
+            assert err.getvalue().count("\n") == 1
