@@ -163,11 +163,6 @@ def _shifted_variables(ring: OreRing, target: int, shifts: dict) -> list:
         if i in shifts else v for i, v in enumerate(ring.variables)]
 
 
-def _shift_variables(*args):
-    """Both halves, as the written-form oracles take them."""
-    return _shifted_elements(*args), _shifted_variables(*args)
-
-
 def monicize(f: SkewPoly,
              target: int | None = None) -> tuple[Substitution, SkewPoly]:
     """Monic-in-``target`` form of a non-zero relation.

@@ -10,14 +10,15 @@ sparse map from exponent vectors to non-zero coefficients.  Degrees are
 integers; the zero polynomial has degree -1.
 
 Multiplication distributes the right factor's monomials through the left
-one, commuting scalars variable by variable.  Each product builds one
-private power table (``_PowerTable``) so that every ``t_i^k * r`` it needs
-is stepped once, however many left terms ask for it: a variable twisted by
-the identity reads ``t^k * r = sum_j C(k, j) der^j(r) t^(k-j)`` off a
-derivative list of r, and any other variable extends the last stored
-power of r by one single step (aut, der).  The test suite checks both
-paths against a literal single-step recurrence that shares no code with
-this module, and Weyl products against sympy's differential operators.
+one, commuting scalars variable by variable through a power table
+(``_PowerTable``) with three rules beside ``t^k * r = r t^k`` for (id, 0):
+over Q(x) an identity-twisted variable reads ``t^k * r = sum_j C(k, j)
+der^j(r) t^(k-j)`` off a derivative list of r; over H(Q) every variable
+reads ``t^k * r = sum_b r_b (t^k * e_b)`` off integer matrices kept on the
+ring, O(k^2) entries per variable in the largest k used (``_basis_power``);
+any other variable extends the last power of r by one single step (aut,
+der).  The tests check every rule against a literal single-step recurrence
+that shares no code with this module, and Weyl products against sympy.
 
 A product gathers its terms ``m * a * c`` (left coefficient a, table
 scalar c, integer m) and sums them per exponent vector.  When every a and
@@ -49,7 +50,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import add, mul
 
 from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
@@ -66,7 +67,7 @@ from .maps import (
     commutation_record,
     derivation_record,
 )
-from .scalars import QX, RationalFunction, Scalar
+from .scalars import HQ, QX, RationalFunction, Scalar, _hq
 from .values import Value
 
 
@@ -132,6 +133,7 @@ class OreRing:
                         isinstance(v.aut, IdentityAut)
                         and isinstance(v.der, (DdxDer, ZeroDer)) for v in vs)
                     else None)
+        self.basis_powers: dict = {}  # filled by ``_basis_power``
 
     # -- structure -----------------------------------------------------
 
@@ -234,16 +236,15 @@ class OreRing:
 
 
 class _PowerTable:
-    """The powers ``t_i^k * r`` met during one product, each computed once.
+    """The powers ``t_i^k * r`` met during one product.
 
-    Rows are keyed on (variable index, scalar).  A variable twisted by the
-    identity keeps the derivative list r, der(r), der^2(r), ... (ended by
-    its first zero; none for the zero derivation, where ``t^k * r = r t^k``)
-    and reads ``t^k * r`` off the Leibniz closed form
-    ``sum_j C(k, j) der^j(r) t^(k-j)``, which needs only additivity of the
-    derivation.  Any other variable keeps the normal forms of t^0 * r,
-    t^1 * r, ..., each one single step (aut, der) from the last.  A table
-    lives for one call and keeps nothing but its rows.
+    (id, 0) keeps nothing, and over H(Q) every other variable reads the
+    ring's basis table.  Elsewhere rows keyed on (variable index, scalar)
+    live for one product: an identity-twisted variable keeps the derivative
+    list r, der(r), der^2(r), ... (ended by its first zero) for the Leibniz
+    form, which needs only additivity of the derivation; any other variable
+    keeps t^0 * r, t^1 * r, ..., each one single step (aut, der) from the
+    last.
     """
 
     __slots__ = ("ring", "rows")
@@ -257,6 +258,17 @@ class _PowerTable:
         var = self.ring.variables[i]
         if isinstance(var.aut, IdentityAut) and isinstance(var.der, ZeroDer):
             return [(k, 1, r)]  # the j = 0 term alone; no row to keep
+        if self.ring.domain is HQ:
+            a, b, c, d = r.ints
+            out = []
+            for p, den, (m0, m1, m2, m3) in _basis_power(self.ring, i, k):
+                n0 = m0[0] * a + m0[1] * b + m0[2] * c + m0[3] * d
+                n1 = m1[0] * a + m1[1] * b + m1[2] * c + m1[3] * d
+                n2 = m2[0] * a + m2[1] * b + m2[2] * c + m2[3] * d
+                n3 = m3[0] * a + m3[1] * b + m3[2] * c + m3[3] * d
+                if n0 or n1 or n2 or n3:
+                    out.append((p, 1, _hq(n0, n1, n2, n3, den * r.den)))
+            return out
         row = self.rows.get((i, r))
         if isinstance(var.aut, IdentityAut):
             if row is None:
@@ -299,6 +311,33 @@ def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
         if not down.is_zero():
             nxt[p] = nxt[p] + down if p in nxt else down
     return {p: c for p, c in nxt.items() if not c.is_zero()}
+
+
+def _basis_power(ring: OreRing, i: int, k: int) -> list:
+    """t_i^k * e_b, e_b = 1, i, j, k, as (p, den, M) in falling p: column b
+    of the integer 4x4 matrix M (a tuple of rows) over den is the t^p
+    coefficient.  Every twist over H(Q) is Q-linear and fixes Q, so that of
+    t_i^k * r is M r.ints / (den r.den).  ``ring.basis_powers[i]`` keeps
+    the matrices and the last basis rows, each stepped once per ring."""
+    entry = ring.basis_powers.get(i)
+    if entry is None:
+        entry = ring.basis_powers[i] = [[], [{0: u()} for u in (
+            HQ.one, HQ.i, HQ.j, HQ.k)]]
+    table = entry[0]
+    while len(table) <= k:
+        var, zero = ring.variables[i], HQ.zero()
+        if table:
+            entry[1] = [_single_step(var.aut, var.der, row)
+                        for row in entry[1]]
+        powers = []
+        for p in sorted(set().union(*entry[1]), reverse=True):
+            cols = [row.get(p, zero) for row in entry[1]]
+            den = lcm(*(c.den for c in cols))
+            powers.append((p, den, tuple(
+                tuple(c.ints[a] * (den // c.den) for c in cols)
+                for a in range(4))))
+        table.append(powers)
+    return table[k]
 
 
 def _scalar_sum(terms, table: _PowerTable) -> dict:

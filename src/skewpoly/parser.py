@@ -43,24 +43,26 @@ with k >= 2 first checks the ring's certificate, shortcut or not.
 
 Where no literal unit (``x`` over Q(x); ``i``, ``j``, ``k`` over the
 quaternions) is a ring variable and the certificate holds, a parenthesized
-integer combination of the units such as ``(3*x^2 - x + 2)`` or
-``(2 + i - 3*k)``, and a whole ``parse_scalar`` text such as ``-3*i + k``,
-is read straight into one coefficient (``_Parser.literal``), with no term
-dicts or scalar products.  Any other token, an exponent above
+rational combination of the units such as ``(3*x^2 - 1/2*x + 2)``, and a
+whole ``parse_scalar`` text such as ``-3*i + 2/13*k``, is read straight
+into one coefficient (``_Parser.literal``), with no term dicts or scalar
+products.  Any other token, a zero denominator, an exponent above
 ``MAX_EXPONENT`` or a literal too long to convert leaves the position where
 it was, and the general path then gives the same value or error; a ``(``
 past ``MAX_DEPTH`` is refused before the lane is tried.  The tests in
 ``tests/test_parser.py`` run the parser with the lane off as its oracle,
-and check the value against integer arithmetic on the monomials.
+and check the value against ``Fraction`` arithmetic on the monomials.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 
 from .errors import ParseError, UnknownScalarLiteral, UnknownVariable
 from .ore import OreRing, SkewPoly, evaluation_context
-from .scalars import DOMAINS, Quaternion, RationalFunction, Scalar
+from .scalars import (DOMAINS, Quaternion, RationalFunction, Scalar, _hq,
+                      _reduced)
 
 # every domain's literal units
 _LITERALS = {u for domain in DOMAINS.values() for u in domain.units}
@@ -238,26 +240,37 @@ class _Parser:
                   if text else "unexpected end of input")
 
     def literal(self, pos: int, close: str) -> Scalar | None:
-        """The integer combination of the domain's units written from
+        """The rational combination of the domain's units written from
         ``pos`` to the token ``close`` as ``['-'] mono (('+' | '-') mono)*``,
-        with ``mono := NUM ['*' UNIT] | UNIT`` and, over Q(x), ``'^' NUM``
-        after the unit, read into one coefficient, and ``self.pos`` moved
-        past ``close``.  On any other token, an exponent above
-        ``MAX_EXPONENT`` or a literal too long for ``int``, None with
-        ``self.pos`` unchanged: the general path then gives the same value
-        or error."""
+        with ``mono := NUM ['/' NUM] ['*' UNIT] | UNIT`` and, over Q(x),
+        ``'^' NUM`` after the unit, read over a common denominator into one
+        coefficient, and ``self.pos`` moved past ``close``.  On any other
+        token, a zero denominator, an exponent above ``MAX_EXPONENT`` or a
+        literal too long for ``int``, None with ``self.pos`` unchanged: the
+        general path then gives the same value or error."""
         texts, units, powers = self.texts, self.units, "x" in self.units
         if not units:
             return None
-        sign, coeffs = 1, {}
+        sign, coeffs, den = 1, {}, 1
         if texts[pos] == "-":
             pos, sign = pos + 1, -1
         try:
             while True:
-                c, slot = 1, 0
+                c, slot = den, 0  # c over den
                 if texts[pos].isdigit():
-                    c = int(texts[pos])
+                    c = int(texts[pos]) * den
                     pos += 1
+                    if texts[pos] == "/":
+                        if not (texts[pos + 1].isdigit()
+                                and (q := int(texts[pos + 1]))):
+                            return None
+                        if den % q:  # a new common denominator
+                            m = lcm(den, q)
+                            coeffs = {e: v * (m // den)
+                                      for e, v in coeffs.items()}
+                            c, den = c * (m // den), m
+                        c //= q
+                        pos += 2
                     if texts[pos] == "*":
                         if not (slot := units.get(texts[pos + 1])):
                             return None
@@ -284,12 +297,14 @@ class _Parser:
         except ValueError:
             return None
         self.pos = pos
-        if not powers:
-            return Quaternion(tuple(coeffs.get(s, 0) for s in range(4)), 1)
+        if not powers:  # over 1 the numerators are jointly primitive
+            ints = tuple(coeffs.get(s, 0) for s in range(4))
+            return Quaternion(ints, 1) if den == 1 else _hq(*ints, den)
         num = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
         while num and not num[-1]:
             num.pop()
-        return RationalFunction(tuple(num), (1,))
+        return (RationalFunction(tuple(num), (1,)) if den == 1
+                else _reduced(tuple(num), (den,)))
 
     def resolve_name(self, name: str) -> dict:
         names = self.names

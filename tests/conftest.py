@@ -17,10 +17,12 @@ from skewpoly.scalars import HQ, Q, QX
 # Ten times Hypothesis's default budget, for the oracles that guard the
 # scalar fast paths, the parser's shortcuts, literal lane and token
 # scan, the printer, analytic certification, the packed product sums, the
-# Weyl product lane and the written-down forms (monic relations,
-# evaluation, tuple records): ``pytest tests/test_scalars.py
-# tests/test_parser.py tests/test_certification_oracle.py
-# tests/test_packed_products.py tests/test_written_forms.py
+# Weyl product lane, the H(Q) basis table and the written-down forms
+# (monic relations, evaluation, tuple records): ``pytest
+# tests/test_scalars.py tests/test_parser.py
+# tests/test_certification_oracle.py tests/test_packed_products.py
+# tests/test_written_forms.py
+# tests/test_ore.py::TestBasisTable::test_matches_the_literal_recurrence
 # --hypothesis-profile=scalar-oracles``.
 # The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)

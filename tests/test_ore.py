@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skewpoly.config import load_ring
 from skewpoly.errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
@@ -13,6 +15,7 @@ from skewpoly.evaluation import mix_derivations
 from skewpoly.maps import (
     DdxDer,
     IdentityAut,
+    InnerAut,
     InnerDer,
     QDiffDer,
     apply_power,
@@ -483,6 +486,120 @@ class TestKernelOracle:
     def test_zero_scalar(self, weyl, qdiff_ring):
         for ring in (weyl, qdiff_ring):
             assert ring.var_power_times_scalar(0, 5, ring.domain.zero()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the H(Q) basis table: t^k * r read off matrices kept on the ring
+# ---------------------------------------------------------------------------
+
+QUAT_INNER = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+              / "quat_inner.json")
+
+
+def identity_inner_der_ring():
+    ident = IdentityAut()
+    return OreRing(HQ, [("t", ident, InnerDer(HQ.make(1, 2, -1), ident)),
+                        ("u", ident, zero_der())])
+
+
+def two_witness_ring():
+    """Conjugation by i + 2j and by 2i - j, which anticommute, each with an
+    inner derivation whose witness the other automorphism fixes; the
+    witnesses' norm 5 puts denominators into the basis table."""
+    a1, a2 = inner_aut(HQ.make(0, 1, 2)), inner_aut(HQ.make(0, 2, -1))
+    return OreRing(HQ, [
+        ("t1", a1, InnerDer(HQ.make(1, 2, -1), a1)),
+        ("t2", a2, InnerDer(HQ.make(3, Fraction(-1, 2), -1), a2))])
+
+
+TABLE_RINGS = {"quat_inner.json": lambda request: load_ring(QUAT_INNER),
+               "quat_inner2": lambda request:
+                   request.getfixturevalue("quat_inner2"),
+               "identity_inner_der": lambda request: identity_inner_der_ring(),
+               "two_witnesses": lambda request: two_witness_ring()}
+# non-zero quaternions whose coordinates have denominators up to 12
+_TABLE_SCALARS = st.builds(
+    HQ.make, *[st.fractions(-12, 12, max_denominator=12)] * 4).filter(
+        lambda q: not q.is_zero())
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """InnerAut and InnerDer applications, counted."""
+    calls = [0]
+    for cls in (InnerAut, InnerDer):
+        def counted(self, r, original=cls.__call__):
+            calls[0] += 1
+            return original(self, r)
+        monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+class TestBasisTable:
+    @pytest.mark.parametrize("name", TABLE_RINGS)
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_the_literal_recurrence(self, name, request, data):
+        ring = TABLE_RINGS[name](request)
+        assert ring.certificate.ok
+        r = data.draw(_TABLE_SCALARS, "r")
+        i = data.draw(st.integers(0, ring.nvars - 1), "i")
+        k = data.draw(st.integers(0, 12), "k")
+        var = ring.variables[i]
+        expected = literal_powers(var.aut, var.der, k, r)[-1]
+        assert ring.var_power_times_scalar(i, k, r).terms == {
+            tuple(p if t == i else 0 for t in range(ring.nvars)): c
+            for p, c in expected.items()}
+        exps = data.draw(st.tuples(*[st.integers(0, 12)] * ring.nvars),
+                         "exps")
+        assert (ring.monomial_times_scalar(exps, r).terms
+                == literal_monomial(ring, exps, r))
+
+    def test_loading_a_ring_builds_no_rows(self):
+        for ring in (load_ring(QUAT_INNER), identity_inner_der_ring(),
+                     two_witness_ring(), load_ring(QUAT_INNER).to_tower()):
+            assert ring.basis_powers == {}
+
+    def test_rings_with_different_twists_share_no_rows(self):
+        rings = [load_ring(QUAT_INNER), two_witness_ring(),
+                 identity_inner_der_ring()]
+        for n, ring in enumerate(rings):
+            ring.var_power_times_scalar(0, 4, J)
+            assert all(other.basis_powers == {} for other in rings[n + 1:])
+        tables = [ring.basis_powers[0][0] for ring in rings]
+        for a, b in itertools.combinations(tables, 2):
+            assert a is not b and a != b
+        for ring in rings:
+            assert_var_powers_match(ring, 0, J, 6)
+
+    @pytest.mark.parametrize("name", TABLE_RINGS)
+    def test_second_product_applies_no_map(self, name, request, map_calls):
+        ring = TABLE_RINGS[name](request)
+        if name == "quat_inner2":  # a shared fixture: start a fresh table
+            ring = OreRing(ring.domain, ring.variables)
+        rng = random.Random(name)
+        first = random_poly(ring, rng, max_degree=4, max_terms=6,
+                            nonzero=True)
+        right = random_poly(ring, rng, nonzero=True)
+        first * right
+        assert map_calls[0] > 0
+        before = map_calls[0]
+        # fresh scalars on the same exponents: every t^k * r is read off
+        # the rows the first product stepped
+        left = SkewPoly(ring, {e: random_nonzero(HQ, rng)
+                               for e in first.terms})
+        right = SkewPoly(ring, {e: random_nonzero(HQ, rng)
+                                for e in right.terms})
+        got = left * right
+        assert map_calls[0] == before
+        want = {}
+        for f, b in right.terms.items():
+            for e, a in left.terms.items():
+                for mid, c in literal_monomial(ring, e, b).items():
+                    key = tuple(p + q for p, q in zip(mid, f))
+                    want[key] = want[key] + a * c if key in want else a * c
+        assert got.terms == {e: c for e, c in want.items() if not c.is_zero()}
 
 
 def dense_operator(ring, order, rng):

@@ -677,47 +677,58 @@ def _lane_ring(domain):
 
 _SIGNS = st.sampled_from("+-")
 _COEFFICIENTS = st.one_of(st.integers(0, 12), st.integers(2**64, 2**70))
-# (sign, coefficient, slot, spelling) of one integer monomial of a literal:
-# the slot is x's exponent over Q(x) and the coordinate of i, j or k over
-# H(Q), and a spelling without "c" has coefficient 1
+_LANE_DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(2**64, 2**66))
+# (sign, coefficient, denominator, slot, spelling) of one rational monomial
+# of a literal: the slot is x's exponent over Q(x) and the coordinate of i,
+# j or k over H(Q), and a spelling without "c" has coefficient 1, one
+# without "d" denominator 1
 _MONOMIALS = {
-    QX: st.tuples(_SIGNS, _COEFFICIENTS, st.integers(0, MAX_EXPONENT),
-                  st.sampled_from(["c*x^e", "c*x", "x^e", "x", "c"])),
-    HQ: st.tuples(_SIGNS, _COEFFICIENTS, st.integers(1, 3),
-                  st.sampled_from(["c*u", "u", "c"])),
+    QX: st.tuples(_SIGNS, _COEFFICIENTS, _LANE_DENOMINATORS,
+                  st.integers(0, MAX_EXPONENT),
+                  st.sampled_from(["c*x^e", "c*x", "x^e", "x", "c",
+                                   "c/d*x^e", "c/d*x", "c/d"])),
+    HQ: st.tuples(_SIGNS, _COEFFICIENTS, _LANE_DENOMINATORS,
+                  st.integers(1, 3),
+                  st.sampled_from(["c*u", "u", "c", "c/d*u", "c/d"])),
 }
 
 
 def _literal(domain, monomials, space):
-    """The text of a sum of integer monomials and its value, by integer
-    arithmetic on the monomials."""
+    """The text of a sum of rational monomials and its value, by
+    ``Fraction`` arithmetic on the monomials."""
     coeffs, parts = {}, []
-    for n, (sign, c, slot, spelling) in enumerate(monomials):
+    for n, (sign, c, d, slot, spelling) in enumerate(monomials):
         if "c" not in spelling:
             c = 1
-        if spelling in ("c", "c*x", "x"):
-            slot = int(spelling != "c")
-        text = spelling.replace("c", str(c)).replace("e", str(slot))
+        if "d" not in spelling:
+            d = 1
+        if "e" not in spelling and "u" not in spelling:
+            slot = int("x" in spelling)
+        text = (spelling.replace("c", str(c)).replace("d", str(d))
+                .replace("e", str(slot)))
         if "u" in spelling:
             text = text.replace("u", " ijk"[slot])
-        text = text.replace("*", space + "*" + space)
+        for op in "*/":
+            text = text.replace(op, space + op + space)
         if n or sign == "-":
             text = sign + space + text
         parts.append(text)
-        coeffs[slot] = coeffs.get(slot, 0) + (c if sign == "+" else -c)
+        value = Fraction(c if sign == "+" else -c, d)
+        coeffs[slot] = coeffs.get(slot, 0) + value
     ints = [coeffs.get(s, 0) for s in range(max(max(coeffs), 3) + 1)]
     value = QX.from_coeffs(ints) if domain is QX else HQ.make(*ints)
     return space.join(parts), value
 
 
 def _lane_oracles(domain, soup, variable):
-    """The lane's oracle tests over one domain.  A parenthesized integer
+    """The lane's oracle tests over one domain.  A parenthesized rational
     combination of the domain's units, and a whole ``parse_scalar`` text of
     one, is read straight into one coefficient; its oracles are the general
-    path (the same parser with the lane off) and integer arithmetic on the
-    monomials.  Token soups add "^" or the ring variable, not both, since
-    an operator power can take seconds; with the digit 2 alone a power in
-    bounds is at most 222."""
+    path (the same parser with the lane off) and ``Fraction`` arithmetic on
+    the monomials.  Token soups hold "/" and "0", so zero denominators, and
+    add "^" or the ring variable, not both, since an operator power can
+    take seconds; with the digits 2 and 0 alone a power in bounds is at
+    most 222."""
     ring = _lane_ring(domain)
 
     @settings(max_examples=_ORACLE_EXAMPLES, deadline=None)
@@ -762,7 +773,7 @@ class TestXPolynomialLane:
 
     test_matches_general_path, test_any_text_after_a_parenthesis = (
         _lane_oracles(QX, ["(", ")", "x", "2", "*", "+", "-", " ", "\n",
-                           str(MAX_EXPONENT + 1)], "t"))
+                           str(MAX_EXPONENT + 1), "/", "0"], "t"))
 
     @pytest.mark.parametrize("src, printed", [
         (f"(x^{MAX_EXPONENT + 1})", ParseError(
@@ -778,6 +789,11 @@ class TestXPolynomialLane:
         ("(x + 1)^2", "x^2 + 2*x + 1"),
         ("(x +\n 1) $", ParseError("unexpected character '$'", 2, 5)),
         ("(2^3 + x)", "x + 8"),
+        ("(1/2*x^2 - 3/4)", "1/2*x^2 - 3/4"),
+        ("(2/4*x)", "1/2*x"),
+        ("(1/0*x)", DivisionByZero("inverse of zero")),
+        ("(3/2^2)", "3/4"),
+        ("(1/2/3*x)", "1/6*x"),
     ])
     def test_pinned(self, weyl, src, printed):
         _check_pinned(_outcomes(src, weyl), printed)
@@ -804,7 +820,7 @@ class TestQuaternionLiteralLane:
 
     test_matches_general_path, test_any_text_after_a_parenthesis = (
         _lane_oracles(HQ, ["(", ")", "i", "j", "k", "2", "*", "+", "-", " ",
-                           "\n", str(MAX_EXPONENT + 1)], "t1"))
+                           "\n", str(MAX_EXPONENT + 1), "/", "0"], "t1"))
 
     @pytest.mark.parametrize("src, printed", [
         ("(i - i)", "0"),
@@ -816,6 +832,9 @@ class TestQuaternionLiteralLane:
         ("(--k)", "k"),
         ("(i + x)", UnknownScalarLiteral(
             "literal 'x' is not available over HQ", 1, 6)),
+        ("(2/13*i - 1/2)", "-(1/2 - 2/13*i)"),
+        ("(4/6*j)", "2/3*j"),
+        ("(1/0*k)", DivisionByZero("inverse of zero")),
     ])
     def test_pinned(self, src, printed):
         _check_pinned(_outcomes(src, _lane_ring(HQ)), printed)
@@ -824,6 +843,8 @@ class TestQuaternionLiteralLane:
         ("-3*i + 1*k", "-3*i + k"), ("i - i", "0"), ("2 - 2", "0"),
         ("i^2", "-1"), ("2*i*j", "2*k"), ("1/2*i", "1/2*i"),
         ("i +\n 2i", ParseError("unexpected 'i'", 2, 3)),
+        ("-2 + 2/13*i - 2*j + 29/13*k", "-2 + 2/13*i - 2*j + 29/13*k"),
+        ("1/0", DivisionByZero("inverse of zero")), ("1/2/2", "1/4"),
     ])
     def test_pinned_scalars(self, src, printed):
         _check_pinned(_outcomes(src, HQ, parse_scalar, _general_scalar),
@@ -839,6 +860,8 @@ class TestQuaternionLiteralLane:
 
         monkeypatch.setattr(Quaternion, "_mul", counted)
         assert parse_scalar("-2 - 3*j - 2*k", HQ) == HQ.make(-2, 0, -3, -2)
+        assert (parse_scalar("-2 + 2/13*i - 2*j + 29/13*k", HQ)
+                == HQ.make(-2, Fraction(2, 13), -2, Fraction(29, 13)))
         assert count[0] == 0
 
     def test_variable_named_i(self):

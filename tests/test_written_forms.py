@@ -38,7 +38,12 @@ from skewpoly.maps import (
     lin_comb,
     sample_scalars,
 )
-from skewpoly.normalize import MonicRelation, _shift_variables, monicize
+from skewpoly.normalize import (
+    MonicRelation,
+    _shifted_elements,
+    _shifted_variables,
+    monicize,
+)
 from skewpoly.ore import Flavor, OreRing, SkewPoly, reinterpret
 from skewpoly.scalars import HQ
 
@@ -146,7 +151,8 @@ def tuples(draw):
     target = draw(st.integers(0, ring.nvars - 1))
     shifts = {i: ring.domain.from_int(draw(st.integers(-2, 2)))
               for i in range(ring.nvars) if i != target}
-    elements, variables = _shift_variables(ring, target, shifts)
+    elements, variables = (_shifted_elements(ring, target, shifts),
+                           _shifted_variables(ring, target, shifts))
     for i, v in enumerate(ring.variables):
         extra = draw(st.sampled_from(["none", "none", "one", "square"]))
         if extra == "one" and isinstance(v.aut, IdentityAut):
@@ -192,12 +198,13 @@ def reference_monicize(f: SkewPoly, target: int, shifts, scale) -> SkewPoly:
     the step's ring, where y_i has (aut, der_i - u_i der_target)."""
     ring = f.ring
     others = [i for i in range(ring.nvars) if i != target]
-    elements, variables = _shift_variables(ring, target,
-                                           dict(zip(others, shifts)))
+    plus_shifts = dict(zip(others, shifts))
+    elements, variables = (_shifted_elements(ring, target, plus_shifts),
+                           _shifted_variables(ring, target, plus_shifts))
     plus = ring.with_variables(variables)
     tup = certify_tuple(ring, elements, plus.twists())
     g = evaluate(reinterpret(f, plus), tup).scale_left(scale)
-    _, variables = _shift_variables(
+    variables = _shifted_variables(
         ring, target, {i: -u for i, u in zip(others, shifts)})
     return reinterpret(g, ring.with_variables(variables))
 
@@ -256,8 +263,9 @@ def test_failed_ring_refuses_evaluation(failed_ring):
 def test_a_proved_tuple_draws_no_pool():
     weyl2 = load_ring(ROOT / "configs" / "weyl2.json")
     ring = OreRing(weyl2.domain, weyl2.variables, samples=37, seed=987654)
-    elements, variables = _shift_variables(
-        ring, 1, {0: ring.domain.from_int(3)})
+    shifts = {0: ring.domain.from_int(3)}
+    elements, variables = (_shifted_elements(ring, 1, shifts),
+                           _shifted_variables(ring, 1, shifts))
     twists = ring.with_variables(variables).twists()
     before = sample_scalars.cache_info()
     tup = certify_tuple(ring, elements, twists)
