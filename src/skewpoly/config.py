@@ -149,6 +149,8 @@ def load_ring(path, *, samples: int = DEFAULT_SAMPLES,
         raise ConfigError(f"cannot read ring configuration: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"ring configuration is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("ring configuration is nested too deeply") from None
     return ring_from_data(data, samples=samples, seed=seed)
 
 

@@ -39,7 +39,12 @@ automorphism fixes 1 and every derivation kills it, and a constant times
 any other f is left scaling of f.  Likewise ``c^k`` of a constant is
 ``Scalar ** k`` and ``(t^J)^k`` is ``t^(kJ)``.  Any other product or power
 is one ``SkewPoly.__mul__`` or ``__pow__``.  Every ``*``, ``/`` and ``^k``
-with k >= 2 first checks the ring's certificate, shortcut or not.
+with k >= 2 first checks the ring's certificate, shortcut or not.  A factor
+``*t`` or ``*t^k`` of a ring variable, k at most ``MAX_EXPONENT`` and not
+followed by another ``^``, is read where it stands in ``term``: k is added
+to t's exponent in every term so far, and no term dict is built for
+``t^k``.  Any other factor, such as ``-t``, ``(t)`` or a refused exponent,
+goes through ``unary``, which gives the same value or error.
 
 Where no literal unit (``x`` over Q(x); ``i``, ``j``, ``k`` over the
 quaternions) is a ring variable and the certificate holds, a parenthesized
@@ -155,10 +160,21 @@ class _Parser:
 
     def term(self) -> dict:
         terms = self.unary()
-        texts = self.texts
+        texts, names = self.texts, self.names
         while (op := texts[self.pos]) == "*" or op == "/":
             at = self.pos
             self.pos += 1
+            if op == "*" and texts[at + 1] in names:  # f*t^k: a shift
+                pos, k = at + 2, 1
+                if texts[pos] == "^" and texts[pos + 1].isdigit():
+                    pos, k = pos + 2, self.natural(pos + 1)
+                if texts[pos] != "^" and k <= MAX_EXPONENT:
+                    self.ring._require_certificate("multiplication")
+                    i = names.index(texts[at + 1])
+                    terms = {e[:i] + (e[i] + k,) + e[i + 1:]: c
+                             for e, c in terms.items()}
+                    self.pos = pos
+                    continue
             rhs = self.unary()
             if op == "/":
                 if rhs.keys() - self.constant:

@@ -118,19 +118,27 @@ def _pgcd(a, b):
     return (1,)
 
 
+# the texts of x^i below the 64th power; higher ones are formatted in place
+_XPOW = ("", "x", *(f"x^{i}" for i in range(2, 64)))
+
+
 def _pstr(a, sign=1) -> str:
     """The text of ``sign`` times the polynomial with coefficients ``a``,
-    lowest degree first."""
-    if sign < 0:
-        a = [-c for c in a]
-    monos = []
+    lowest degree first.  Each monomial writes its own sign: a leading
+    "-", or the separator " + " or " - "."""
+    out, flip = [], sign < 0
     for i in range(len(a) - 1, -1, -1):
         if c := a[i]:
-            unit = f"x^{i}" if i > 1 else "x"
-            monos.append(str(c) if not i else unit if c == 1
-                         else f"-{unit}" if c == -1 else f"{c}*{unit}")
-    # no monomial holds a space, so "+ -" is where a negative one is joined
-    return " + ".join(monos).replace("+ -", "- ") or "0"
+            if negative := c < 0:
+                c = -c
+            if negative is not flip:
+                out.append(" - " if out else "-")
+            elif out:
+                out.append(" + ")
+            unit = _XPOW[i] if i < 64 else f"x^{i}"
+            out.append(str(c) if not i else unit if c == 1
+                       else f"{c}*{unit}")
+    return "".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +573,18 @@ class Quaternion(Scalar):
         return self._str(1)
 
     def _str(self, sign):
-        m, monos = self.den, []
+        m, out = self.den, []
         for n, unit in zip(self.ints, ("", "i", "j", "k")):
-            if n:
-                c = sign * n if m == 1 else Fraction(sign * n, m)
-                monos.append(str(c) if not unit else unit if c == 1
-                             else f"-{unit}" if c == -1 else f"{c}*{unit}")
-        return " + ".join(monos).replace("+ -", "- ") or "0"
+            if n := sign * n:
+                if n < 0:
+                    out.append(" - " if out else "-")
+                    n = -n
+                elif out:
+                    out.append(" + ")
+                c = n if m == 1 else Fraction(n, m)
+                out.append(str(c) if not unit else unit if n == m
+                           else f"{c}*{unit}")
+        return "".join(out) or "0"
 
     def __repr__(self):
         return f"Quaternion({self})"

@@ -376,6 +376,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        '{"ring": "Qx", "vars": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"ring": "Qx", "vars": [{"name": "t", "aut": {"kind": "identity"}, '
+        '"der": ' + '{"kind": "lin_comb", "terms": [{"coeff": "1", "der": '
+        * 400 + '{"kind": "ddx"}' + "}]}" * 400 + "}]}",
+    ], ids=["vars", "lin_comb"])
+    def test_deeply_nested_config_is_2(self, write, capsys, text):
+        # nesting past the JSON decoder's recursion limit used to exit 1
+        # with a RecursionError traceback; the text is written directly,
+        # since json.dumps overflows at the same depth
+        assert main(["normalform", "--ring", write("r.json", text), "t"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("skewpoly: error: ring configuration is nested too "
+                       "deeply\n")
+
     def test_domain_error_is_1(self, write, capsys):
         # 1 is not a root of t^2 + 1
         assert main(["gm-check", "--ring", write("r.json", QUAT),

@@ -183,6 +183,14 @@ class TestErrorPositions:
         ("weyl", "\x0b\x0c\x1c\r\n(t", ParseError, "expected ')'", 2, 3),
         ("tau3", "τ٣ +\n y", UnknownVariable, "unknown name 'y'", 2, 2),
         ("tau3", "τ٣ +\n 2 τ٣", ParseError, "unexpected 'τ٣'", 2, 4),
+        # a factor t^k that the in-place read leaves to the general path
+        ("weyl", f"2*t^{MAX_EXPONENT + 1}", ParseError,
+         f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}", 1, 5),
+        ("weyl", "2*t^x", ParseError, "exponent must be a natural number",
+         1, 5),
+        ("weyl", "x*t^", ParseError, "exponent must be a natural number",
+         1, 5),
+        ("weyl", "2*t^2^3", ParseError, "unexpected '^'", 1, 6),
     ])
     def test_error_table(self, fixture, src, error, message, line, column,
                          request):
@@ -255,8 +263,11 @@ class TestLongLiterals:
         (f"(x^{LONG})*t", 1, 4),
         (f"t^{LONG}", 1, 3),
         (f"(t + 1)^\n{LONG}", 2, 1),
+        (f"2*t^{LONG}", 1, 5),
+        (f"(x + 1)*t^{LONG}", 1, 11),
     ], ids=["coefficient", "second-line", "x-polynomial", "x-exponent",
-            "exponent", "exponent-on-next-line"])
+            "exponent", "exponent-on-next-line", "factor-exponent",
+            "factor-after-literal"])
     def test_parse_error_at_the_literal(self, weyl, src, line, column):
         with pytest.raises(ParseError) as info:
             parse_expr(src, weyl)
@@ -274,7 +285,8 @@ class TestLongLiterals:
         (parse_expr, f"(2 + {LONG}*i)*t1", 6),
         (parse_scalar, f"2 - {LONG}*i", 5),
         (parse_scalar, f"-{LONG}", 2),
-    ], ids=["parenthesized", "scalar", "scalar-constant"])
+        (parse_expr, f"t1*t2^{LONG}", 7),
+    ], ids=["parenthesized", "scalar", "scalar-constant", "factor-exponent"])
     def test_quaternion_literal(self, quat_inner2, parse, src, column):
         with pytest.raises(ParseError) as info:
             parse(src, quat_inner2 if parse is parse_expr else HQ)
@@ -514,6 +526,7 @@ _LEVEL = {"add": 0, "sub": 0, "mul": 1, "div": 1, "neg": 2, "pow": 3}
 _SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _LITERALS = {"Qx": ("x",), "HQ": ("i", "j", "k")}
 _N0, _N2, _T, _X = ("num", 0), ("num", 2), ("name", "t"), ("name", "x")
+_T1, _T2 = ("name", "t1"), ("name", "t2")
 
 
 def _trees(leaves, divisors=None):
@@ -634,9 +647,22 @@ class TestParserOracle:
         ("div", ("div", _T, _X), _N2), ("pow", ("div", _T, _X), 2),
         ("mul", ("mul", _T, ("pow", _T, 2)), _X),
         ("mul", ("mul", _X, ("pow", _T, 3)), _T), ("sub", _T, _T),
+        # chains of factors t^k, read in place
+        ("mul", ("mul", _X, ("pow", _T, 2)), _T), ("mul", _T, ("pow", _T, 0)),
+        ("mul", ("mul", ("par", ("add", _X, ("num", 1))), ("pow", _T, 3)),
+         ("pow", _T, 2)),
+        ("div", ("mul", ("pow", _T, 2), _T), _N2),
+        ("mul", ("mul", ("par", ("mul", _N2, _X)), _T), _X),
     ], ids=_render)
     def test_shortcut_shapes(self, weyl, tree):
         assert parse_expr(_render(tree), weyl) == _evaluate(tree, weyl)
+
+    @pytest.mark.parametrize("tree", [
+        ("mul", ("mul", ("par", ("mul", _N2, _X)), ("pow", _T1, 2)), _T2),
+        ("mul", ("mul", ("par", ("mul", _N2, _X)), _T2), ("pow", _T1, 2)),
+    ], ids=_render)
+    def test_two_variable_chains(self, weyl2, tree):
+        assert parse_expr(_render(tree), weyl2) == _evaluate(tree, weyl2)
 
 
 def _general(src, ring):
@@ -965,11 +991,19 @@ _FRACTIONS = st.builds(Fraction, _SMALL, st.sampled_from([1, 1, 1, 2, 3]))
 # unit, constant and non-unit denominators
 _DENOMINATORS = st.sampled_from([(1,), (1,), (3,), (-2,), (1, 1), (0, 2),
                                  (-1, 0, 1), (Fraction(1, 2), 1)])
+# coefficients past 2^64, and x-degrees past the 64 unit texts the printer
+# keeps
+_WIDE = st.one_of(_FRACTIONS, st.integers(2**64, 2**70),
+                  st.integers(-2**70, -2**64))
+_HIGH_DEGREES = st.dictionaries(st.integers(60, 90), _WIDE, min_size=1,
+                                max_size=3).map(
+    lambda d: [d.get(i, 0) for i in range(max(d) + 1)])
 _PRINTER_COEFFS = {
     Q: _FRACTIONS.map(Q.from_fraction),
-    QX: st.builds(QX.from_coeffs, st.lists(_FRACTIONS, max_size=4),
+    QX: st.builds(QX.from_coeffs,
+                  st.one_of(st.lists(_FRACTIONS, max_size=4), _HIGH_DEGREES),
                   _DENOMINATORS),
-    HQ: st.builds(HQ.make, _FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS),
+    HQ: st.builds(HQ.make, _WIDE, _WIDE, _WIDE, _WIDE),
 }
 
 

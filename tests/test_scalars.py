@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skewpoly import scalars
 from skewpoly.errors import DivisionByZero, VariantMismatch
@@ -740,6 +740,30 @@ def test_integer_quaternion_prints_its_fraction_form(ints):
     a = HQ.make(*ints)
     assert a.den == 1
     assert str(a) == ref_q_str((a.w, a.x, a.y, a.z))
+
+
+# x-degrees past the 64 unit texts the printer keeps, and coefficients past
+# 2^64, against the reference printers
+wide_coeffs = st.one_of(fractions_st, st.integers(2**64, 2**70),
+                        st.integers(-2**70, -2**64))
+high_polys = st.dictionaries(
+    st.one_of(st.integers(0, 3), st.integers(60, 90)), wide_coeffs,
+    max_size=5).map(
+        lambda d: [d.get(i, 0) for i in range(max(d, default=-1) + 1)])
+
+
+@example(p=[0] * 70 + [2**64 + 1], d=[3])
+@example(p=[1] * 64 + [-1, -(2**64)], d=[1, 2])
+@given(high_polys, st.lists(wide_coeffs, min_size=1, max_size=3).filter(any))
+def test_high_degree_polynomials_print_as_reference(p, d):
+    assert_matches(RationalFunction.make(p, d), ref_make(p, d))
+    assert_matches(RationalFunction.make(p), ref_make(p))
+
+
+@example(p=(2**64, -(2**64 + 1), Fraction(2**65, 3), -1))
+@given(st.tuples(*[wide_coeffs] * 4))
+def test_wide_quaternions_print_as_reference(p):
+    assert_q_matches(HQ.make(*p), p)
 
 
 def _polys(ring, coeffs):
