@@ -145,13 +145,14 @@ def load_ring(path, *, samples: int = DEFAULT_SAMPLES,
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        # both the decoder and der_from_data recurse once per nesting level
+        return ring_from_data(data, samples=samples, seed=seed)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read ring configuration: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"ring configuration is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("ring configuration is nested too deeply") from None
-    return ring_from_data(data, samples=samples, seed=seed)
 
 
 def ring_to_data(ring: OreRing) -> dict:

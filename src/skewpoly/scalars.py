@@ -118,7 +118,8 @@ def _pgcd(a, b):
     return (1,)
 
 
-# the texts of x^i below the 64th power; higher ones are formatted in place
+# the texts of x^i below the 64th power, past the x-degrees operator products
+# print in weyl_products (at most 6); higher ones are formatted in place
 _XPOW = ("", "x", *(f"x^{i}" for i in range(2, 64)))
 
 
