@@ -42,6 +42,19 @@ from .parser import MAX_Q_DIGITS, parse_scalar
 from .scalars import DOMAINS, Scalar
 
 
+def _quoted(value) -> str:
+    """``repr(value)``, cut after 40 characters so an error stays short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _kind(data):
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ConfigError(
+            f"map descriptor must be a tagged object: {_quoted(data)}")
+    return data["kind"]
+
+
 def _bounded_q(text: str) -> Fraction:
     """q, with at most MAX_Q_DIGITS digits above and below.  Fraction would
     expand an exponent before any check, so one of 4+ digits is refused."""
@@ -52,9 +65,7 @@ def _bounded_q(text: str) -> Fraction:
 
 
 def aut_from_data(data, domain: type[Scalar]) -> RingMap:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(f"map descriptor must be a tagged object: {data!r}")
-    kind = data["kind"]
+    kind = _kind(data)
     if kind == "identity":
         return IdentityAut()
     if kind == "inner_aut":
@@ -63,13 +74,11 @@ def aut_from_data(data, domain: type[Scalar]) -> RingMap:
         if domain.name != "Qx":
             raise ConfigError("q_shift is only available over Qx")
         return q_shift(_bounded_q(str(data["q"])))
-    raise ConfigError(f"unknown automorphism kind {kind!r}")
+    raise ConfigError(f"unknown automorphism kind {_quoted(kind)}")
 
 
 def der_from_data(data, domain: type[Scalar], aut: RingMap) -> RingMap:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(f"map descriptor must be a tagged object: {data!r}")
-    kind = data["kind"]
+    kind = _kind(data)
     if kind == "zero":
         return zero_der(aut)
     if kind == "ddx":
@@ -95,7 +104,7 @@ def der_from_data(data, domain: type[Scalar], aut: RingMap) -> RingMap:
             for t in entries
         ]
         return lin_comb(terms, twist=aut)
-    raise ConfigError(f"unknown derivation kind {kind!r}")
+    raise ConfigError(f"unknown derivation kind {_quoted(kind)}")
 
 
 def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
@@ -105,18 +114,19 @@ def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
     ring = data.get("ring")
     if not isinstance(ring, str) or ring not in DOMAINS:
         raise ConfigError(
-            f"ring must be one of {sorted(DOMAINS)}, got {ring!r}")
+            f"ring must be one of {sorted(DOMAINS)}, got {_quoted(ring)}")
     domain = DOMAINS[ring]
     flavor = data.get("flavor", "commuting")
     if flavor not in (f.value for f in Flavor):
-        raise ConfigError(f"unknown flavor {flavor!r}")
+        raise ConfigError(f"unknown flavor {_quoted(flavor)}")
     var_data = data.get("vars")
     if not isinstance(var_data, list) or not var_data:
         raise ConfigError("'vars' must be a non-empty list")
     variables = []
     for entry in var_data:
         if not isinstance(entry, dict):
-            raise ConfigError(f"variable entry must be an object: {entry!r}")
+            raise ConfigError(
+                f"variable entry must be an object: {_quoted(entry)}")
         try:
             name = entry["name"]
             aut = aut_from_data(entry["aut"], domain)
@@ -127,10 +137,10 @@ def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
             raise ConfigError(str(exc)) from None
         if (not isinstance(name, str) or not name.isidentifier()
                 or not name[0].isalpha()):
-            raise ConfigError(f"bad variable name {name!r}")
+            raise ConfigError(f"bad variable name {_quoted(name)}")
         if name in domain.units:
             raise ConfigError(
-                f"variable name {name!r} collides with a scalar literal"
+                f"variable name {_quoted(name)} collides with a scalar literal"
             )
         variables.append((name, aut, der))
     try:

@@ -83,11 +83,11 @@ class Variable(Value):
         self._set(name, aut, der)
 
 
-def _certify(domain, variables, samples, seed) -> Certificate:
+def _certify(domain, variables) -> Certificate:
     """Leibniz certification per variable plus pairwise map commutation."""
     records = []
     for v in variables:
-        rec = derivation_record(domain, v.aut, v.der, samples, seed)
+        rec = derivation_record(domain, v.aut, v.der)
         records.append(CheckRecord(f"leibniz({v.name})", rec.samples,
                                    rec.failures, rec.analytic))
     for i in range(len(variables)):
@@ -95,8 +95,7 @@ def _certify(domain, variables, samples, seed) -> Certificate:
             a, b = variables[i], variables[j]
             for m1, m2 in ((a.aut, b.aut), (a.aut, b.der),
                            (a.der, b.aut), (a.der, b.der)):
-                records.append(commutation_record(domain, m1, m2,
-                                                  samples, seed))
+                records.append(commutation_record(domain, m1, m2))
     return Certificate(tuple(records))
 
 
@@ -105,11 +104,12 @@ class OreRing:
 
     The compatibility certificate is computed at construction: each
     derivation is checked against its automorphism and, for multi-variable
-    rings, all map pairs are checked for commutation (analytically for the
-    closed constructor family, on seeded samples otherwise).  Multiplication
-    refuses to run on a failed certificate, whatever the flavor.  Rings
-    derived by ``with_variables`` and tuples certified over the ring use its
-    ``samples`` and ``seed``.
+    rings, all map pairs are checked for commutation, each law decided on
+    the generators of the domain.  A law left undecided fails the
+    certificate, and multiplication refuses to run on a failed certificate,
+    whatever the flavor.  ``samples`` and ``seed`` are the settings of the
+    sampled tuple records certified over the ring; rings derived by
+    ``with_variables`` keep them.
     """
 
     def __init__(self, domain: type[Scalar], variables, flavor=Flavor.COMMUTING,
@@ -125,7 +125,7 @@ class OreRing:
         self.flavor = Flavor(flavor)
         self.samples = samples
         self.seed = seed
-        self.certificate = _certify(domain, vs, samples, seed)
+        self.certificate = _certify(domain, vs)
         # per variable, whether its derivation is d/dx, when every twist is
         # (id, d/dx) or (id, 0) over Q(x); None for every other ring
         self.ddx = (tuple(isinstance(v.der, DdxDer) for v in vs)

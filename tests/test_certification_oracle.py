@@ -1,11 +1,12 @@
 """Differential oracles for the certification shortcuts.
 
-A law record that the constructor family proves takes no samples, and a
+Every ring law is decided on the generators of the coefficient ring, and a
 tuple element that is a linear form with the claimed combined derivation is
-proved without comparing a sample.  These tests hold each proof against the
-sampled check it replaces: every analytic True samples with no failure,
-every analytic False is refuted by sampling, and a tuple record counts the
-failures the operator products count.
+proved without comparing a sample.  These tests hold each decision against
+the sampled check it replaced, kept here as the reference: every decided
+True samples with no failure, every decided False is refuted by sampling,
+every ring's certificate gives the sampled verdict, and a tuple record
+counts the failures the operator products count.
 
 ``is_automorphic`` is the product-law oracle; other test modules import it
 from here.
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewpoly import maps
 from skewpoly.config import load_ring
 from skewpoly.evaluation import certify_tuple
 from skewpoly.maps import (
@@ -28,9 +28,10 @@ from skewpoly.maps import (
     IdentityAut,
     InnerDer,
     QDiffDer,
-    analytic_commutation,
-    analytic_derivation,
+    QShiftAut,
     check_sample_count,
+    commutation_record,
+    derivation_record,
     in_fixed_subfield,
     inner_aut,
     lin_comb,
@@ -66,18 +67,45 @@ def is_automorphic(s, aut, der, samples=DEFAULT_SAMPLES,
 # ring and map law records
 # ---------------------------------------------------------------------------
 
+def _leibniz_failures(domain, aut, der, samples, seed) -> int:
+    """Sampled pairs (a, b) on which ``der`` is not additive or breaks the
+    ``aut``-twisted Leibniz rule."""
+    pool = sample_scalars(domain, seed, 2 * samples)
+    failures = 0
+    for a, b in zip(pool[:samples], pool[samples:]):
+        da, db = der(a), der(b)
+        leibniz = der(a * b) == aut(a) * db + da * b
+        additive = der(a + b) == da + db
+        if not (leibniz and additive):
+            failures += 1
+    return failures
+
+
+def _commutation_failures(domain, m1, m2, samples, seed) -> int:
+    """Sampled scalars on which m1 o m2 and m2 o m1 differ."""
+    pool = sample_scalars(domain, seed, samples)
+    return sum(1 for r in pool if m1(m2(r)) != m2(m1(r)))
+
+
+LAWS = ((derivation_record, _leibniz_failures),
+        (commutation_record, _commutation_failures))
+
+
+def decided(record_law, domain, m1, m2):
+    """The decision of one law: True, False, or None when undecided."""
+    record = record_law(domain, m1, m2)
+    assert record.samples == record.failures == 0, record
+    return record.analytic
+
+
 def assert_verdicts_hold(domain, leibniz, commuting):
-    """Each analytic True samples no failure; each False is refuted."""
-    for verdict, sampler, m1, m2 in (
-            *((analytic_derivation(a, d), maps._leibniz_failures, a, d)
-              for a, d in leibniz),
-            *((analytic_commutation(a, b), maps._commutation_failures, a, b)
-              for a, b in commuting)):
-        failures = sampler(domain, m1, m2, LAW_SAMPLES, DEFAULT_SEED)
-        if verdict is True:
-            assert failures == 0, (m1, m2)
-        elif verdict is False:
-            assert failures > 0, (m1, m2)
+    """Each decided True samples no failure; each False is refuted."""
+    for (record_law, sampler), pairs in zip(LAWS, (leibniz, commuting)):
+        for m1, m2 in pairs:
+            verdict = decided(record_law, domain, m1, m2)
+            failures = sampler(domain, m1, m2, LAW_SAMPLES, DEFAULT_SEED)
+            if verdict is not None:
+                assert (failures == 0) is verdict, (m1, m2, failures)
 
 
 def ring_laws(variables):
@@ -90,12 +118,31 @@ def ring_laws(variables):
     return leibniz, commuting
 
 
+def sampled_ring_verdict(domain, variables) -> bool:
+    """Whether every law of the ring passes on LAW_SAMPLES samples."""
+    return not any(
+        sampler(domain, m1, m2, LAW_SAMPLES, DEFAULT_SEED)
+        for (_, sampler), pairs in zip(LAWS, ring_laws(variables))
+        for m1, m2 in pairs)
+
+
 @pytest.mark.parametrize("path", RING_FILES, ids=lambda p: p.name)
 def test_ring_file_verdicts_agree_with_sampling(path):
     ring = load_ring(path)
     assert_verdicts_hold(ring.domain, *ring_laws(ring.variables))
     for record in ring.certificate.records:
-        assert record.samples > 0 or record.analytic is True, record
+        assert record.analytic is True and record.samples == 0, record
+
+
+def test_sampled_leibniz_applies_the_derivation_four_times(monkeypatch):
+    # der(a*b), der(a+b), der(a) and der(b) per sample, each once
+    calls = []
+    original = QX.derivative
+    monkeypatch.setattr(QX, "derivative",
+                        lambda f: calls.append(f) or original(f))
+    failures = _leibniz_failures(QX, IdentityAut(), DdxDer(), 24, 7)
+    assert len(calls) == 4 * 24
+    assert failures == 0
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -176,17 +223,62 @@ def test_inner_derivation_against_automorphism_agrees_with_sampling(case):
     domain, der, aut = case
     pairs = [(der, aut), (aut, der)]
     assert_verdicts_hold(domain, [], pairs)
-    if aut(der.c) == der.c and analytic_commutation(aut, der.twist) is True:
-        assert [analytic_commutation(*p) for p in pairs] == [True, True]
+    # sigma(c r - t(r) c) = c sigma(r) - t(sigma(r)) c when sigma fixes c
+    # and commutes with t
+    if (aut(der.c) == der.c
+            and decided(commutation_record, domain, aut, der.twist)):
+        assert [decided(commutation_record, domain, *p)
+                for p in pairs] == [True, True]
 
 
 def test_inner_automorphisms_are_refuted_analytically():
     # conjugations by i and 1 + j do not commute; i and j do
     i, j = HQ.i(), HQ.j()
-    assert analytic_commutation(inner_aut(i), inner_aut(HQ.one() + j)) is False
-    assert analytic_commutation(inner_aut(i), inner_aut(j)) is True
-    assert_verdicts_hold(HQ, [], [(inner_aut(i), inner_aut(HQ.one() + j)),
-                                  (inner_aut(i), inner_aut(j))])
+    pairs = [(inner_aut(i), inner_aut(HQ.one() + j)),
+             (inner_aut(i), inner_aut(j))]
+    assert [decided(commutation_record, HQ, *p) for p in pairs] == [
+        False, True]
+    assert_verdicts_hold(HQ, [], pairs)
+
+
+I, J, K = HQ.i(), HQ.j(), HQ.k()
+SHIFT = QShiftAut(2)
+
+
+@pytest.mark.parametrize("record_law, domain, m1, m2, verdict", [
+    # d/dx(2x) = 2 but q_shift(2)(d/dx x) = 1
+    (commutation_record, QX, q_shift(2), DdxDer(), False),
+    # the q-shift moves d/dx, so [q_diff, d/dx] is no twisted derivation
+    (commutation_record, QX, QDiffDer(SHIFT), DdxDer(), None),
+    # conjugation by 2i is conjugation by i under another witness
+    (derivation_record, HQ, inner_aut(I),
+     InnerDer(J, inner_aut(HQ.make(0, 2))), True),
+    (derivation_record, HQ, inner_aut(I), InnerDer(I, inner_aut(J)), False),
+    (derivation_record, QX, IdentityAut(), InnerDer(QX.x(), SHIFT), False),
+    (commutation_record, HQ, inner_aut(K),
+     InnerDer(HQ.one() + I, inner_aut(J)), False),
+    (commutation_record, HQ, inner_aut(K), InnerDer(K, inner_aut(I)), True),
+], ids=["q_shift-ddx", "q_diff-ddx", "inner_der-equal-twist",
+        "inner_der-other-twist", "inner_der-shift-twist",
+        "inner_der-moved-witness", "inner_der-fixed-witness"])
+def test_laws_the_analytic_rules_left_to_sampling(record_law, domain, m1, m2,
+                                                  verdict):
+    assert decided(record_law, domain, m1, m2) is verdict
+    if record_law is derivation_record:
+        assert_verdicts_hold(domain, [(m1, m2)], [])
+    else:
+        assert_verdicts_hold(domain, [], [(m1, m2)])
+
+
+@pytest.mark.parametrize("family, domain", [(qx_family, QX), (hq_family, HQ)],
+                         ids=["Qx", "HQ"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_ring_certificate_gives_the_sampled_verdict(family, domain, data):
+    variables = [(name, *data.draw(family())) for name in ("a", "b")]
+    ring = OreRing(domain, variables)
+    assert ring.certificate.ok is sampled_ring_verdict(domain,
+                                                       ring.variables)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,24 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data", [
+        {"ring": "x" * 100_000, "vars": []},
+        {"ring": "Qx", "vars": [{"name": "t", "aut": {"kind": "identity"},
+                                 "der": ["d"] * 20_000}]},
+        {"ring": "Qx", "flavor": "f" * 100_000, "vars": []},
+        {"ring": "Qx", "vars": [dict(WEYL["vars"][0], name="-" * 100_000)]},
+        {"ring": "Qx", "vars": [{"name": "t", "aut": {"kind": "k" * 100_000},
+                                 "der": {"kind": "zero"}}]},
+    ], ids=["ring", "der-list", "flavor", "name", "kind"])
+    def test_config_error_quotes_a_bounded_value(self, write, capsys, data):
+        # the whole value used to be quoted: a 100,000-character ring name
+        # gave one stderr line of 100,063 bytes
+        assert main(["normalform", "--ring", write("r.json", data), "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skewpoly: error: ")
+        assert err.count("\n") == 1
+        assert len(err) < 200
+
     def test_deeply_nested_json_is_2(self, write, capsys):
         # nesting past the JSON decoder's recursion limit used to exit 1
         # with a RecursionError traceback; the text is written directly,
