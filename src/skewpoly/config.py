@@ -22,7 +22,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, _quoted
 from .maps import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -40,12 +40,6 @@ from .maps import (
 from .ore import Flavor, OreRing
 from .parser import MAX_Q_DIGITS, parse_scalar
 from .scalars import DOMAINS, Scalar
-
-
-def _quoted(value) -> str:
-    """``repr(value)``, cut after 40 characters so an error stays short."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _kind(data):

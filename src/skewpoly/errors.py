@@ -1,6 +1,12 @@
 """Exception hierarchy shared by all skewpoly modules."""
 
 
+def _quoted(value) -> str:
+    """``repr(value)``, cut after 40 characters so an error stays short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 class SkewError(Exception):
     """Base class for domain errors raised by this package."""
 

@@ -10,19 +10,20 @@ sparse map from exponent vectors to non-zero coefficients.  Degrees are
 integers; the zero polynomial has degree -1.
 
 Multiplication distributes the right factor's monomials through the left
-one, commuting scalars variable by variable through a power table
-(``_PowerTable``) with three rules beside ``t^k * r = r t^k`` for (id, 0):
-over Q(x) an identity-twisted variable reads ``t^k * r = sum_j C(k, j)
-der^j(r) t^(k-j)`` off a derivative list of r; over H(Q) every variable
-reads ``t^k * r = sum_b r_b (t^k * e_b)`` off integer matrices kept on the
-ring, O(k^2) entries per variable in the largest k used (``_basis_power``);
-any other variable extends the last power of r by one single step (aut,
-der).  The tests check every rule against a literal single-step recurrence
-that shares no code with this module, and Weyl products against sympy.
+one, commuting scalars variable by variable; ``t^k * r = r t^k`` for (id,
+0).  Over H(Q) any other variable reads ``t^k * r = sum_b r_b (t^k * e_b)``
+off integer matrices kept on the ring, O(k^2) entries per variable in the
+largest k used (``_basis_power``), on integer 4-vectors that are reduced
+once per output term (``_hq_product``).  Over Q and Q(x) a power table
+(``_PowerTable``) reads an identity-twisted variable's ``t^k * r = sum_j
+C(k, j) der^j(r) t^(k-j)`` off a derivative list of r, and extends any
+other's last power of r by one single step (aut, der).  The tests check
+every rule against a literal single-step recurrence that shares no code
+with this module, and Weyl products against sympy.
 
-A product gathers its terms ``m * a * c`` (left coefficient a, table
-scalar c, integer m) and sums them per exponent vector.  When every a and
-c is an integer polynomial, the sums are formed in Z by Kronecker
+A Q or Q(x) product gathers its terms ``m * a * c`` (left coefficient a,
+table scalar c, integer m) and sums them per exponent vector.  When every a
+and c is an integer polynomial, the sums are formed in Z by Kronecker
 substitution: p becomes p(2^B), a term one or two integer products, a sum
 is read back as balanced base-2^B digits.  Evaluation at 2^B is a ring
 homomorphism Z[x] -> Z, and B = bitlength(sum of m |a|_1 |c|_1) + 1 keeps
@@ -53,7 +54,7 @@ from itertools import product
 from math import comb, lcm, prod
 from operator import add, mul
 
-from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
+from .errors import IncompatibleMaps, RingMismatch, ZeroPolynomial, _quoted
 from .maps import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -116,9 +117,10 @@ class OreRing:
                  *, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
         vs = tuple(v if isinstance(v, Variable) else Variable(*v)
                    for v in variables)
-        names = [v.name for v in vs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+        first: dict = {}  # name -> index of its first variable
+        for n, v in enumerate(vs):
+            if first.setdefault(v.name, n) != n:
+                raise ValueError(f"duplicate variable name {_quoted(v.name)}")
         check_sample_count(samples)
         self.domain = domain
         self.variables = vs
@@ -236,15 +238,14 @@ class OreRing:
 
 
 class _PowerTable:
-    """The powers ``t_i^k * r`` met during one product.
+    """The powers ``t_i^k * r`` met during one product over Q or Q(x);
+    H(Q) products take ``_hq_product``.
 
-    (id, 0) keeps nothing, and over H(Q) every other variable reads the
-    ring's basis table.  Elsewhere rows keyed on (variable index, scalar)
-    live for one product: an identity-twisted variable keeps the derivative
-    list r, der(r), der^2(r), ... (ended by its first zero) for the Leibniz
-    form, which needs only additivity of the derivation; any other variable
-    keeps t^0 * r, t^1 * r, ..., each one single step (aut, der) from the
-    last.
+    (id, 0) keeps nothing.  Rows keyed on (variable index, scalar) live for
+    one product: an identity-twisted variable keeps the derivative list r,
+    der(r), der^2(r), ... (ended by its first zero) for the Leibniz form,
+    which needs only additivity of the derivation; any other variable keeps
+    t^0 * r, t^1 * r, ..., each one single step (aut, der) from the last.
     """
 
     __slots__ = ("ring", "rows")
@@ -258,17 +259,6 @@ class _PowerTable:
         var = self.ring.variables[i]
         if isinstance(var.aut, IdentityAut) and isinstance(var.der, ZeroDer):
             return [(k, 1, r)]  # the j = 0 term alone; no row to keep
-        if self.ring.domain is HQ:
-            a, b, c, d = r.ints
-            out = []
-            for p, den, (m0, m1, m2, m3) in _basis_power(self.ring, i, k):
-                n0 = m0[0] * a + m0[1] * b + m0[2] * c + m0[3] * d
-                n1 = m1[0] * a + m1[1] * b + m1[2] * c + m1[3] * d
-                n2 = m2[0] * a + m2[1] * b + m2[2] * c + m2[3] * d
-                n3 = m3[0] * a + m3[1] * b + m3[2] * c + m3[3] * d
-                if n0 or n1 or n2 or n3:
-                    out.append((p, 1, _hq(n0, n1, n2, n3, den * r.den)))
-            return out
         row = self.rows.get((i, r))
         if isinstance(var.aut, IdentityAut):
             if row is None:
@@ -317,8 +307,9 @@ def _basis_power(ring: OreRing, i: int, k: int) -> list:
     """t_i^k * e_b, e_b = 1, i, j, k, as (p, den, M) in falling p: column b
     of the integer 4x4 matrix M (a tuple of rows) over den is the t^p
     coefficient.  Every twist over H(Q) is Q-linear and fixes Q, so that of
-    t_i^k * r is M r.ints / (den r.den).  ``ring.basis_powers[i]`` keeps
-    the matrices and the last basis rows, each stepped once per ring."""
+    t_i^k * r is M r.ints / (den r.den), and ``_hq_product`` applies M to
+    4-vectors that no gcd has reduced.  ``ring.basis_powers[i]`` keeps the
+    matrices and the last basis rows, each stepped once per ring."""
     entry = ring.basis_powers.get(i)
     if entry is None:
         entry = ring.basis_powers[i] = [[], [{0: u()} for u in (
@@ -338,6 +329,52 @@ def _basis_power(ring: OreRing, i: int, k: int) -> list:
                 for a in range(4))))
         table.append(powers)
     return table[k]
+
+
+def _hq_product(f: dict, g: dict, ring: OreRing) -> dict:
+    """f * g over H(Q) in integers.  Per term pair (a t^L, b t^R), b's
+    4-vector over its denominator steps right to left through
+    ``_basis_power``'s matrices ((id, 0) only shifts the exponent), then a
+    Hamilton product by a; each output term sums [n0, n1, n2, n3, den] in
+    place over the lcm of the denominators, and ``_hq`` reduces it once."""
+    twisted = [i for i in range(ring.nvars - 1, -1, -1)
+               if not (isinstance(ring.variables[i].aut, IdentityAut)
+                       and isinstance(ring.variables[i].der, ZeroDer))]
+    acc: dict = {}
+    for right_exp, b in g.items():
+        for left_exp, a in f.items():
+            cur = [(tuple(map(add, left_exp, right_exp)), *b.ints, b.den)]
+            for i in twisted:
+                k = left_exp[i]
+                if k:
+                    powers = _basis_power(ring, i, k)
+                    cur = [(key[:i] + (key[i] - k + p,) + key[i + 1:],
+                            m0[0] * c0 + m0[1] * c1 + m0[2] * c2 + m0[3] * c3,
+                            m1[0] * c0 + m1[1] * c1 + m1[2] * c2 + m1[3] * c3,
+                            m2[0] * c0 + m2[1] * c1 + m2[2] * c2 + m2[3] * c3,
+                            m3[0] * c0 + m3[1] * c1 + m3[2] * c2 + m3[3] * c3,
+                            den * d)
+                           for key, c0, c1, c2, c3, d in cur
+                           for p, den, (m0, m1, m2, m3) in powers]
+            x0, x1, x2, x3 = a.ints
+            for key, c0, c1, c2, c3, d in cur:
+                n = [x0 * c0 - x1 * c1 - x2 * c2 - x3 * c3,
+                     x0 * c1 + x1 * c0 + x2 * c3 - x3 * c2,
+                     x0 * c2 - x1 * c3 + x2 * c0 + x3 * c1,
+                     x0 * c3 + x1 * c2 - x2 * c1 + x3 * c0, a.den * d]
+                s = acc.get(key)
+                if s is None:
+                    acc[key] = n
+                elif s[4] == n[4]:
+                    s[0] += n[0]
+                    s[1] += n[1]
+                    s[2] += n[2]
+                    s[3] += n[3]
+                else:  # both over the lcm of the denominators
+                    m = lcm(s[4], n[4])
+                    u, w = m // s[4], m // n[4]
+                    acc[key] = [v * u + z * w for v, z in zip(s, n[:4])] + [m]
+    return {key: _hq(*s) for key, s in acc.items() if any(s[:4])}
 
 
 def _scalar_sum(terms, table: _PowerTable) -> dict:
@@ -582,6 +619,8 @@ class SkewPoly:
             terms = _weyl_product(self.terms, other.terms, ring.ddx)
             if terms is not None:
                 return SkewPoly(ring, terms)
+        if ring.domain is HQ:
+            return SkewPoly(ring, _hq_product(self.terms, other.terms, ring))
         table = _PowerTable(ring)
         terms = self._contributions(other, table)
         if ring.domain is QX:

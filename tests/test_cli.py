@@ -394,6 +394,14 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(err) < 200
 
+    def test_duplicate_name_error_is_one_short_line(self, write, capsys):
+        # every name used to be quoted: 20,000 repeats of one name gave
+        # one stderr line of 100,046 bytes
+        data = {"ring": "Qx", "vars": [WEYL["vars"][0]] * 20_000}
+        assert main(["normalform", "--ring", write("r.json", data), "t"]) == 2
+        assert capsys.readouterr().err == (
+            "skewpoly: error: duplicate variable name 't'\n")
+
     def test_deeply_nested_json_is_2(self, write, capsys):
         # nesting past the JSON decoder's recursion limit used to exit 1
         # with a RecursionError traceback; the text is written directly,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from skewpoly import ore
 from skewpoly.config import load_ring
 from skewpoly.errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
 from skewpoly.evaluation import mix_derivations
@@ -600,6 +601,85 @@ class TestBasisTable:
                     key = tuple(p + q for p, q in zip(mid, f))
                     want[key] = want[key] + a * c if key in want else a * c
         assert got.terms == {e: c for e, c in want.items() if not c.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# H(Q) products in integers against literal terms in Quaternion arithmetic
+# ---------------------------------------------------------------------------
+
+HQ_PRODUCT_RINGS = dict(
+    TABLE_RINGS,
+    quat1=lambda request: request.getfixturevalue("quat1"),
+    quat2=lambda request: request.getfixturevalue("quat2"))
+
+
+def literal_product(f, g):
+    """f * g as the sum over term pairs of a * (t^L * b), each t^L * b from
+    :func:`literal_monomial`, in Quaternion arithmetic."""
+    want = {}
+    for right, b in g.terms.items():
+        for left, a in f.terms.items():
+            for mid, c in literal_monomial(f.ring, left, b).items():
+                key = tuple(p + q for p, q in zip(mid, right))
+                want[key] = want[key] + a * c if key in want else a * c
+    return {e: c for e, c in want.items() if not c.is_zero()}
+
+
+def hq_polys(ring):
+    """Operators with up to five terms of degree <= 4 in each variable,
+    whose coefficients carry unlike denominators."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * ring.nvars),
+                           _TABLE_SCALARS, max_size=5).map(
+                               lambda terms: SkewPoly(ring, terms))
+
+
+class TestHQProducts:
+    @pytest.mark.parametrize("name", HQ_PRODUCT_RINGS)
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_literal_terms(self, name, request, data):
+        ring = HQ_PRODUCT_RINGS[name](request)
+        f = data.draw(hq_polys(ring), "f")
+        g = data.draw(hq_polys(ring), "g")
+        got = f * g
+        assert got.terms == literal_product(f, g)
+        assert (got + f * (-g)).is_zero()
+
+    @pytest.mark.parametrize("name", HQ_PRODUCT_RINGS)
+    def test_cancelling_terms(self, name, request):
+        # every twist fixes 1, so t's two degree-1 contributions cancel
+        ring = HQ_PRODUCT_RINGS[name](request)
+        one = ring.one()
+        for i in range(ring.nvars):
+            t = ring.variable(i)
+            assert str((t + one) * (t - one)) == f"{ring.names[i]}^2 - 1"
+
+    @pytest.mark.parametrize("name", HQ_PRODUCT_RINGS)
+    def test_one_normalization_per_output_term(self, name, request,
+                                               monkeypatch):
+        ring = HQ_PRODUCT_RINGS[name](request)
+        rng = random.Random(name)
+        f = SkewPoly(ring, {e: random_nonzero(HQ, rng) for e in itertools
+                            .product(range(4), repeat=ring.nvars)})
+        g = random_poly(ring, rng, max_terms=6, nonzero=True)
+        f * g  # steps the basis table, which applies the maps
+        calls = {"_mul": 0, "_add": 0, "_hq": 0}
+
+        def counted(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args):
+                calls[attr] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(HQ, "_mul")
+        counted(HQ, "_add")
+        counted(ore, "_hq")
+        got = f * g
+        assert calls == {"_mul": 0, "_add": 0, "_hq": len(got.terms)}
+        assert got.terms == literal_product(f, g)
 
 
 def dense_operator(ring, order, rng):
