@@ -38,7 +38,7 @@ from .maps import (
     zero_der,
 )
 from .ore import Flavor, OreRing
-from .parser import MAX_Q_DIGITS, parse_scalar
+from .parser import MAX_Q_DIGITS, MAX_VARIABLES, parse_scalar
 from .scalars import DOMAINS, Scalar
 
 
@@ -137,6 +137,11 @@ def ring_from_data(data, *, samples: int = DEFAULT_SAMPLES,
                 f"variable name {_quoted(name)} collides with a scalar literal"
             )
         variables.append((name, aut, der))
+    # distinct names: OreRing refuses a repeated one, naming the first
+    declared = len({name for name, _, _ in variables})
+    if declared > MAX_VARIABLES:
+        raise ConfigError(f"a ring has at most {MAX_VARIABLES} variables, "
+                          f"got {declared}")
     try:
         return OreRing(domain, variables, Flavor(flavor),
                        samples=samples, seed=seed)

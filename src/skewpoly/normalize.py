@@ -10,9 +10,10 @@ d central roots, so d+1 candidates per coordinate always suffice).
 ``normalize`` iterates this: the chain's ``reduce`` re-expresses each
 witness relation through the accumulated substitutions and divides it by
 the accumulated monic relations, oldest first, and the remainder eliminates
-the current last variable.  The monic relations certify left-module-
-finiteness over the residual variables.  Witness relations are inputs; the
-tool never searches for them.
+the current last variable.  The relations generate a *left* ideal I of the
+ring R, and the monic relations certify that the left module R/I is
+finitely generated over the residual variables.  Witness relations are
+inputs; the tool never searches for them.
 """
 
 from __future__ import annotations
@@ -252,27 +253,31 @@ def normalize_step(f: SkewPoly) -> NormalizationStep:
 
 def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly]:
     """Left division by the monic relation: e = q * rel.polynomial() + r with
-    the remainder's degree in the monic variable below rel.degree."""
+    the remainder's degree in the monic variable below rel.degree.
+
+    r is one term dict, reduced in place from the top degree k down: its
+    degree-k slice s moves to q, shifted down by m, and s * (rho - t^m) is
+    subtracted.  s * t^m is s shifted up by m (the variables fix each other
+    and every twist fixes 1), so rho's leading monomial enters no product."""
     if e.ring != rel.ring:
         raise RingMismatch("element and relation live in different rings")
-    rho = rel.polynomial()
-    v, m = rel.var, rel.degree
-    q = e.ring.zero()
-    r = e
-    while True:
-        k = r.degree_in(v)
-        if k < m:
-            break
-        top = {
-            exp[:v] + (k - m,) + exp[v + 1:]: c
-            for exp, c in r.terms.items() if exp[v] == k
-        }
-        quo = SkewPoly(e.ring, top)
-        r = r - quo * rho
-        q = q + quo
-        if r.degree_in(v) >= k:
-            raise SkewError("internal error: reduction did not lower degree")
-    return q, r
+    ring, v, m = e.ring, rel.var, rel.degree
+    rho = rel.polynomial()  # refuses a failed certificate, as a product would
+    tail = SkewPoly(ring, {x: c for x, c in rho.terms.items() if x[v] < m})
+    q, r, zero = {}, dict(e.terms), ring.domain.zero()
+    for k in range(e.degree_in(v), m - 1, -1):
+        top = {exp[:v] + (k - m,) + exp[v + 1:]: r.pop(exp)
+               for exp in [x for x in r if x[v] == k]}
+        if not top:
+            continue
+        q.update(top)
+        for exp, c in (SkewPoly(ring, top) * tail).terms.items():
+            if exp[v] >= k:
+                raise SkewError("internal error: reduction did not lower degree")
+            c = r.pop(exp, zero) - c
+            if not c.is_zero():
+                r[exp] = c
+    return SkewPoly(ring, q), SkewPoly(ring, r)
 
 
 class NormalizationResult(Record):
@@ -368,11 +373,14 @@ class NormalizationResult(Record):
 def normalize(ring: OreRing, relations) -> NormalizationResult:
     """Fold the witness relations, in order, into a chain.
 
-    Each relation is reduced by the chain so far.  One that vanishes is
-    reported and skipped; one that still involves an eliminated variable
-    violates the witness precondition and raises ``NotAWitness``; any other
-    eliminates the last active variable.  Every ring of the chain is
-    derived from ``ring`` and keeps its settings.
+    The relations generate the *left* ideal I of ``ring`` (R), and the
+    chain presents R/I as a left R-module, finitely generated over the
+    residual variables; it is not a quotient ring (R may be simple, as
+    Q(x)[t; d/dx] is).  Each relation is reduced by the chain so far.  One
+    that vanishes is reported and skipped; one that still involves an
+    eliminated variable violates the witness precondition and raises
+    ``NotAWitness``; any other eliminates the last active variable.  Every
+    ring of the chain is derived from ``ring`` and keeps its settings.
     """
     _require_normalizable(ring)
     chain = NormalizationResult(ring, (), ring, (), ())

@@ -15,16 +15,20 @@ at most |A_1| + ... + |A_n| specializations.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
+
 from .errors import (
     ArityMismatch,
     BoundViolated,
     NoWitnessFound,
     NotARoot,
+    VariantMismatch,
     ZeroPolynomial,
 )
 from .maps import IdentityAut, ZeroDer
 from .ore import SkewPoly
-from .scalars import Quaternion, Scalar, are_conjugate
+from .scalars import Scalar, conjugacy_key
 from .values import Value
 
 
@@ -51,29 +55,35 @@ class EvaluationSet(Value):
 
 
 def make_evaluation_set(elements) -> EvaluationSet:
+    """The set and its conjugate pairs (i, j), i < j, in lexicographic order,
+    from one pass grouping indices by :func:`conjugacy_key`."""
     elements = tuple(elements)
-    bad = tuple(
-        (i, j)
-        for i in range(len(elements))
-        for j in range(i + 1, len(elements))
-        if are_conjugate(elements[i], elements[j])
-    )
-    return EvaluationSet(elements, bad)
+    if len({a.__class__ for a in elements}) > 1:
+        raise VariantMismatch("conjugacy test across different rings")
+    groups: dict = {}
+    for i, a in enumerate(elements):
+        groups.setdefault(conjugacy_key(a), []).append(i)
+    return EvaluationSet(elements, tuple(sorted(
+        (i, j) for g in groups.values() for n, i in enumerate(g)
+        for j in g[n + 1:])))
 
 
 def formal_substitute(f: SkewPoly, point) -> Scalar:
-    """Left substitution: sum of b_I * a_1^{i_1} * ... * a_n^{i_n}."""
+    """Left substitution: sum of b_I * a_1^{i_1} * ... * a_n^{i_n}, reading
+    each coordinate's powers a, ..., a^d off one list of products."""
     point = tuple(point)
     if len(point) != f.ring.nvars:
         raise ArityMismatch(
             f"point has {len(point)} coordinates, ring has {f.ring.nvars}"
         )
+    powers = [list(accumulate([a] * f.degree_in(v), mul))
+              for v, a in enumerate(point)]
     total = f.ring.domain.zero()
     for exps, b in f.terms.items():
         value = b
-        for a, e in zip(point, exps):
+        for row, e in zip(powers, exps):
             if e:
-                value = value * a**e
+                value = value * row[e - 1]
         total = total + value
     return total
 
@@ -184,7 +194,8 @@ class ClassPartition(Value):
 
 
 def gordon_motzkin_check(f: SkewPoly, roots) -> ClassPartition:
-    """Verify the supplied roots and partition them into conjugacy classes.
+    """Verify the supplied roots and partition them into conjugacy classes,
+    keyed on :func:`conjugacy_key`, in order of first appearance.
 
     The class count is asserted to stay within deg(f); exceeding it would be
     an implementation bug, not a data error.
@@ -201,14 +212,9 @@ def gordon_motzkin_check(f: SkewPoly, roots) -> ClassPartition:
     for r in roots:
         if not formal_substitute(f, (r,)).is_zero():
             raise NotARoot(f"{r} does not annihilate the polynomial")
-    classes: list[list[Quaternion]] = []
+    classes: dict = {}  # conjugacy key -> members, in first-appearance order
     for r in roots:
-        for cls in classes:
-            if are_conjugate(r, cls[0]):
-                cls.append(r)
-                break
-        else:
-            classes.append([r])
+        classes.setdefault(conjugacy_key(r), []).append(r)
     degree = f.total_degree()
     if len(classes) > degree:
         raise BoundViolated(
@@ -219,6 +225,6 @@ def gordon_motzkin_check(f: SkewPoly, roots) -> ClassPartition:
         tuple(
             ConjugacyClass(tuple(cls), cls[0].reduced_trace(),
                            cls[0].reduced_norm())
-            for cls in classes
+            for cls in classes.values()
         ),
     )

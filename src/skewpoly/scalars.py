@@ -597,19 +597,22 @@ _set_value, _set_num, _set_den, _set_ints, _set_hq_den = (  # bound setters
 DOMAINS = {d.name: d for d in (Q, QX, HQ)}
 
 
-def are_conjugate(a: Scalar, b: Scalar) -> bool:
-    """Whether ``a`` and ``b`` lie in the same conjugacy class.
+def conjugacy_key(a: Scalar):
+    """Equal for two elements exactly when they are conjugate: ``a`` itself
+    over the fields and for a central quaternion, else the minimal
+    polynomial's reduced trace and norm as lowest-terms integer pairs
+    (Skolem-Noether)."""
+    if a.__class__ is not Quaternion or a.is_central():
+        return a
+    n0, n1, n2, n3 = a.ints
+    m, t, n = a.den, 2 * n0, n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
+    g, h = gcd(t, m), gcd(n, m * m)
+    return t // g, m // g, n // h, m * m // h
 
-    Over the two fields this is equality.  Over the rational quaternions two
-    non-central elements are conjugate exactly when their minimal polynomials
-    over Q agree, i.e. when reduced trace and reduced norm agree
-    (Skolem-Noether); central elements are conjugate only to themselves.
-    """
+
+def are_conjugate(a: Scalar, b: Scalar) -> bool:
+    """Whether ``a`` and ``b`` lie in the same conjugacy class: whether
+    their :func:`conjugacy_key` values agree."""
     if a.__class__ is not b.__class__:
         raise VariantMismatch("conjugacy test across different rings")
-    if not isinstance(a, Quaternion):
-        return a == b
-    if a.is_central() or b.is_central():
-        return a == b
-    return (a.reduced_trace() == b.reduced_trace()
-            and a.reduced_norm() == b.reduced_norm())
+    return conjugacy_key(a) == conjugacy_key(b)

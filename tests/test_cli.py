@@ -12,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import event, given
@@ -23,6 +24,7 @@ from skewpoly.config import load_ring, ring_from_data, ring_to_data
 from skewpoly.errors import ConfigError
 from skewpoly.evaluation import mix_derivations
 from skewpoly.maps import DEFAULT_SAMPLES, DEFAULT_SEED
+from skewpoly.parser import MAX_VARIABLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -401,6 +403,22 @@ class TestExitCodes:
         assert main(["normalform", "--ring", write("r.json", data), "t"]) == 2
         assert capsys.readouterr().err == (
             "skewpoly: error: duplicate variable name 't'\n")
+
+    def test_one_variable_past_the_bound_is_2_quickly(self, write, capsys):
+        # certification is quadratic in the variables, and nothing bounded
+        # them: a few thousand variables kept load_ring busy for minutes
+        data = {"ring": "HQ", "vars": [
+            {"name": f"t{n}", "aut": {"kind": "inner_aut", "c": f"1 + {n}*i"},
+             "der": {"kind": "inner_der", "c": f"{n} + i"}}
+            for n in range(MAX_VARIABLES + 1)]}
+        start = time.perf_counter()
+        assert main(["normalform", "--ring", write("r.json", data), "t0"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"skewpoly: error: a ring has at most {MAX_VARIABLES} "
+            f"variables, got {MAX_VARIABLES + 1}\n")
+        del data["vars"][-1]
+        assert main(["normalform", "--ring", write("r.json", data), "t0"]) == 0
 
     def test_deeply_nested_json_is_2(self, write, capsys):
         # nesting past the JSON decoder's recursion limit used to exit 1

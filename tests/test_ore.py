@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from skewpoly import ore
@@ -634,8 +634,13 @@ def hq_polys(ring):
 
 
 class TestHQProducts:
+    # No shrink phase: a failure reports the pair as drawn.  With a wrong
+    # lcm rescale planted, finding the failure took about a second, but
+    # shrinking the pair's many fraction draws took minutes per ring.
     @pytest.mark.parametrize("name", HQ_PRODUCT_RINGS)
     @settings(deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.target),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_matches_literal_terms(self, name, request, data):
