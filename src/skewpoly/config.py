@@ -49,13 +49,30 @@ def _kind(data):
     return data["kind"]
 
 
+def _too_long(numbers) -> bool:
+    """Whether an int or Fraction has more than MAX_Q_DIGITS digits above or
+    below: certifying a ring multiplies them."""
+    return any(max(abs(n.numerator), n.denominator) >= 10**MAX_Q_DIGITS
+               for n in numbers)
+
+
 def _bounded_q(text: str) -> Fraction:
-    """q, with at most MAX_Q_DIGITS digits above and below.  Fraction would
-    expand an exponent before any check, so one of 4+ digits is refused."""
+    """q, not too long.  Fraction would expand an exponent before any check,
+    so one of 4+ digits is refused."""
     q = None if re.search(r"[eE][-+]?[0-9_]{4}", text) else Fraction(text)
-    if q is None or max(abs(q.numerator), q.denominator) >= 10**MAX_Q_DIGITS:
+    if q is None or _too_long([q]):
         raise ConfigError(f"q has more than {MAX_Q_DIGITS} digits")
     return q
+
+
+def _coefficient(data, key: str, domain: type[Scalar]) -> Scalar:
+    """The map coefficient ``data[key]``, refused when an integer of its
+    canonical form (its fields) is too long."""
+    c = parse_scalar(str(data[key]), domain)
+    if _too_long(n for field in c._key()
+                 for n in (field if isinstance(field, tuple) else (field,))):
+        raise ConfigError(f"{key} has more than {MAX_Q_DIGITS} digits")
+    return c
 
 
 def aut_from_data(data, domain: type[Scalar]) -> RingMap:
@@ -63,7 +80,7 @@ def aut_from_data(data, domain: type[Scalar]) -> RingMap:
     if kind == "identity":
         return IdentityAut()
     if kind == "inner_aut":
-        return inner_aut(parse_scalar(str(data["c"]), domain))
+        return inner_aut(_coefficient(data, "c", domain))
     if kind == "q_shift":
         if domain.name != "Qx":
             raise ConfigError("q_shift is only available over Qx")
@@ -82,7 +99,7 @@ def der_from_data(data, domain: type[Scalar], aut: RingMap) -> RingMap:
             raise ConfigError("ddx pairs with the identity automorphism")
         return DdxDer()
     if kind == "inner_der":
-        return InnerDer(parse_scalar(str(data["c"]), domain), aut)
+        return InnerDer(_coefficient(data, "c", domain), aut)
     if kind == "q_diff":
         if not isinstance(aut, QShiftAut):
             raise ConfigError("q_diff pairs with a q_shift automorphism")
@@ -93,7 +110,7 @@ def der_from_data(data, domain: type[Scalar], aut: RingMap) -> RingMap:
                 and all(isinstance(t, dict) for t in entries)):
             raise ConfigError("lin_comb terms must be a list of objects")
         terms = [
-            (parse_scalar(str(t["coeff"]), domain),
+            (_coefficient(t, "coeff", domain),
              der_from_data(t["der"], domain, aut))
             for t in entries
         ]

@@ -42,9 +42,6 @@ class AutomorphicTuple(Record):
 
     __slots__ = ("ambient", "elements", "twists", "certificate")
 
-    def __init__(self, ambient, elements, twists, certificate):
-        self._set(ambient, elements, twists, certificate)
-
     def __len__(self):
         return len(self.elements)
 

@@ -177,9 +177,6 @@ class InnerDer(RingMap):
     __slots__ = ("c", "twist")
     role = "derivation"
 
-    def __init__(self, c: Scalar, twist: RingMap):
-        self._set(c, twist)
-
     def __call__(self, r):
         _expect(r, type(self.c), "this inner derivation")
         return self.c * r - self.twist(r) * self.c
@@ -328,6 +325,7 @@ class CheckRecord(Value):
     """
 
     __slots__ = ("law", "samples", "failures", "analytic")
+    to_data = Value._data
 
     def __init__(self, law, samples, failures, analytic=None):
         self._set(law, samples, failures, analytic)
@@ -336,14 +334,6 @@ class CheckRecord(Value):
     def ok(self) -> bool:
         return (self.failures == 0 and self.analytic is not False
                 and (self.samples > 0 or self.analytic is True))
-
-    def to_data(self) -> dict:
-        return {
-            "law": self.law,
-            "samples": self.samples,
-            "failures": self.failures,
-            "analytic": self.analytic,
-        }
 
 
 class Certificate(Value):

@@ -12,8 +12,12 @@ witness relation through the accumulated substitutions and divides it by
 the accumulated monic relations, oldest first, and the remainder eliminates
 the current last variable.  The relations generate a *left* ideal I of the
 ring R, and the monic relations certify that the left module R/I is
-finitely generated over the residual variables.  Witness relations are
-inputs; the tool never searches for them.
+finitely generated over the residual variables, and only that.  ``reduce``
+is a normal form modulo I, and the residual variables are independent
+modulo I, only when every S-polynomial of two monic relations reduces to 0:
+over ``configs/weyl3.json`` the chain of y3^2 + x*y2 and y2^2 + x leaves
+-2*y3, so I is all of R, yet ``reduce(1)`` returns 1.  Witness relations
+are inputs; the tool never searches for them.
 """
 
 from __future__ import annotations
@@ -45,17 +49,8 @@ class Substitution(Record):
 
     __slots__ = ("target", "shifts", "scale", "leading_value")
 
-    def __init__(self, target, shifts, scale, leading_value):
-        self._set(target, shifts, scale, leading_value)
-
     def to_data(self, names) -> dict:
-        return {
-            "target": self.target,
-            "shifts": [str(u) for u in self.shifts],
-            "scale": str(self.scale),
-            "leading_value": str(self.leading_value),
-            "eliminated": names[self.target],
-        }
+        return {**self._data(), "eliminated": names[self.target]}
 
 
 class MonicRelation(Record):
@@ -115,9 +110,6 @@ class MonicRelation(Record):
 
 class PointSearch(Value):
     __slots__ = ("point", "value", "specializations")
-
-    def __init__(self, point, value, specializations):
-        self._set(point, value, specializations)
 
 
 def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
@@ -212,9 +204,6 @@ class NormalizationStep(Record):
     variable satisfies, in the ring of the step's (aut, der) tower."""
 
     __slots__ = ("substitution", "relation")
-
-    def __init__(self, substitution: Substitution, relation: MonicRelation):
-        self._set(substitution, relation)
 
     def to_data(self) -> dict:
         ring = self.relation.ring
@@ -316,7 +305,10 @@ class NormalizationResult(Record):
         divided by ``relations`` oldest first.  Relation j is monic in its
         variable and its tails involve only variables eliminated later; as
         t*r = sigma(r)*t + delta(r) never raises t's degree, no later
-        division lifts an earlier variable back to its bound."""
+        division lifts an earlier variable back to its bound.  The result
+        is ``e`` modulo I, in ``presentation``; it is a normal form, 0
+        exactly on I, only when every S-polynomial of the relations reduces
+        to 0."""
         if e.ring != self.ring:
             raise RingMismatch("the element must live in the input ring")
         # presentation is ring until a step shifts; from then coordinates

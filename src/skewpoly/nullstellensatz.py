@@ -36,9 +36,7 @@ class EvaluationSet(Value):
     """An ordered candidate set with its pairwise non-conjugacy certificate."""
 
     __slots__ = ("elements", "conjugate_pairs")
-
-    def __init__(self, elements, conjugate_pairs):
-        self._set(elements, conjugate_pairs)
+    to_data = Value._data
 
     @property
     def ok(self) -> bool:
@@ -46,12 +44,6 @@ class EvaluationSet(Value):
 
     def __len__(self):
         return len(self.elements)
-
-    def to_data(self) -> dict:
-        return {
-            "elements": [str(e) for e in self.elements],
-            "conjugate_pairs": [list(p) for p in self.conjugate_pairs],
-        }
 
 
 def make_evaluation_set(elements) -> EvaluationSet:
@@ -126,16 +118,7 @@ def validate_sets(sets, degree: int) -> bool:
 
 class Witness(Value):
     __slots__ = ("point", "value", "scanned")
-
-    def __init__(self, point: tuple[Scalar, ...], value: Scalar, scanned: int):
-        self._set(point, value, scanned)
-
-    def to_data(self) -> dict:
-        return {
-            "point": [str(a) for a in self.point],
-            "value": str(self.value),
-            "scanned": self.scanned,
-        }
+    to_data = Value._data
 
 
 def cns_witness(f: SkewPoly, sets) -> Witness:
@@ -167,23 +150,11 @@ def cns_witness(f: SkewPoly, sets) -> Witness:
 
 class ConjugacyClass(Value):
     __slots__ = ("members", "trace", "norm")
-
-    def __init__(self, members: tuple[Scalar, ...], trace, norm):
-        self._set(members, trace, norm)
-
-    def to_data(self) -> dict:
-        return {
-            "members": [str(m) for m in self.members],
-            "trace": str(self.trace),
-            "norm": str(self.norm),
-        }
+    to_data = Value._data
 
 
 class ClassPartition(Value):
     __slots__ = ("degree", "classes")
-
-    def __init__(self, degree: int, classes: tuple[ConjugacyClass, ...]):
-        self._set(degree, classes)
 
     def to_data(self) -> dict:
         return {

@@ -80,9 +80,6 @@ class Flavor(str, Enum):
 class Variable(Value):
     __slots__ = ("name", "aut", "der")
 
-    def __init__(self, name: str, aut: RingMap, der: RingMap):
-        self._set(name, aut, der)
-
 
 def _certify(domain, variables) -> Certificate:
     """Leibniz certification per variable plus pairwise map commutation."""

@@ -72,7 +72,7 @@ from .scalars import (DOMAINS, Quaternion, RationalFunction, Scalar, _hq,
 # every domain's literal units
 _LITERALS = {u for domain in DOMAINS.values() for u in domain.units}
 MAX_EXPONENT = 1000  # largest literal exponent; higher powers are refused
-MAX_Q_DIGITS = 100  # most decimal digits of a q_shift's q, above and below
+MAX_Q_DIGITS = 100  # most digits of q, or of an integer of a map coefficient
 MAX_VARIABLES = 32  # most variables in a ring file; certifying is quadratic
 MAX_DEPTH = 100  # deepest nesting of parentheses; deeper input is refused
 # A name starts with a letter or "_"; the match admits any word character

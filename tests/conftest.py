@@ -20,9 +20,10 @@ from skewpoly.scalars import HQ, Q, QX
 # Weyl product lane, the H(Q) basis table, the H(Q) product lane, the
 # written-down forms (monic relations, evaluation, tuple records) and the
 # one-pass kernels (conjugacy grouping, formal substitution, monic
-# division): ``pytest tests/test_scalars.py tests/test_parser.py
-# tests/test_certification_oracle.py tests/test_packed_products.py
-# tests/test_written_forms.py tests/test_kernel_oracles.py
+# division), and the CLI contract fuzz: ``pytest tests/test_scalars.py
+# tests/test_parser.py tests/test_certification_oracle.py
+# tests/test_packed_products.py tests/test_written_forms.py
+# tests/test_kernel_oracles.py tests/test_cli.py tests/test_cli_contract.py
 # tests/test_ore.py::TestBasisTable::test_matches_the_literal_recurrence
 # tests/test_ore.py::TestHQProducts::test_matches_literal_terms
 # --hypothesis-profile=scalar-oracles``.

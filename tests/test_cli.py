@@ -24,7 +24,7 @@ from skewpoly.config import load_ring, ring_from_data, ring_to_data
 from skewpoly.errors import ConfigError
 from skewpoly.evaluation import mix_derivations
 from skewpoly.maps import DEFAULT_SAMPLES, DEFAULT_SEED
-from skewpoly.parser import MAX_VARIABLES
+from skewpoly.parser import MAX_Q_DIGITS, MAX_VARIABLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -419,6 +419,38 @@ class TestExitCodes:
             f"variables, got {MAX_VARIABLES + 1}\n")
         del data["vars"][-1]
         assert main(["normalform", "--ring", write("r.json", data), "t0"]) == 0
+
+    def test_long_map_coefficients_are_2_quickly(self, write, capsys):
+        # q was bounded but map coefficients were not: 32 variables whose
+        # inner maps carry 1,000-digit integers kept load_ring busy 17.8 s
+        def ring(big, count):
+            return {"ring": "HQ", "vars": [
+                {"name": f"t{n}",
+                 "aut": {"kind": "inner_aut", "c": f"1 + {big + n}*i"},
+                 "der": {"kind": "inner_der", "c": f"{n}/{big} + i"}}
+                for n in range(count)]}
+        start = time.perf_counter()
+        data = ring(10**999, MAX_VARIABLES)
+        assert main(["normalform", "--ring", write("r.json", data), "t0"]) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == (
+            f"skewpoly: error: c has more than {MAX_Q_DIGITS} digits\n")
+        data = ring(10**(MAX_Q_DIGITS - 1), 2)  # 100 digits still load
+        assert main(["normalform", "--ring", write("r.json", data), "t0"]) == 0
+
+    @pytest.mark.parametrize("coeff, code", [
+        ("9" * MAX_Q_DIGITS, 0), (f"1/1{'0' * MAX_Q_DIGITS}", 2),
+        (f"(x + {10**MAX_Q_DIGITS})/(x + 1)", 2)],
+        ids=["100-digits", "101-digit-denominator", "101-digit-coefficient"])
+    def test_lin_comb_coefficients_are_bounded(self, write, capsys, coeff,
+                                               code):
+        der = {"kind": "lin_comb", "terms": [
+            {"coeff": "1", "der": {"kind": "ddx"}},
+            {"coeff": coeff, "der": {"kind": "ddx"}}]}
+        data = {"ring": "Qx", "vars": [dict(WEYL["vars"][0], der=der)]}
+        assert main(["normalform", "--ring", write("r.json", data), "t"]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else
+            f"skewpoly: error: coeff has more than {MAX_Q_DIGITS} digits\n")
 
     def test_deeply_nested_json_is_2(self, write, capsys):
         # nesting past the JSON decoder's recursion limit used to exit 1

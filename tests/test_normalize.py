@@ -700,3 +700,51 @@ class TestOldestFirst:
             assert result.generator_bounds == (
                 f1.degree_in(2), f2.degree_in(1), 2)
         assert refused  # the chains reach the order bug
+
+
+class TestSPolynomialOracle:
+    """Characterization of closure: for each pair a < b of the chain's
+    relations, S = t_b^(m_b)*rho_a - t_a^(m_a)*rho_b over the presentation,
+    reduced by every relation oldest first.  The oracle shares only products
+    and ``divmod_by_monic`` with the library: rho is built from the
+    relation's tails.  A non-zero remainder lies in the left ideal I, so
+    the relations are not a left Groebner basis of I and ``reduce`` is not a
+    normal form modulo I."""
+
+    @staticmethod
+    def power(ring, var, k):
+        return SkewPoly(ring, {tuple(k * (i == var) for i in range(ring.nvars)):
+                               ring.domain.one()})
+
+    def rho(self, rel):
+        out = self.power(rel.ring, rel.var, rel.degree)
+        for j, eps in enumerate(rel.tails, start=1):
+            out = out + eps * self.power(rel.ring, rel.var, rel.degree - j)
+        return out
+
+    def remainders(self, result):
+        rels, p = result.relations, result.presentation
+        out = []
+        for a, b in itertools.combinations(range(len(rels)), 2):
+            ra, rb = rels[a], rels[b]
+            s = (self.power(p, rb.var, rb.degree) * self.rho(ra)
+                 - self.power(p, ra.var, ra.degree) * self.rho(rb))
+            for rel in rels:
+                s = divmod_by_monic(s, rel)[1]
+            out.append(str(s))
+        return out
+
+    @pytest.mark.parametrize("texts, remainder", [
+        (CHAINS["readme"][1], "0"),
+        (["y3^2 + y2 + 2*y1", "y2^2 + 3*y1 + 1"], "0"),
+        (["y3^2 + x*y2", "y2^2 + x"], "-2*y3"),
+    ], ids=["readme", "closed", "open"])
+    def test_weyl3_chains(self, texts, remainder):
+        ring = load_ring(ROOT / "configs" / "weyl3.json")
+        result = normalize(ring, [parse_expr(t, ring) for t in texts])
+        assert self.remainders(result) == [remainder]
+        for rel in result.relations:
+            assert self.rho(rel) == rel.polynomial()
+        # reduce leaves 1 alone; on the open chain -2*y3, hence y2 (from
+        # rho_a), x (from rho_b) and 1 lie in I, so I is all of R
+        assert result.reduce(ring.one()) == result.presentation.one()

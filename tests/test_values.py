@@ -30,6 +30,7 @@ from skewpoly.maps import (
 )
 from skewpoly.normalize import find_nonvanishing_point, normalize
 from skewpoly.nullstellensatz import (
+    Witness,
     cns_witness,
     gordon_motzkin_check,
     make_evaluation_set,
@@ -161,3 +162,15 @@ def test_value_class_contract(name, make, fields, derived, value, text):
         assert all(getattr(clone, f) == getattr(obj, f) for f in derived)
         if value:
             assert clone == obj and hash(clone) == hash(obj)
+
+
+def test_record_constructor_takes_exactly_its_fields():
+    # Record.__init__ takes the fields by position, as the deleted
+    # forwarding constructors did, and refuses any other count by name
+    point = (HQ.zero(),)
+    assert Witness(point, HQ.one(), 1) == _witness()
+    for args in ((point, HQ.one()), (point, HQ.one(), 1, 2)):
+        with pytest.raises(TypeError, match="^Witness takes 3 fields, got"):
+            Witness(*args)
+    with pytest.raises(TypeError, match="^IdentityAut takes 0 fields, got 1"):
+        IdentityAut(I)
