@@ -1,6 +1,6 @@
 """Exact skew polynomial arithmetic over concrete division rings.
 
-The package implements iterated and commuting-variable skew polynomial
+The package implements iterated (commuting-variable) skew polynomial
 rings over the rationals, the rational function field Q(x) and the rational
 quaternions, together with evaluation homomorphisms at automorphic tuples,
 a Combinatorial Nullstellensatz witness search, and the constructive
@@ -61,7 +61,6 @@ from .maps import (
     zero_der,
 )
 from .ore import (
-    Flavor,
     OreRing,
     SkewPoly,
     Variable,

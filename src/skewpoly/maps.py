@@ -20,6 +20,7 @@ from .values import Value
 
 DEFAULT_SEED = 12345
 DEFAULT_SAMPLES = 64
+MAX_SAMPLES = 1000
 
 
 class RingMap(Value):
@@ -357,9 +358,13 @@ def sample_scalars(domain: type[Scalar], seed: int, count: int):
 
 
 def check_sample_count(samples: int) -> None:
-    """Refuse a sample count that would let a sampled check pass vacuously."""
+    """Refuse a sample count that would let a sampled check pass vacuously
+    (below 1) or run and keep its pool without bound (above MAX_SAMPLES)."""
     if samples < 1:
         raise ValueError(f"law checks need at least one sample, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"law checks take at most {MAX_SAMPLES} samples, got {samples}")
 
 
 _AUTOMORPHISMS = (IdentityAut, InnerAut, QShiftAut)

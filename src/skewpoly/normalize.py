@@ -35,7 +35,7 @@ from .errors import (
 from .evaluation import certify_tuple, evaluate
 from .maps import central_fixed_stream, lin_comb
 from .nullstellensatz import nonvanishing_points
-from .ore import Flavor, OreRing, SkewPoly, Variable, reinterpret
+from .ore import OreRing, SkewPoly, Variable, reinterpret
 from .values import Record, Value
 
 
@@ -131,8 +131,6 @@ def find_nonvanishing_point(h: SkewPoly, stream) -> PointSearch:
 
 
 def _require_normalizable(ring: OreRing):
-    if ring.flavor is not Flavor.COMMUTING:
-        raise ValueError("a commuting-variable ring is required")
     ring._require_certificate("normalization")
     auts = {v.aut for v in ring.variables}
     if len(auts) > 1:

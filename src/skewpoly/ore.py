@@ -3,9 +3,10 @@
 A ring is an ordered list of variables ``t_1, ..., t_n``, each twisting the
 scalars through an automorphism/derivation pair ``(aut_i, der_i)`` with the
 defining relation ``t_i * r = aut_i(r) * t_i + der_i(r)``.  Variables fix
-each other (the tower flavor is the converted commuting-variable ring), so
-every element has a unique expansion with left coefficients in the monomial
-basis ``t_1^{i_1} ... t_n^{i_n}``.  ``SkewPoly`` stores that expansion as a
+each other, so the ring is the iterated ring D[t_1; aut_1, der_1]...[t_n;
+aut_n, der_n] whose twists fix and kill the earlier variables, and every
+element has a unique expansion with left coefficients in the monomial basis
+``t_1^{i_1} ... t_n^{i_n}``.  ``SkewPoly`` stores that expansion as a
 sparse map from exponent vectors to non-zero coefficients.  Degrees are
 integers; the zero polynomial has degree -1.
 
@@ -48,7 +49,6 @@ arithmetic, and sympy's differential operators check Weyl products.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, prod
@@ -70,11 +70,6 @@ from .maps import (
 )
 from .scalars import HQ, QX, RationalFunction, Scalar, _hq
 from .values import Value
-
-
-class Flavor(str, Enum):
-    TOWER = "tower"
-    COMMUTING = "commuting"
 
 
 class Variable(Value):
@@ -104,14 +99,16 @@ class OreRing:
     derivation is checked against its automorphism and, for multi-variable
     rings, all map pairs are checked for commutation, each law decided on
     the generators of the domain.  A law left undecided fails the
-    certificate, and multiplication refuses to run on a failed certificate,
-    whatever the flavor.  ``samples`` and ``seed`` are the settings of the
-    sampled tuple records certified over the ring; rings derived by
-    ``with_variables`` keep them.
+    certificate, and multiplication refuses to run on a failed certificate.
+    Variables fix each other, so the ring is also the iterated tower.
+    ``samples`` and ``seed`` are the settings of the sampled tuple records
+    certified over the ring; rings derived by ``with_variables`` keep them.
     """
 
-    def __init__(self, domain: type[Scalar], variables, flavor=Flavor.COMMUTING,
-                 *, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
+    flavor = "commuting"  # read by __repr__, ring_to_data and the tracer
+
+    def __init__(self, domain: type[Scalar], variables, *,
+                 samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
         vs = tuple(v if isinstance(v, Variable) else Variable(*v)
                    for v in variables)
         first: dict = {}  # name -> index of its first variable
@@ -121,7 +118,6 @@ class OreRing:
         check_sample_count(samples)
         self.domain = domain
         self.variables = vs
-        self.flavor = Flavor(flavor)
         self.samples = samples
         self.seed = seed
         self.certificate = _certify(domain, vs)
@@ -164,36 +160,24 @@ class OreRing:
     def __eq__(self, other):
         return (isinstance(other, OreRing)
                 and self.domain is other.domain
-                and self.variables == other.variables
-                and self.flavor == other.flavor)
+                and self.variables == other.variables)
 
     __hash__ = None
 
     def __repr__(self):
         vs = ", ".join(f"{v.name};{v.aut.describe()},{v.der.describe()}"
                        for v in self.variables)
-        return f"OreRing({self.domain.name}[{vs}], {self.flavor.value})"
+        return f"OreRing({self.domain.name}[{vs}], {self.flavor})"
 
     def with_variables(self, variables) -> "OreRing":
-        """The ring on ``variables`` with this domain, flavor, samples and
-        seed; ``self`` when they are its own ``Variable``s, so an unchanged
-        ring is neither built nor certified again."""
+        """The ring on ``variables`` with this domain, samples and seed;
+        ``self`` when they are its own ``Variable``s, so an unchanged ring
+        is neither built nor certified again."""
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        return OreRing(self.domain, variables, self.flavor,
-                       samples=self.samples, seed=self.seed)
-
-    def to_tower(self) -> "OreRing":
-        """Convert a commuting-variable ring into its iterated tower.
-
-        Higher twists extend to lower variables by fixing them and killing
-        them, so the normal form and products are unchanged; the conversion
-        is gated on the compatibility certificate.
-        """
-        self._require_certificate("conversion")
-        return OreRing(self.domain, self.variables, Flavor.TOWER,
-                       samples=self.samples, seed=self.seed)
+        return OreRing(self.domain, variables, samples=self.samples,
+                       seed=self.seed)
 
     # -- element constructors -------------------------------------------
 

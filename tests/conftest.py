@@ -14,20 +14,65 @@ from skewpoly import (
 from skewpoly.ore import SkewPoly
 from skewpoly.scalars import HQ, Q, QX
 
-# Ten times Hypothesis's default budget, for the oracles that guard the
-# scalar fast paths, the parser's shortcuts, literal lane and token
-# scan, the printer, analytic certification, the packed product sums, the
-# Weyl product lane, the H(Q) basis table, the H(Q) product lane, the
-# written-down forms (monic relations, evaluation, tuple records) and the
-# one-pass kernels (conjugacy grouping, formal substitution, monic
-# division), and the CLI contract fuzz: ``pytest tests/test_scalars.py
-# tests/test_parser.py tests/test_certification_oracle.py
-# tests/test_packed_products.py tests/test_written_forms.py
-# tests/test_kernel_oracles.py tests/test_cli.py tests/test_cli_contract.py
+# The "scalar-oracles" profile: ten times Hypothesis's default budget, for
+# the oracles that guard a fast path.  CI runs them with it, and this is the
+# one list of what each guards:
+# - test_scalars.py: Fraction and sympy oracles for the Q(x) and H(Q) fast
+#   paths.
+# - test_parser.py: SkewPoly-arithmetic and tokenizer oracles for the
+#   parser; the lane-off parser for the literal lane over Q(x) and H(Q)
+#   (TestXPolynomialLane, TestQuaternionLiteralLane); the token-scan oracle,
+#   holding the one-findall token texts to tokenize's (TestTokenScanOracle);
+#   the printer oracle, holding SkewPoly.__str__ to the printer it replaced
+#   (TestPrinterOracle).
+# - test_certification_oracle.py: the ring-law decision oracle, every law
+#   decided on the generators of D against the sampled Leibniz and
+#   commutation checks kept there; the ring-verdict oracle
+#   (test_ring_certificate_gives_the_sampled_verdict), each drawn
+#   two-variable ring's certificate against its 64-sample verdict, with
+#   deadline=None; the product-law oracles of tuple certification, where
+#   test_tuple_record_counts_what_products_count holds the tuple-record
+#   proof (a linear form with the claimed derivation) to operator products.
+# - test_packed_products.py: the scalar-sum oracle for the packed Z[x] lane
+#   of operator products; the power-table oracle for the whole-operator
+#   Weyl lane.
+# - test_written_forms.py: MonicRelation.polynomial() against its product
+#   form; evaluate against the evaluation that started every term and power
+#   chain with a product by one; certify_tuple's records against those over
+#   a pool drawn for every tuple; monicize against the route through a
+#   second ring whose terms were read into the step's ring
+#   (test_monicize_equals_the_old_route).
+# - test_kernel_oracles.py, with no shrink phase: the one-pass conjugacy
+#   grouping of make_evaluation_set and gordon_motzkin_check against the
+#   pairwise Fraction trace/norm test, over drawn lists with repeats,
+#   central elements, unlike denominators and conjugates u*a*u^-1;
+#   formal_substitute's powers, built once per coordinate, against a**e per
+#   term; divmod_by_monic's in-place remainder against the schoolbook loop
+#   that subtracted q_k*rho from the whole remainder, in every ring of
+#   configs/ and perfbench/rings/, with the same number of operator
+#   products.
+# - test_cli.py: the argparse oracle (TestArgvReader::test_reads_as_argparse)
+#   holds the table-driven argv reader to an argparse parser built from the
+#   same table.
+# - test_cli_contract.py: the CLI contract fuzz feeds all nine commands
+#   soups and mutated files.
+# - test_ore.py::TestBasisTable::test_matches_the_literal_recurrence holds
+#   the ring-cached H(Q) t^k * e_b matrices to a literal single-step
+#   recurrence, over drawn quaternions with non-unit denominators and
+#   exponents up to 12.
+# - test_ore.py::TestHQProducts::test_matches_literal_terms holds whole H(Q)
+#   products, summed as integer 4-vectors and reduced once per output term,
+#   to sums of literal_monomial terms in Quaternion arithmetic, over drawn
+#   operators whose coefficients carry unlike denominators, in rings with
+#   plain, twisted and mixed variables; with no shrink phase, a failure
+#   reports the drawn pair in about a second instead of minutes.
+# The command: ``pytest tests/test_scalars.py tests/test_parser.py
+# tests/test_certification_oracle.py tests/test_packed_products.py
+# tests/test_written_forms.py tests/test_kernel_oracles.py tests/test_cli.py
+# tests/test_cli_contract.py
 # tests/test_ore.py::TestBasisTable::test_matches_the_literal_recurrence
 # tests/test_ore.py::TestHQProducts::test_matches_literal_terms
-# --hypothesis-profile=scalar-oracles``.
-# The default run keeps the default.
+# --hypothesis-profile=scalar-oracles``.  The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)
 
 

@@ -23,7 +23,7 @@ from skewpoly.cli import main
 from skewpoly.config import load_ring, ring_from_data, ring_to_data
 from skewpoly.errors import ConfigError
 from skewpoly.evaluation import mix_derivations
-from skewpoly.maps import DEFAULT_SAMPLES, DEFAULT_SEED
+from skewpoly.maps import DEFAULT_SAMPLES, DEFAULT_SEED, MAX_SAMPLES
 from skewpoly.parser import MAX_Q_DIGITS, MAX_VARIABLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -61,6 +61,13 @@ WEYL3 = {
         {"name": "y3", "aut": {"kind": "identity"}, "der": {"kind": "ddx"}},
     ],
 }
+# every ring file the repository ships, by file stem
+SHIPPED_RINGS = {
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted([*ROOT.glob("configs/*.json"),
+                        *ROOT.glob("perfbench/rings/*.json")])
+}
+TOWER_WEYL3 = dict(SHIPPED_RINGS["weyl3"], flavor="tower")
 
 
 @pytest.fixture
@@ -81,9 +88,13 @@ class TestConfig:
         assert ring.names == ("t",)
         assert ring.certificate.ok
 
-    def test_round_trip(self, write):
-        ring = load_ring(write("w2.json", WEYL2))
-        assert ring_from_data(ring_to_data(ring)) == ring
+    @pytest.mark.parametrize("data", [*SHIPPED_RINGS.values(), TOWER_WEYL3],
+                             ids=[*SHIPPED_RINGS, "weyl3-tower"])
+    def test_round_trip(self, data):
+        ring = ring_from_data(data)
+        written = ring_to_data(ring)
+        assert written["flavor"] == "commuting"
+        assert ring_from_data(written) == ring
 
     def test_inner_and_lincomb_descriptors(self):
         data = {
@@ -110,12 +121,23 @@ class TestConfig:
         ring = ring_from_data(data)
         assert ring.certificate.ok
 
-    def test_tower_flavor(self):
-        from skewpoly.ore import Flavor
-
-        data = dict(WEYL2, flavor="tower")
-        ring = ring_from_data(data)
-        assert ring.flavor is Flavor.TOWER
+    def test_tower_flavor(self, write, capsys):
+        # "tower" names the ring "commuting" does, the paper's iterated ring,
+        # so the README normalize runs on it unchanged
+        plain = str(ROOT / "configs" / "weyl3.json")
+        tower = write("tower.json", TOWER_WEYL3)
+        assert main(["normalize", "--ring", tower, "--format", "json",
+                     "--relations",
+                     str(ROOT / "configs" / "example_relations.txt")]) == 0
+        expected = ROOT / "perfbench" / "expected" / "normalize.json"
+        assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
+        assert load_ring(tower) == load_ring(plain)
+        outputs = []
+        for path in (plain, tower):
+            assert main(["monicize", "--ring", path, "--format", "json",
+                         "y1*y3 + y2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_unknown_flavor(self):
         with pytest.raises(ConfigError):
@@ -559,6 +581,28 @@ class TestExitCodes:
                   "--at", "x*t", f"--samples={samples}"])
         assert info.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_samples_above_the_bound_is_2(self, write, capsys):
+        # t+1 is checked on the samples, so each count draws its pool
+        ring_path = write("r.json", WEYL)
+        argv = ["evaluate", "--ring", ring_path, "t", "--at", "t+1"]
+        assert main([*argv, f"--samples={MAX_SAMPLES + 1}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skewpoly: error: ") and err.count("\n") == 1
+        assert main([*argv, f"--samples={MAX_SAMPLES}"]) == 0
+        assert capsys.readouterr().out == "t + 1\n"
+
+    def test_a_billion_samples_is_2_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewpoly", "evaluate", "--ring",
+             str(ROOT / "configs" / "weyl.json"), "t", "--at", "x*t",
+             "--samples", str(10**9)],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("skewpoly: error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestDeterminism:

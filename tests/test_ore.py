@@ -14,6 +14,7 @@ from skewpoly.config import load_ring
 from skewpoly.errors import IncompatibleMaps, RingMismatch, ZeroPolynomial
 from skewpoly.evaluation import mix_derivations
 from skewpoly.maps import (
+    MAX_SAMPLES,
     DdxDer,
     IdentityAut,
     InnerAut,
@@ -26,7 +27,6 @@ from skewpoly.maps import (
     zero_der,
 )
 from skewpoly.ore import (
-    Flavor,
     OreRing,
     SkewPoly,
     reinterpret,
@@ -185,6 +185,10 @@ class TestMul:
             assert f * (g + h) == f * g + f * h
             assert (f + g) * h == f * h + g * h
 
+    def test_variables_commute(self, weyl2):
+        t1, t2 = weyl2.variable(0), weyl2.variable(1)
+        assert (t2 * t1).terms == {(1, 1): QX.one()}
+
     def test_degree_subadditive(self, weyl2):
         rng = random.Random(29)
         for _ in range(20):
@@ -207,15 +211,12 @@ class TestMul:
         assert not ring.certificate.ok
         with pytest.raises(IncompatibleMaps):
             ring.variable(0) * ring.variable(1)
-        with pytest.raises(IncompatibleMaps):
-            ring.to_tower()
 
-    @pytest.mark.parametrize("flavor", list(Flavor))
-    def test_failed_certificate_refused_in_every_flavor(self, flavor):
+    def test_failed_certificate_refused(self):
         # the q-shift of a does not commute with d/dx of b: unrefused,
         # (b*a)*x = 2*x*a*b + a but b*(a*x) = 2*x*a*b + 2*a
         ring = OreRing(QX, [("a", q_shift(2), zero_der(q_shift(2))),
-                            ("b", IdentityAut(), DdxDer())], flavor)
+                            ("b", IdentityAut(), DdxDer())])
         assert not ring.certificate.ok
         with pytest.raises(IncompatibleMaps):
             ring.variable(1) * ring.variable(0)
@@ -236,6 +237,11 @@ class TestMul:
             OreRing(QX, [("t", IdentityAut(), DdxDer())], samples=samples)
         with pytest.raises(ValueError):
             OreRing(QX, [], samples=samples)
+
+    def test_samples_above_the_bound_rejected(self):
+        assert OreRing(QX, [], samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(ValueError):
+            OreRing(QX, [], samples=MAX_SAMPLES + 1)
 
 
 class TestModuleOps:
@@ -258,38 +264,12 @@ class TestModuleOps:
         assert t * X == weyl.monomial((1,), X) + weyl.one()
 
 
-class TestConversion:
-    def test_single_variable_unchanged(self, weyl):
-        tower = weyl.to_tower()
-        assert tower.flavor is Flavor.TOWER
-        assert tower.variables == weyl.variables
-
-    def test_variables_commute_in_both_flavors(self, weyl2):
-        tower = weyl2.to_tower()
-        t1c, t2c = weyl2.variable(0), weyl2.variable(1)
-        t1t, t2t = tower.variable(0), tower.variable(1)
-        assert (t2c * t1c).terms == {(1, 1): QX.one()}
-        assert (t2t * t1t).terms == {(1, 1): QX.one()}
-
-    def test_products_agree(self, weyl2, quat_inner2):
-        rng = random.Random(31)
-        for ring, count in ((weyl2, 30), (quat_inner2, 70)):
-            tower = ring.to_tower()
-            for _ in range(count):
-                f = random_poly(ring, rng, 3)
-                g = random_poly(ring, rng, 3)
-                commuting = f * g
-                towered = reinterpret(f, tower) * reinterpret(g, tower)
-                assert commuting.terms == towered.terms
-
-
 class TestDerivedRings:
     def test_with_variables_keeps_the_settings(self, weyl2):
-        ring = OreRing(QX, weyl2.variables, samples=8, seed=3).to_tower()
+        ring = OreRing(QX, weyl2.variables, samples=8, seed=3)
         prefix = ring.with_variables(ring.variables[:1])
         assert prefix.variables == weyl2.variables[:1]
-        assert (prefix.flavor, prefix.samples, prefix.seed) == (
-            Flavor.TOWER, 8, 3)
+        assert (prefix.samples, prefix.seed) == (8, 3)
         assert ring.with_variables(list(ring.variables)) is ring
 
     def test_reinterpret_pads_and_cuts_a_zero_tail(self, weyl2):
@@ -559,7 +539,7 @@ class TestBasisTable:
 
     def test_loading_a_ring_builds_no_rows(self):
         for ring in (load_ring(QUAT_INNER), identity_inner_der_ring(),
-                     two_witness_ring(), load_ring(QUAT_INNER).to_tower()):
+                     two_witness_ring()):
             assert ring.basis_powers == {}
 
     def test_rings_with_different_twists_share_no_rows(self):
