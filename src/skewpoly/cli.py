@@ -210,9 +210,9 @@ def _run_reduce(ring, args):
 
 # Each command's arguments, written as its usage: "[...]" is optional, "..."
 # repeats and gives a list (any other option its last value), and "--name
-# METAVAR" is an option, any other word a positional.  INT and COUNT (>= 1)
-# values are integers; "a|b" lists the choices.  _COMMON comes first.
-_COMMON = ("--ring PATH [--seed INT] [--samples COUNT] [--format text|json]"
+# METAVAR" is an option, any other word a positional.  INT values are
+# integers; "a|b" lists the choices.  _COMMON comes first.
+_COMMON = ("--ring PATH [--seed INT] [--samples INT] [--format text|json]"
            " [--output PATH]")
 _DEFAULTS = {"--seed": DEFAULT_SEED, "--samples": DEFAULT_SAMPLES,
              "--format": "text"}
@@ -300,13 +300,11 @@ def _read_args(argv):
         for i, value in enumerate(values):
             if "|" in kind and value not in kind.split("|"):
                 _usage_error(f"argument {name}: {value!r} is not {kind}")
-            if kind in ("INT", "COUNT"):
+            if kind == "INT":
                 try:
                     values[i] = int(value)
                 except ValueError:
                     _usage_error(f"argument {name}: {value!r} is no integer")
-                if kind == "COUNT" and values[i] < 1:  # a vacuous pass
-                    _usage_error(f"argument {name}: must be at least 1")
         args[name[2:]] = (values if usage[name].endswith("...") else
                           values[-1] if values else _DEFAULTS.get(name))
     return SimpleNamespace(command=argv[0], **args)

@@ -12,39 +12,35 @@ integers; the zero polynomial has degree -1.
 
 Multiplication distributes the right factor's monomials through the left
 one, commuting scalars variable by variable; ``t^k * r = r t^k`` for (id,
-0).  Over H(Q) any other variable reads ``t^k * r = sum_b r_b (t^k * e_b)``
-off integer matrices kept on the ring, O(k^2) entries per variable in the
-largest k used (``_basis_power``), on integer 4-vectors that are reduced
-once per output term (``_hq_product``).  Over Q and Q(x) a power table
-(``_PowerTable``) reads an identity-twisted variable's ``t^k * r = sum_j
-C(k, j) der^j(r) t^(k-j)`` off a derivative list of r, and extends any
-other's last power of r by one single step (aut, der).  The tests check
-every rule against a literal single-step recurrence that shares no code
-with this module, and Weyl products against sympy.
-
-A Q or Q(x) product gathers its terms ``m * a * c`` (left coefficient a,
-table scalar c, integer m) and sums them per exponent vector.  When every a
-and c is an integer polynomial, the sums are formed in Z by Kronecker
-substitution: p becomes p(2^B), a term one or two integer products, a sum
-is read back as balanced base-2^B digits.  Evaluation at 2^B is a ring
-homomorphism Z[x] -> Z, and B = bitlength(sum of m |a|_1 |c|_1) + 1 keeps
-every coefficient of every sum below 2^(B-1) in absolute value, so the
-digits are the coefficients: the width is proved, not guessed and retried.
-Every other product sums in scalar arithmetic.
+0).  ``SkewPoly.__mul__`` takes one of three paths.  Over H(Q) any other
+variable reads ``t^k * r = sum_b r_b (t^k * e_b)`` off integer matrices
+kept on the ring, O(k^2) entries per variable in the largest k used
+(``_basis_power``), on integer 4-vectors that are reduced once per output
+term (``_hq_product``).  Over Q and Q(x) a power table kept for one
+product reads an identity-twisted variable's ``t^k * r = sum_j C(k, j)
+der^j(r) t^(k-j)`` off a derivative list of r, extends any other's last
+power of r by one single step (aut, der), and sums the terms ``m * a * c``
+(left coefficient a, table scalar c, integer m) per exponent vector in
+scalar arithmetic (``_table_product``).  The tests check every rule
+against a literal single-step recurrence, and whole products against sums
+of the recurrence's terms, which share no code with this module, and Weyl
+products against sympy.
 
 The Weyl lane skips the power table.  Over Q(x), when every variable is
 twisted by (id, d/dx) or (id, 0) and every coefficient of both factors is
 an integer polynomial, f * g = sum_j F_j * d^j g/dx^j with F_j = D^j(f)/j!
 (D the sum of d/dt_i over the d/dx variables), and each F_j * G_j is a
-commutative product in Z[x, t], packed whole into one integer with the same
-proved width (``_weyl_product``).  The packed integer has one x-polynomial
-slot per cell of the product's exponent box, so the lane is taken only when
-the box has fewer cells than the product has term pairs and at most 8
-x-digits per pair; sparse and one-term products, and long operators with
-high x-degrees times short ones, stay on the power table.
-``tests/test_packed_products.py``
-checks the lane against the power table's terms summed in scalar
-arithmetic, and sympy's differential operators check Weyl products.
+commutative product in Z[x, t], packed whole into one integer by
+Kronecker substitution (``_weyl_product``).  Evaluation at 2^B is a ring
+homomorphism, and B = bitlength(sum_j |F_j|_1 |G_j|_1) + 1 keeps every
+coefficient of the sum below 2^(B-1) in absolute value, so the balanced
+base-2^B digits are the coefficients: the width is proved, not guessed and
+retried.  The packed integer has one x-polynomial slot per cell of the
+product's exponent box, so the lane is taken only when the box has fewer
+cells than the product has term pairs and at most 8 x-digits per pair;
+sparse and one-term products, and long operators with high x-degrees times
+short ones, take the power table.  ``tests/test_packed_products.py``
+checks the lane against ``_table_product``.
 """
 
 from __future__ import annotations
@@ -218,59 +214,6 @@ class OreRing:
                                    for t in range(self.nvars)), r) ** m
 
 
-class _PowerTable:
-    """The powers ``t_i^k * r`` met during one product over Q or Q(x);
-    H(Q) products take ``_hq_product``.
-
-    (id, 0) keeps nothing.  Rows keyed on (variable index, scalar) live for
-    one product: an identity-twisted variable keeps the derivative list r,
-    der(r), der^2(r), ... (ended by its first zero) for the Leibniz form,
-    which needs only additivity of the derivation; any other variable keeps
-    t^0 * r, t^1 * r, ..., each one single step (aut, der) from the last.
-    """
-
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring: OreRing):
-        self.ring = ring
-        self.rows: dict = {}
-
-    def power(self, i: int, k: int, r: Scalar) -> list:
-        """t_i^k * r as (power, integer factor, scalar) triples."""
-        var = self.ring.variables[i]
-        if isinstance(var.aut, IdentityAut) and isinstance(var.der, ZeroDer):
-            return [(k, 1, r)]  # the j = 0 term alone; no row to keep
-        row = self.rows.get((i, r))
-        if isinstance(var.aut, IdentityAut):
-            if row is None:
-                row = self.rows[(i, r)] = [r]
-            while len(row) <= k and not row[-1].is_zero():
-                row.append(var.der(row[-1]))
-            return [(k - j, comb(k, j), d)
-                    for j, d in enumerate(row[:k + 1]) if not d.is_zero()]
-        if row is None:
-            row = self.rows[(i, r)] = [{0: r}]
-        while len(row) <= k:
-            row.append(_single_step(var.aut, var.der, row[-1]))
-        return [(p, 1, c) for p, c in row[k].items()]
-
-    def monomial(self, exponents, r: Scalar) -> list:
-        """t^I * r as (exponent vector, integer factor, scalar) triples.
-
-        Variables are processed right to left; t_i^p commutes freely past
-        the already-normalized higher variables.  Distinct paths end in
-        distinct exponent vectors, so no two triples share one.
-        """
-        cur = [((0,) * len(exponents), 1, r)]
-        for i in range(len(exponents) - 1, -1, -1):
-            k = exponents[i]
-            if k:
-                cur = [(key[:i] + (p,) + key[i + 1:], m * f, d)
-                       for key, m, c in cur
-                       for p, f, d in self.power(i, k, c)]
-        return cur
-
-
 def _single_step(aut: RingMap, der: RingMap, cur: dict) -> dict:
     """t * (sum_p c_p t^p) in normal form, from t*c = aut(c)*t + der(c)."""
     nxt: dict = {}
@@ -312,16 +255,22 @@ def _basis_power(ring: OreRing, i: int, k: int) -> list:
     return table[k]
 
 
+def _twisted(ring: OreRing) -> list:
+    """The indices of the variables not twisted by (id, 0), last first: a
+    product steps t^L * b through these right to left, and only shifts the
+    exponents of the others."""
+    return [i for i in range(ring.nvars - 1, -1, -1)
+            if not (isinstance(ring.variables[i].aut, IdentityAut)
+                    and isinstance(ring.variables[i].der, ZeroDer))]
+
+
 def _hq_product(f: dict, g: dict, ring: OreRing) -> dict:
     """f * g over H(Q) in integers.  Per term pair (a t^L, b t^R), b's
     4-vector over its denominator steps right to left through
     ``_basis_power``'s matrices ((id, 0) only shifts the exponent), then a
     Hamilton product by a; each output term sums [n0, n1, n2, n3, den] in
     place over the lcm of the denominators, and ``_hq`` reduces it once."""
-    twisted = [i for i in range(ring.nvars - 1, -1, -1)
-               if not (isinstance(ring.variables[i].aut, IdentityAut)
-                       and isinstance(ring.variables[i].der, ZeroDer))]
-    acc: dict = {}
+    twisted, acc = _twisted(ring), {}
     for right_exp, b in g.items():
         for left_exp, a in f.items():
             cur = [(tuple(map(add, left_exp, right_exp)), *b.ints, b.den)]
@@ -358,12 +307,47 @@ def _hq_product(f: dict, g: dict, ring: OreRing) -> dict:
     return {key: _hq(*s) for key, s in acc.items() if any(s[:4])}
 
 
-def _scalar_sum(terms, table: _PowerTable) -> dict:
-    """Sum ``m * a * c`` per exponent vector in scalar arithmetic."""
-    out: dict = {}
-    for exps, m, a, c in terms:
-        v = a * c if m == 1 else table.ring.domain.from_int(m) * (a * c)
-        out[exps] = out[exps] + v if exps in out else v
+def _table_product(f: dict, g: dict, ring: OreRing) -> dict:
+    """f * g over Q or Q(x).  Per term pair (a t^L, b t^R), t^L * b steps
+    right to left through the twisted variables as (exponent vector,
+    integer m, scalar c) terms, and each m * a * c is summed per exponent
+    vector in scalar arithmetic.  Rows keyed on (variable index, scalar)
+    live for one product: an identity-twisted variable keeps the derivative
+    list r, der(r), der^2(r), ... (ended by its first zero) and reads t^k *
+    r = sum_j C(k, j) der^j(r) t^(k-j) off it, which needs only additivity
+    of the derivation; any other variable keeps t^0 * r, t^1 * r, ..., each
+    one single step (aut, der) from the last."""
+    rows: dict = {}
+
+    def power(i: int, k: int, r: Scalar) -> list:
+        """t_i^k * r as (power, integer factor, scalar) triples."""
+        var, row = ring.variables[i], rows.get((i, r))
+        if isinstance(var.aut, IdentityAut):
+            if row is None:
+                row = rows[(i, r)] = [r]
+            while len(row) <= k and not row[-1].is_zero():
+                row.append(var.der(row[-1]))
+            return [(k - j, comb(k, j), d)
+                    for j, d in enumerate(row[:k + 1]) if not d.is_zero()]
+        if row is None:
+            row = rows[(i, r)] = [{0: r}]
+        while len(row) <= k:
+            row.append(_single_step(var.aut, var.der, row[-1]))
+        return [(p, 1, c) for p, c in row[k].items()]
+
+    twisted, from_int, out = _twisted(ring), ring.domain.from_int, {}
+    for right_exp, b in g.items():
+        for left_exp, a in f.items():
+            cur = [(tuple(map(add, left_exp, right_exp)), 1, b)]
+            for i in twisted:
+                k = left_exp[i]
+                if k:
+                    cur = [(key[:i] + (key[i] - k + p,) + key[i + 1:],
+                            m * n, d)
+                           for key, m, c in cur for p, n, d in power(i, k, c)]
+            for key, m, c in cur:
+                v = a * c if m == 1 else from_int(m) * (a * c)
+                out[key] = out[key] + v if key in out else v
     return out
 
 
@@ -385,30 +369,6 @@ def _unpack(v: int, width: int) -> tuple:
         out.append(d)
         v = (v - d) >> width
     return tuple(out)
-
-
-def _packed_sum(terms) -> dict:
-    """``_scalar_sum`` of integer polynomials, by Kronecker substitution."""
-    norms, bound = {}, 0
-    for _, m, a, c in terms:
-        for p in (a.ints_num, c.ints_num):
-            if p not in norms:
-                norms[p] = sum(map(abs, p))
-        bound += m * norms[a.ints_num] * norms[c.ints_num]
-    width = bound.bit_length() + 1
-    packed = {p: _pack(p, width) for p in norms}
-    acc: dict = {}
-    for exps, m, a, c in terms:
-        v = packed[a.ints_num] * packed[c.ints_num]
-        if m != 1:
-            v *= m
-        acc[exps] = acc[exps] + v if exps in acc else v
-    out = {}
-    for exps, v in acc.items():
-        num = _unpack(v, width)
-        if num:
-            out[exps] = RationalFunction(num, (1,))
-    return out
 
 
 def _lower(rows: list, ddx: tuple, j: int) -> list:
@@ -496,15 +456,11 @@ def _weyl_product(f: dict, g: dict, ddx: tuple) -> dict | None:
     return out
 
 
-def evaluation_context(domain: type[Scalar], names) -> OreRing:
+@lru_cache(maxsize=256)
+def evaluation_context(domain: type[Scalar], names: tuple) -> OreRing:
     """A trivially twisted commuting ring used for leading forms, whose
     variables stand for central arguments.  One ring is built and certified
     per (domain, names) and shared; rings are never mutated."""
-    return _evaluation_ring(domain, tuple(names))
-
-
-@lru_cache(maxsize=256)
-def _evaluation_ring(domain: type[Scalar], names: tuple) -> OreRing:
     ident = IdentityAut()
     return OreRing(domain, [(n, ident, ZeroDer(ident)) for n in names])
 
@@ -600,22 +556,8 @@ class SkewPoly:
             terms = _weyl_product(self.terms, other.terms, ring.ddx)
             if terms is not None:
                 return SkewPoly(ring, terms)
-        if ring.domain is HQ:
-            return SkewPoly(ring, _hq_product(self.terms, other.terms, ring))
-        table = _PowerTable(ring)
-        terms = self._contributions(other, table)
-        if ring.domain is QX:
-            terms = list(terms)
-            if all(a.ints_den == c.ints_den == (1,) for _, _, a, c in terms):
-                return SkewPoly(ring, _packed_sum(terms))
-        return SkewPoly(ring, _scalar_sum(terms, table))
-
-    def _contributions(self, other, table):
-        """The product's terms (exponents, m, a, c), each m * a * c."""
-        for right_exp, b in other.terms.items():
-            for left_exp, a in self.terms.items():
-                for mid_exp, m, c in table.monomial(left_exp, b):
-                    yield tuple(map(add, mid_exp, right_exp)), m, a, c
+        multiply = _hq_product if ring.domain is HQ else _table_product
+        return SkewPoly(ring, multiply(self.terms, other.terms, ring))
 
     def __pow__(self, k: int):
         """``k - 1`` products ``(f * f) * f ...``, starting from ``self``.
@@ -658,7 +600,8 @@ class SkewPoly:
         if self.is_zero():
             raise ZeroPolynomial("leading form of the zero polynomial")
         top = self.total_degree()
-        names = [n for t, n in enumerate(self.ring.names) if t != excluded]
+        names = tuple(n for t, n in enumerate(self.ring.names)
+                      if t != excluded)
         ctx = evaluation_context(self.ring.domain, names)
         terms: dict = {}
         for e, c in self.terms.items():

@@ -33,9 +33,8 @@ from skewpoly.scalars import HQ, Q, QX
 #   deadline=None; the product-law oracles of tuple certification, where
 #   test_tuple_record_counts_what_products_count holds the tuple-record
 #   proof (a linear form with the claimed derivation) to operator products.
-# - test_packed_products.py: the scalar-sum oracle for the packed Z[x] lane
-#   of operator products; the power-table oracle for the whole-operator
-#   Weyl lane.
+# - test_packed_products.py: the power-table oracle (_table_product) for
+#   the whole-operator Weyl lane of operator products.
 # - test_written_forms.py: MonicRelation.polynomial() against its product
 #   form; evaluate against the evaluation that started every term and power
 #   chain with a product by one; certify_tuple's records against those over
@@ -66,12 +65,20 @@ from skewpoly.scalars import HQ, Q, QX
 #   operators whose coefficients carry unlike denominators, in rings with
 #   plain, twisted and mixed variables; with no shrink phase, a failure
 #   reports the drawn pair in about a second instead of minutes.
+# - test_ore.py::TestTableProducts::test_matches_literal_terms holds whole
+#   Q and Q(x) products, and _table_product's own sums, to sums of
+#   literal_monomial terms in scalar arithmetic, in every Q and Q(x) ring of
+#   configs/, q-difference rings for q in {-3, -1, 2, 3, 5} and three
+#   untwisted variables over Q, over drawn operators whose coefficients
+#   are integer polynomials with entries of 2^64 and above or carry
+#   non-unit denominators; no shrink phase, as above.
 # The command: ``pytest tests/test_scalars.py tests/test_parser.py
 # tests/test_certification_oracle.py tests/test_packed_products.py
 # tests/test_written_forms.py tests/test_kernel_oracles.py tests/test_cli.py
 # tests/test_cli_contract.py
 # tests/test_ore.py::TestBasisTable::test_matches_the_literal_recurrence
 # tests/test_ore.py::TestHQProducts::test_matches_literal_terms
+# tests/test_ore.py::TestTableProducts::test_matches_literal_terms
 # --hypothesis-profile=scalar-oracles``.  The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)
 

@@ -596,7 +596,7 @@ class TestOneCertifiedSubstitution:
         config, texts = CHAINS["readme"]
         ring = load_ring(ROOT / "configs" / config)
         relations = [parse_expr(t, ring) for t in texts]
-        importlib.import_module("skewpoly.ore")._evaluation_ring.cache_clear()
+        evaluation_context.cache_clear()
         chain_work.update(products=0, certifications=0, rings=0)
         result = normalize(ring, relations)
         assert chain_work == {"products": 28, "certifications": 5, "rings": 4}

@@ -1,6 +1,7 @@
 """Normal-form arithmetic against the closed-form commutation oracles."""
 
 import itertools
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -595,7 +596,7 @@ HQ_PRODUCT_RINGS = dict(
 
 def literal_product(f, g):
     """f * g as the sum over term pairs of a * (t^L * b), each t^L * b from
-    :func:`literal_monomial`, in Quaternion arithmetic."""
+    :func:`literal_monomial`, in scalar arithmetic."""
     want = {}
     for right, b in g.terms.items():
         for left, a in f.terms.items():
@@ -665,6 +666,72 @@ class TestHQProducts:
         got = f * g
         assert calls == {"_mul": 0, "_add": 0, "_hq": len(got.terms)}
         assert got.terms == literal_product(f, g)
+
+
+# ---------------------------------------------------------------------------
+# Q and Q(x) products against literal terms in scalar arithmetic
+# ---------------------------------------------------------------------------
+
+def _qdiff(q):
+    aut = q_shift(q)
+    return OreRing(QX, [("t", aut, QDiffDer(aut))])
+
+
+# every Q and Q(x) ring in configs/, the q-difference rings for several q,
+# and three untwisted variables over Q
+TABLE_PRODUCT_RINGS = {
+    **{p.stem: lambda request, p=p: load_ring(p) for p in CONFIGS
+       if json.loads(p.read_text())["ring"] in ("Q", "Qx")},
+    **{f"qdiff{q}": lambda request, q=q: _qdiff(q) for q in (-3, -1, 2, 3, 5)},
+    "rat3": lambda request: request.getfixturevalue("rat3"),
+}
+BIG = 2**64
+# small integers, and integers of 2^64 and above of either sign
+_BIG_INTS = st.one_of(st.integers(-5, 5), st.integers(BIG, 4 * BIG),
+                      st.integers(-4 * BIG, -BIG))
+
+
+@st.composite
+def table_scalars(draw, domain):
+    """A non-zero scalar: over Q(x) mostly an integer polynomial, else one
+    over a constant or polynomial denominator; over Q a fraction."""
+    lead = draw(_BIG_INTS.filter(bool))
+    if domain is Q:
+        return Q.from_fraction(Fraction(lead, draw(st.sampled_from(
+            [1, 1, 2, 3, BIG + 1]))))
+    num = draw(st.lists(_BIG_INTS, max_size=4)) + [lead]
+    return QX.from_coeffs(num, draw(st.sampled_from(
+        [(1,), (1,), (1,), (3,), (1, 1), (-2, 0, 1), (1, 2, 3)])))
+
+
+def table_polys(ring):
+    """Operators with up to four terms of degree <= 3 in each variable."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * ring.nvars),
+                           table_scalars(ring.domain), max_size=4).map(
+                               lambda terms: SkewPoly(ring, terms))
+
+
+class TestTableProducts:
+    # No shrink phase, as in TestHQProducts: a failure reports the drawn
+    # pair as drawn.
+    @pytest.mark.parametrize("name", TABLE_PRODUCT_RINGS)
+    @settings(deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.target),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_literal_terms(self, name, request, data):
+        ring = TABLE_PRODUCT_RINGS[name](request)
+        f = data.draw(table_polys(ring), "f")
+        g = data.draw(table_polys(ring), "g")
+        want = literal_product(f, g)
+        # the Weyl lane takes some Q(x) products whole, so the table's own
+        # sums are checked too
+        assert {e: c for e, c in ore._table_product(f.terms, g.terms, ring)
+                .items() if not c.is_zero()} == want
+        got = f * g
+        assert got.terms == want
+        assert (got + f * (-g)).is_zero()
 
 
 def dense_operator(ring, order, rng):

@@ -1,15 +1,12 @@
-"""Differential oracles for the Z[x] lanes of ``SkewPoly.__mul__``.
-
-A product whose scalars are all integer polynomials sums its terms by
-Kronecker substitution (``_packed_sum``); every other product sums them in
-scalar arithmetic (``_scalar_sum``).  These tests give both accumulators
-the same gathered terms and require the same sums, and check that packing
-and unpacking round-trip at the edges of the digit range.
+"""Differential oracles for the Weyl lane of ``SkewPoly.__mul__``.
 
 In a ring whose twists are all (id, d/dx) or (id, 0), a product of integer
-polynomial operators skips the power table altogether (``_weyl_product``).
-Its reference is the power table's terms summed in scalar arithmetic,
-which shares no code with it.
+polynomial operators skips the power table: f * g = sum_j F_j * d^j g/dx^j,
+and each F_j * d^j g/dx^j is one product of packed integers
+(``_weyl_product``).  Its reference is ``_table_product``, the power table every other Q and
+Q(x) product takes, summed in scalar arithmetic; it shares no code with
+the lane.  Packing and unpacking round-trip at the edges of the digit
+range.
 """
 
 import functools
@@ -25,9 +22,7 @@ from skewpoly.ore import (
     OreRing,
     SkewPoly,
     _pack,
-    _packed_sum,
-    _PowerTable,
-    _scalar_sum,
+    _table_product,
     _unpack,
     _weyl_product,
 )
@@ -70,53 +65,14 @@ def operators(draw, ring, max_order=3):
                                                max_size=4)))
 
 
-def gathered(f, g):
-    table = _PowerTable(f.ring)
-    terms = list(f._contributions(g, table))
-    assert all(a.ints_den == c.ints_den == (1,) for _, _, a, c in terms)
-    return terms, table
-
-
-def scalar_sum(terms, table):
-    return {e: v for e, v in _scalar_sum(terms, table).items()
-            if not v.is_zero()}
-
-
-@settings(deadline=None)
-@given(data=st.data(), name=st.sampled_from(RING_NAMES))
-def test_packed_sum_matches_scalar_sum(data, name):
-    ring = _ring(name)
-    f, g = data.draw(operators(ring)), data.draw(operators(ring))
-    terms, table = gathered(f, g)
-    expected = scalar_sum(terms, table)
-    assert _packed_sum(terms) == expected
-    assert (f * g).terms == expected
-    # each term cancelled by its negative: every sum is zero
-    negated = [(e, m, -a, c) for e, m, a, c in terms]
-    assert scalar_sum(terms + negated, table) == {}
-    assert _packed_sum(terms + negated) == {}
-
-
 @settings(deadline=None)
 @given(data=st.data(), name=st.sampled_from(RING_NAMES))
 def test_zero_product(data, name):
     ring = _ring(name)
     f = data.draw(operators(ring))
     for left, right in ((f, ring.zero()), (ring.zero(), f)):
-        terms, _ = gathered(left, right)
-        assert terms == [] and _packed_sum(terms) == {}
+        assert _table_product(left.terms, right.terms, ring) == {}
         assert (left * right).is_zero()
-
-
-@settings(deadline=None)
-@given(terms=st.lists(st.tuples(st.sampled_from([(0,), (1,), (2,)]),
-                                st.one_of(st.just(1), st.integers(2, BIG)),
-                                integer_polys(), integer_polys()),
-                      max_size=12))
-def test_packed_sum_of_arbitrary_terms(terms):
-    # large integer factors m, as a binomial coefficient can be
-    table = _PowerTable(_ring("weyl"))
-    assert _packed_sum(terms) == scalar_sum(terms, table)
 
 
 @given(width=st.integers(2, 300), data=st.data())
@@ -161,8 +117,8 @@ def weyl_operands(draw, ring,
 
 
 def power_table_product(f, g):
-    table = _PowerTable(f.ring)
-    return scalar_sum(list(f._contributions(g, table)), table)
+    return {e: v for e, v in _table_product(f.terms, g.terms, f.ring).items()
+            if not v.is_zero()}
 
 
 @settings(deadline=None)
