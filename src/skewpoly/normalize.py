@@ -95,7 +95,7 @@ class MonicRelation(Record):
         eps_j * t^(m-j) is eps_j with m - j in t's slot."""
         self.ring._require_certificate("multiplication")  # as a product would
         v, m = self.var, self.degree
-        return SkewPoly(self.ring, {
+        return SkewPoly._of(self.ring, {
             e[:v] + (m - j,) + e[v + 1:]: c
             for j, eps in enumerate((self.ring.one(), *self.tails))
             for e, c in eps.terms.items()})
@@ -250,7 +250,7 @@ def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly
         raise RingMismatch("element and relation live in different rings")
     ring, v, m = e.ring, rel.var, rel.degree
     rho = rel.polynomial()  # refuses a failed certificate, as a product would
-    tail = SkewPoly(ring, {x: c for x, c in rho.terms.items() if x[v] < m})
+    tail = SkewPoly._of(ring, {x: c for x, c in rho.terms.items() if x[v] < m})
     q, r, zero = {}, dict(e.terms), ring.domain.zero()
     for k in range(e.degree_in(v), m - 1, -1):
         top = {exp[:v] + (k - m,) + exp[v + 1:]: r.pop(exp)
@@ -258,13 +258,13 @@ def divmod_by_monic(e: SkewPoly, rel: MonicRelation) -> tuple[SkewPoly, SkewPoly
         if not top:
             continue
         q.update(top)
-        for exp, c in (SkewPoly(ring, top) * tail).terms.items():
+        for exp, c in (SkewPoly._of(ring, top) * tail).terms.items():
             if exp[v] >= k:
                 raise SkewError("internal error: reduction did not lower degree")
             c = r.pop(exp, zero) - c
             if not c.is_zero():
                 r[exp] = c
-    return SkewPoly(ring, q), SkewPoly(ring, r)
+    return SkewPoly._of(ring, q), SkewPoly._of(ring, r)
 
 
 class NormalizationResult(Record):

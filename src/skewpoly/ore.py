@@ -10,6 +10,13 @@ element has a unique expansion with left coefficients in the monomial basis
 sparse map from exponent vectors to non-zero coefficients.  Degrees are
 integers; the zero polynomial has degree -1.
 
+That map is in checked form: exponent tuples of the ring's arity, none
+negative, and no zero coefficient.  ``SkewPoly(ring, terms)`` checks data
+from outside the library.  The library's own results (products, sums,
+scaling, the parser's values, monic division) are built in that form and
+wrapped by ``SkewPoly._of`` unchecked and uncopied; a dict handed to it is
+never changed afterwards.
+
 Multiplication distributes the right factor's monomials through the left
 one, commuting scalars variable by variable; ``t^k * r = r t^k`` for (id,
 0).  ``SkewPoly.__mul__`` takes one of three paths.  Over H(Q) any other
@@ -348,7 +355,7 @@ def _table_product(f: dict, g: dict, ring: OreRing) -> dict:
             for key, m, c in cur:
                 v = a * c if m == 1 else from_int(m) * (a * c)
                 out[key] = out[key] + v if key in out else v
-    return out
+    return {key: v for key, v in out.items() if not v.is_zero()}
 
 
 def _pack(coeffs, width: int) -> int:
@@ -469,9 +476,19 @@ class SkewPoly:
     """Sparse normal form: exponent vector -> non-zero left coefficient.
 
     Values are immutable; all operations return fresh polynomials.
+    ``SkewPoly(ring, terms)`` checks outside data (arity, no negative
+    exponent) and drops zero coefficients; ``_of`` wraps a result already
+    in that form as is, and its dict is never changed afterwards.
     """
 
     __slots__ = ("ring", "terms")
+
+    @classmethod
+    def _of(cls, ring: OreRing, terms: dict) -> "SkewPoly":
+        """``terms``, already in checked form, wrapped as is."""
+        self = object.__new__(cls)
+        self.ring, self.terms = ring, terms
+        return self
 
     def __init__(self, ring: OreRing, terms: dict):
         n = ring.nvars
@@ -525,19 +542,25 @@ class SkewPoly:
         self._match(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return SkewPoly(self.ring, out)
+            if e in out and (c := out[e] + c).is_zero():
+                del out[e]
+            else:
+                out[e] = c
+        return SkewPoly._of(self.ring, out)
 
     def __neg__(self):
-        return SkewPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return SkewPoly._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale_left(self, c: Scalar) -> "SkewPoly":
-        """Left multiplication by a scalar (module scaling)."""
-        return SkewPoly(self.ring,
-                        {e: c * v for e, v in self.terms.items()})
+        """Left multiplication by a scalar (module scaling); D has no zero
+        divisors, so only a zero scalar gives a zero term."""
+        if c.is_zero():
+            return self.ring.zero()
+        return SkewPoly._of(self.ring,
+                            {e: c * v for e, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, Scalar):
@@ -555,9 +578,9 @@ class SkewPoly:
         if ring.ddx is not None:
             terms = _weyl_product(self.terms, other.terms, ring.ddx)
             if terms is not None:
-                return SkewPoly(ring, terms)
+                return SkewPoly._of(ring, terms)
         multiply = _hq_product if ring.domain is HQ else _table_product
-        return SkewPoly(ring, multiply(self.terms, other.terms, ring))
+        return SkewPoly._of(ring, multiply(self.terms, other.terms, ring))
 
     def __pow__(self, k: int):
         """``k - 1`` products ``(f * f) * f ...``, starting from ``self``.
@@ -591,25 +614,22 @@ class SkewPoly:
             k = e[var]
             stripped = e[:var] + (0,) + e[var + 1:]
             buckets.setdefault(k, {})[stripped] = c
-        return {k: SkewPoly(self.ring, t) for k, t in buckets.items()}
+        return {k: SkewPoly._of(self.ring, t) for k, t in buckets.items()}
 
     def leading_form(self, excluded: int) -> "SkewPoly":
         """Top-total-degree terms as a commutative left-coefficient
         polynomial in the other variables; the excluded variable's exponent
-        is dropped (it is determined by the remaining weight)."""
+        is dropped (it is determined by the remaining weight, so no two
+        terms meet)."""
         if self.is_zero():
             raise ZeroPolynomial("leading form of the zero polynomial")
         top = self.total_degree()
         names = tuple(n for t, n in enumerate(self.ring.names)
                       if t != excluded)
         ctx = evaluation_context(self.ring.domain, names)
-        terms: dict = {}
-        for e, c in self.terms.items():
-            if sum(e) != top:
-                continue
-            key = e[:excluded] + e[excluded + 1:]
-            terms[key] = terms[key] + c if key in terms else c
-        return SkewPoly(ctx, terms)
+        return SkewPoly._of(ctx, {e[:excluded] + e[excluded + 1:]: c
+                                  for e, c in self.terms.items()
+                                  if sum(e) == top})
 
     # -- presentation ----------------------------------------------------------
 
@@ -651,5 +671,5 @@ def reinterpret(f: SkewPoly, ring: OreRing) -> SkewPoly:
     if any(any(e[n:]) for e in f.terms):
         raise RingMismatch("polynomial involves variables the ring lacks")
     pad = (0,) * n
-    return SkewPoly(ring, {(e + pad)[:n]: c for e, c in f.terms.items()})
+    return SkewPoly._of(ring, {(e + pad)[:n]: c for e, c in f.terms.items()})
 

@@ -31,8 +31,9 @@ signs is counted in a loop, so only parentheses recurse, and the bound on
 their depth keeps every input clear of Python's recursion limit: a
 deeper ``(`` is a ``ParseError`` at its position.
 
-Values are term dicts ``{exponents: non-zero left coefficient}``, wrapped
-in one ``SkewPoly`` at the end.  Products whose result is already a normal
+Values are term dicts ``{exponents: non-zero left coefficient}``, each in
+``SkewPoly``'s checked form, wrapped unchecked (``SkewPoly._of``) in one
+``SkewPoly`` at the end.  Products whose result is already a normal
 form skip ``SkewPoly.__mul__``: f times a unit monomial ``t^J`` adds J to
 every exponent vector, since the variables fix each other and every
 automorphism fixes 1 and every derivation kills it, and a constant times
@@ -118,7 +119,7 @@ class _Parser:
         self.constant = {self.origin}  # the key set of a non-zero constant
         self.names = ring.names
         self.one = ring.domain.one()
-        # where no unit is a variable and products are allowed, an integer
+        # where no unit is a variable and products are allowed, a rational
         # combination of the units is read directly; {} turns the lane off
         units = ring.domain.units
         self.units = (units if ring.certificate.ok
@@ -141,7 +142,7 @@ class _Parser:
         terms = self.expr()
         if self.texts[self.pos]:
             self.fail(f"unexpected {self.texts[self.pos]!r}")
-        return SkewPoly(self.ring, terms)
+        return SkewPoly._of(self.ring, terms)
 
     def expr(self) -> dict:
         terms = self.term()
@@ -151,10 +152,8 @@ class _Parser:
             for e, c in self.term().items():
                 if op == "-":
                     c = -c
-                if e in terms:
-                    c = terms[e] + c
-                if c.is_zero():
-                    terms.pop(e, None)
+                if e in terms and (c := terms[e] + c).is_zero():
+                    del terms[e]
                 else:
                     terms[e] = c
         return terms
@@ -195,7 +194,7 @@ class _Parser:
                         for e, c in a.items()}
         if a.keys() <= self.constant:  # a constant or zero: left scaling
             return {e: c * v for c in a.values() for e, v in b.items()}
-        return (SkewPoly(ring, a) * SkewPoly(ring, b)).terms
+        return (SkewPoly._of(ring, a) * SkewPoly._of(ring, b)).terms
 
     def unary(self) -> dict:
         texts = self.texts
@@ -227,7 +226,7 @@ class _Parser:
             (e, c), = base.items()
             if c == self.one:  # a unit monomial: exponents times k
                 return {tuple(k * p for p in e): c}
-        return (SkewPoly(self.ring, base) ** k).terms
+        return (SkewPoly._of(self.ring, base) ** k).terms
 
     def atom(self) -> dict:
         text = self.texts[self.pos]
@@ -344,8 +343,8 @@ def parse_expr(src: str, ring: OreRing) -> SkewPoly:
 
 def parse_scalar(src: str, domain: type[Scalar]) -> Scalar:
     """Parse a scalar-valued expression over a coefficient ring.  A whole
-    text that is an integer combination of the domain's units, such as
-    ``-3*i + k``, is read by the parser's literal lane."""
+    text that is a rational combination of the domain's units, such as
+    ``-2 + 2/13*i``, is read by the parser's literal lane."""
     p = _Parser(src, evaluation_context(domain, ()))
     value = p.literal(0, "")
     return p.parse().constant_value() if value is None else value

@@ -582,8 +582,9 @@ class Quaternion(Scalar):
                     n = -n
                 elif out:
                     out.append(" + ")
-                c = n if m == 1 else Fraction(n, m)
-                out.append(str(c) if not unit else unit if n == m
+                g = gcd(n, m)
+                c = f"{n // g}" if g == m else f"{n // g}/{m // g}"
+                out.append(c if not unit else unit if n == m
                            else f"{c}*{unit}")
         return "".join(out) or "0"
 

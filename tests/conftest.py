@@ -72,6 +72,12 @@ from skewpoly.scalars import HQ, Q, QX
 #   untwisted variables over Q, over drawn operators whose coefficients
 #   are integer polynomials with entries of 2^64 and above or carry
 #   non-unit denominators; no shrink phase, as above.
+# - test_ore.py::TestCheckedForms::test_results_are_checked_forms holds
+#   every result that SkewPoly._of wraps unchecked (products, sums,
+#   negation, scaling, powers, parsed text, monic division, splits, leading
+#   forms) to its re-checked form, and checks that none shares its term
+#   dict with an operand or changes one, in every ring of configs/ and
+#   perfbench/rings/ and rat3; no shrink phase, as above.
 # The command: ``pytest tests/test_scalars.py tests/test_parser.py
 # tests/test_certification_oracle.py tests/test_packed_products.py
 # tests/test_written_forms.py tests/test_kernel_oracles.py tests/test_cli.py
@@ -79,6 +85,7 @@ from skewpoly.scalars import HQ, Q, QX
 # tests/test_ore.py::TestBasisTable::test_matches_the_literal_recurrence
 # tests/test_ore.py::TestHQProducts::test_matches_literal_terms
 # tests/test_ore.py::TestTableProducts::test_matches_literal_terms
+# tests/test_ore.py::TestCheckedForms::test_results_are_checked_forms
 # --hypothesis-profile=scalar-oracles``.  The default run keeps the default.
 settings.register_profile("scalar-oracles", max_examples=1000)
 

@@ -27,11 +27,13 @@ from skewpoly.maps import (
     q_shift,
     zero_der,
 )
+from skewpoly.normalize import MonicRelation, divmod_by_monic
 from skewpoly.ore import (
     OreRing,
     SkewPoly,
     reinterpret,
 )
+from skewpoly.parser import parse_expr
 from skewpoly.scalars import HQ, Q, QX
 
 from conftest import random_poly
@@ -40,8 +42,9 @@ from test_maps import UnhashableSquareMap
 I, J, K = HQ.i(), HQ.j(), HQ.k()
 X = QX.x()
 HALF = QX.from_fraction(Fraction(1, 2))
-CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent
-                  / "configs").glob("*.json"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+BENCH_RINGS = sorted((ROOT / "perfbench" / "rings").glob("*.json"))
 
 
 def single_step_oracle(ring, i, k, r):
@@ -732,6 +735,76 @@ class TestTableProducts:
         got = f * g
         assert got.terms == want
         assert (got + f * (-g)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# every result the library builds is a checked form
+# ---------------------------------------------------------------------------
+
+# every ring in configs/ and perfbench/rings/, and three untwisted
+# variables over Q
+CHECKED_FORM_RINGS = {
+    **{p.stem: lambda request, p=p: load_ring(p)
+       for p in CONFIGS + BENCH_RINGS},
+    "rat3": lambda request: request.getfixturevalue("rat3"),
+}
+
+
+def assert_checked(p, *operands):
+    """``p`` is what the checked constructor makes of its own terms, and
+    shares its term dict with no operand."""
+    assert SkewPoly(p.ring, dict(p.terms)).terms == p.terms, p.terms
+    assert all(p.terms is not q.terms for q in operands)
+
+
+class TestCheckedForms:
+    """Results are built without a second check of their terms, so each
+    must already hold exponent vectors of the ring's arity, none negative,
+    and no zero coefficient; and no operand may change."""
+
+    # No shrink phase, as in TestHQProducts.
+    @pytest.mark.parametrize("name", CHECKED_FORM_RINGS)
+    @settings(deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.target),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_results_are_checked_forms(self, name, request, data):
+        ring = CHECKED_FORM_RINGS[name](request)
+        polys, scalars = ((hq_polys(ring), _TABLE_SCALARS)
+                          if ring.domain is HQ else
+                          (table_polys(ring), table_scalars(ring.domain)))
+        f, g = data.draw(polys, "f"), data.draw(polys, "g")
+        c, m = data.draw(scalars, "c"), data.draw(st.integers(1, 2), "m")
+        before = dict(f.terms), dict(g.terms)
+        v = ring.nvars - 1
+        tails = g.split_by_var(v)
+        rel = MonicRelation(ring, v, m, tuple(tails.get(j, ring.zero())
+                                              for j in range(m)))
+        results = [f * g, f + g, f - f, -f, f.scale_left(c),
+                   f.scale_left(ring.domain.zero()), f ** 2,
+                   parse_expr(str(f), ring), *divmod_by_monic(f, rel),
+                   rel.polynomial(), reinterpret(f, ring),
+                   *f.split_by_var(v).values(), *tails.values()]
+        if not f.is_zero():
+            results.append(f.leading_form(v))
+        for p in results:
+            assert_checked(p, f, g)
+        assert f ** 1 is f
+        assert (f.terms, g.terms) == before
+
+    @pytest.mark.parametrize("path, left, right, want", [
+        # t's degree-1 and degree-0 sums cancel in _table_product
+        ("configs/weyl.json", "t + 1/(x+1)", "t - 1/(x+1)", "t^2"),
+        # the cross terms cancel in _hq_product
+        ("perfbench/rings/quat2.json", "s1 + s2", "s1 - s2",
+         "s1^2 - s2^2")])
+    def test_forced_cancellations(self, path, left, right, want):
+        ring = load_ring(ROOT / path)
+        f, g = parse_expr(left, ring), parse_expr(right, ring)
+        for p in (f * g, parse_expr(f"({left})*({right})", ring)):
+            assert_checked(p, f, g)
+            assert str(p) == want
 
 
 def dense_operator(ring, order, rng):
