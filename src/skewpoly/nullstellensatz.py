@@ -7,6 +7,11 @@ homomorphism in :mod:`skewpoly.evaluation` -- formal substitution is not
 multiplicative, e.g. over the quaternions with trivial twists and f = t,
 g = j*t one has (f*g)(i) = -j while f(i)*g(i) = j.
 
+Roots are verified a conjugacy class at a time: s^2 = T s - N, with T and
+N the reduced trace and norm, constant on the class, makes f(s) = P s + Q
+there (Gordon and Motzkin, 1965).  :func:`formal_substitute` stays the
+public, general substitution, and the name the benchmark tracer wraps.
+
 Points are found by the Nullstellensatz's own induction on coordinates
 (:func:`nonvanishing_points`), which also picks the central shifts of
 :func:`skewpoly.normalize.monicize`; under the validated hypotheses it makes
@@ -16,6 +21,7 @@ at most |A_1| + ... + |A_n| specializations.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -28,7 +34,7 @@ from .errors import (
 )
 from .maps import IdentityAut, ZeroDer
 from .ore import SkewPoly
-from .scalars import Scalar, conjugacy_key
+from .scalars import Quaternion, Scalar, conjugacy_key
 from .values import Value
 
 
@@ -92,8 +98,7 @@ def nonvanishing_points(terms: dict, sets, prefix=(), made=0):
     ``prefix`` (the indices fixed so far) and ``made`` carry the recursion.
     """
     if len(prefix) == len(sets):
-        if terms:
-            yield prefix, terms[()], made
+        yield prefix, terms[()], made
         return made
     exponents = {exps[0] for exps in terms} - {0}
     for j, a in enumerate(sets[len(prefix)]):
@@ -165,8 +170,16 @@ class ClassPartition(Value):
 
 
 def gordon_motzkin_check(f: SkewPoly, roots) -> ClassPartition:
-    """Verify the supplied roots and partition them into conjugacy classes,
-    keyed on :func:`conjugacy_key`, in order of first appearance.
+    """Verify the supplied roots, the first non-root in input order a
+    ``NotARoot``, and partition them into conjugacy classes keyed on
+    :func:`conjugacy_key`, in order of first appearance.
+
+    s^2 = T s - N gives f(s) = P s + Q on a class (Gordon and Motzkin,
+    1965).  For its first root n/m, D = m^2, tau = 2 n_0 m and nu = |n|^2
+    give T = tau/D and N = nu/D, and s^e = (a_e s + b_e)/D^e with a_0 = 0,
+    b_0 = 1, a_(e+1) = tau a_e + D b_e and b_(e+1) = -nu a_e.  P and Q are
+    summed as integer 4-vectors over one denominator, and n/m is a root
+    exactly when the 4-vector P n + m Q is zero.
 
     The class count is asserted to stay within deg(f); exceeding it would be
     an implementation bug, not a data error.
@@ -179,14 +192,40 @@ def gordon_motzkin_check(f: SkewPoly, roots) -> ClassPartition:
         raise ValueError("expected trivial twists (identity, zero)")
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no root bound")
-    roots = list(roots)
-    for r in roots:
-        if not formal_substitute(f, (r,)).is_zero():
-            raise NotARoot(f"{r} does not annihilate the polynomial")
+    degree = f.total_degree()
+    den = lcm(*(c.den for c in f.terms.values()))
+    coeffs = [()] * (degree + 1)  # c_e * den as integer 4-tuples
+    for (e,), c in f.terms.items():
+        coeffs[e] = tuple(v * (den // c.den) for v in c.ints)
+    forms: dict = {}  # conjugacy key -> (P, Q) * den * D^degree
     classes: dict = {}  # conjugacy key -> members, in first-appearance order
     for r in roots:
-        classes.setdefault(conjugacy_key(r), []).append(r)
-    degree = f.total_degree()
+        if r.__class__ is not Quaternion:
+            raise VariantMismatch(f"root {r} is not a quaternion")
+        key = conjugacy_key(r)
+        (n0, n1, n2, n3), m = r.ints, r.den
+        if key not in forms:
+            d, tau = m * m, 2 * n0 * m
+            nu = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
+            a, b, w = 0, 1, d ** degree
+            p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = 0
+            for c in coeffs:
+                if c:
+                    c0, c1, c2, c3 = c
+                    wa, wb = a * w, b * w
+                    p0, p1, p2, p3 = (p0 + wa * c0, p1 + wa * c1,
+                                      p2 + wa * c2, p3 + wa * c3)
+                    q0, q1, q2, q3 = (q0 + wb * c0, q1 + wb * c1,
+                                      q2 + wb * c2, q3 + wb * c3)
+                a, b, w = tau * a + d * b, -nu * a, w // d
+            forms[key] = p0, p1, p2, p3, q0, q1, q2, q3
+        p0, p1, p2, p3, q0, q1, q2, q3 = forms[key]
+        if (p0 * n0 - p1 * n1 - p2 * n2 - p3 * n3 + m * q0
+                or p0 * n1 + p1 * n0 + p2 * n3 - p3 * n2 + m * q1
+                or p0 * n2 - p1 * n3 + p2 * n0 + p3 * n1 + m * q2
+                or p0 * n3 + p1 * n2 - p2 * n1 + p3 * n0 + m * q3):
+            raise NotARoot(f"{r} does not annihilate the polynomial")
+        classes.setdefault(key, []).append(r)
     if len(classes) > degree:
         raise BoundViolated(
             f"{len(classes)} conjugacy classes exceed degree {degree}"

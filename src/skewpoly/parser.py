@@ -51,11 +51,12 @@ Where no literal unit (``x`` over Q(x); ``i``, ``j``, ``k`` over the
 quaternions) is a ring variable and the certificate holds, a parenthesized
 rational combination of the units such as ``(3*x^2 - 1/2*x + 2)``, and a
 whole ``parse_scalar`` text such as ``-3*i + 2/13*k``, is read straight
-into one coefficient (``_Parser.literal``), with no term dicts or scalar
-products.  Any other token, a zero denominator, an exponent above
-``MAX_EXPONENT`` or a literal too long to convert leaves the position where
-it was, and the general path then gives the same value or error; a ``(``
-past ``MAX_DEPTH`` is refused before the lane is tried.  The tests in
+into one coefficient (``_literal``), with no term dicts or scalar
+products; ``parse_scalar`` tries the lane before any ``_Parser`` is built.
+Any other token, a zero denominator, an exponent above ``MAX_EXPONENT`` or
+a literal too long to convert leaves the position where it was, and the
+general path then gives the same value or error; a ``(`` past
+``MAX_DEPTH`` is refused before the lane is tried.  The tests in
 ``tests/test_parser.py`` run the parser with the lane off as its oracle,
 and check the value against ``Fraction`` arithmetic on the monomials.
 """
@@ -241,8 +242,9 @@ class _Parser:
         if text == "(":
             if self.depth == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
-            value = self.literal(self.pos + 1, ")")
-            if value is not None:
+            if self.units and (read := _literal(self.texts, self.pos + 1,
+                                                ")", self.units)):
+                value, self.pos = read
                 return {} if value.is_zero() else {self.origin: value}
             self.pos += 1
             self.depth += 1
@@ -254,73 +256,6 @@ class _Parser:
             return terms
         self.fail("expected a number, name or '('"
                   if text else "unexpected end of input")
-
-    def literal(self, pos: int, close: str) -> Scalar | None:
-        """The rational combination of the domain's units written from
-        ``pos`` to the token ``close`` as ``['-'] mono (('+' | '-') mono)*``,
-        with ``mono := NUM ['/' NUM] ['*' UNIT] | UNIT`` and, over Q(x),
-        ``'^' NUM`` after the unit, read over a common denominator into one
-        coefficient, and ``self.pos`` moved past ``close``.  On any other
-        token, a zero denominator, an exponent above ``MAX_EXPONENT`` or a
-        literal too long for ``int``, None with ``self.pos`` unchanged: the
-        general path then gives the same value or error."""
-        texts, units, powers = self.texts, self.units, "x" in self.units
-        if not units:
-            return None
-        sign, coeffs, den = 1, {}, 1
-        if texts[pos] == "-":
-            pos, sign = pos + 1, -1
-        try:
-            while True:
-                c, slot = den, 0  # c over den
-                if texts[pos].isdigit():
-                    c = int(texts[pos]) * den
-                    pos += 1
-                    if texts[pos] == "/":
-                        if not (texts[pos + 1].isdigit()
-                                and (q := int(texts[pos + 1]))):
-                            return None
-                        if den % q:  # a new common denominator
-                            m = lcm(den, q)
-                            coeffs = {e: v * (m // den)
-                                      for e, v in coeffs.items()}
-                            c, den = c * (m // den), m
-                        c //= q
-                        pos += 2
-                    if texts[pos] == "*":
-                        if not (slot := units.get(texts[pos + 1])):
-                            return None
-                        pos += 2
-                elif slot := units.get(texts[pos]):
-                    pos += 1
-                else:
-                    return None
-                if texts[pos] == "^":
-                    if not (slot and powers and texts[pos + 1].isdigit()):
-                        return None
-                    slot = int(texts[pos + 1])
-                    if slot > MAX_EXPONENT:
-                        return None
-                    pos += 2
-                coeffs[slot] = coeffs.get(slot, 0) + sign * c
-                text = texts[pos]
-                pos += 1
-                if text == close:
-                    break
-                if text != "+" and text != "-":
-                    return None
-                sign = -1 if text == "-" else 1
-        except ValueError:
-            return None
-        self.pos = pos
-        if not powers:  # over 1 the numerators are jointly primitive
-            ints = tuple(coeffs.get(s, 0) for s in range(4))
-            return Quaternion(ints, 1) if den == 1 else _hq(*ints, den)
-        num = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
-        while num and not num[-1]:
-            num.pop()
-        return (RationalFunction(tuple(num), (1,)) if den == 1
-                else _reduced(tuple(num), (den,)))
 
     def resolve_name(self, name: str) -> dict:
         names = self.names
@@ -336,6 +271,73 @@ class _Parser:
         self.fail(f"unknown name {name!r}", error=UnknownVariable)
 
 
+def _literal(texts, pos: int, close: str, units: dict) -> tuple | None:
+    """The rational combination of ``units`` (a domain's non-empty
+    ``units``) written in the token ``texts`` from ``pos`` to the token
+    ``close`` as ``['-'] mono (('+' | '-') mono)*``, with
+    ``mono := NUM ['/' NUM] ['*' UNIT] | UNIT`` and, over Q(x), ``'^' NUM``
+    after the unit, read over a common denominator into one coefficient,
+    with the position past ``close``.  On any other token, a zero
+    denominator, an exponent above ``MAX_EXPONENT`` or a literal too long
+    for ``int``, None: the general path then gives the same value or
+    error."""
+    powers = "x" in units
+    sign, coeffs, den = 1, {}, 1
+    if texts[pos] == "-":
+        pos, sign = pos + 1, -1
+    try:
+        while True:
+            c, slot = den, 0  # c over den
+            if texts[pos].isdigit():
+                c = int(texts[pos]) * den
+                pos += 1
+                if texts[pos] == "/":
+                    if not (texts[pos + 1].isdigit()
+                            and (q := int(texts[pos + 1]))):
+                        return None
+                    if den % q:  # a new common denominator
+                        m = lcm(den, q)
+                        coeffs = {e: v * (m // den)
+                                  for e, v in coeffs.items()}
+                        c, den = c * (m // den), m
+                    c //= q
+                    pos += 2
+                if texts[pos] == "*":
+                    if not (slot := units.get(texts[pos + 1])):
+                        return None
+                    pos += 2
+            elif slot := units.get(texts[pos]):
+                pos += 1
+            else:
+                return None
+            if texts[pos] == "^":
+                if not (slot and powers and texts[pos + 1].isdigit()):
+                    return None
+                slot = int(texts[pos + 1])
+                if slot > MAX_EXPONENT:
+                    return None
+                pos += 2
+            coeffs[slot] = coeffs.get(slot, 0) + sign * c
+            text = texts[pos]
+            pos += 1
+            if text == close:
+                break
+            if text != "+" and text != "-":
+                return None
+            sign = -1 if text == "-" else 1
+    except ValueError:
+        return None
+    if not powers:  # over 1 the numerators are jointly primitive
+        get = coeffs.get
+        ints = get(0, 0), get(1, 0), get(2, 0), get(3, 0)
+        return (Quaternion(ints, 1) if den == 1 else _hq(*ints, den)), pos
+    num = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
+    while num and not num[-1]:
+        num.pop()
+    return (RationalFunction(tuple(num), (1,)) if den == 1
+            else _reduced(tuple(num), (den,))), pos
+
+
 def parse_expr(src: str, ring: OreRing) -> SkewPoly:
     """Parse an expression into its normal form in ``ring``."""
     return _Parser(src, ring).parse()
@@ -343,8 +345,13 @@ def parse_expr(src: str, ring: OreRing) -> SkewPoly:
 
 def parse_scalar(src: str, domain: type[Scalar]) -> Scalar:
     """Parse a scalar-valued expression over a coefficient ring.  A whole
-    text that is a rational combination of the domain's units, such as
-    ``-2 + 2/13*i``, is read by the parser's literal lane."""
-    p = _Parser(src, evaluation_context(domain, ()))
-    value = p.literal(0, "")
-    return p.parse().constant_value() if value is None else value
+    ASCII text that is a rational combination of the domain's units, such
+    as ``-2 + 2/13*i``, is read by the literal lane before any parser is
+    built; a parser is built only when the lane declines, and never tried
+    for a domain with no units (Q)."""
+    units = domain.units
+    if units and src.isascii() and _ASCII_TEXT.fullmatch(src) and (
+            read := _literal(_TEXTS.findall(src) + [""], 0, "", units)):
+        return read[0]
+    parser = _Parser(src, evaluation_context(domain, ()))
+    return parser.parse().constant_value()

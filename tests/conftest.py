@@ -46,10 +46,14 @@ from skewpoly.scalars import HQ, Q, QX
 #   pairwise Fraction trace/norm test, over drawn lists with repeats,
 #   central elements, unlike denominators and conjugates u*a*u^-1;
 #   formal_substitute's powers, built once per coordinate, against a**e per
-#   term; divmod_by_monic's in-place remainder against the schoolbook loop
-#   that subtracted q_k*rho from the whole remainder, in every ring of
-#   configs/ and perfbench/rings/, with the same number of operator
-#   products.
+#   term; gordon_motzkin_check's per-class form P*s + Q against
+#   formal_substitute per root, over f of degree 0 to 6 with denominators,
+#   half of them multiples of minimal polynomials, and roots that are
+#   conjugates, central elements and non-roots: the same partition, or
+#   NotARoot naming the first non-root; divmod_by_monic's in-place
+#   remainder against the schoolbook loop that subtracted q_k*rho from the
+#   whole remainder, in every ring of configs/ and perfbench/rings/, with
+#   the same number of operator products.
 # - test_cli.py: the argparse oracle (TestArgvReader::test_reads_as_argparse)
 #   holds the table-driven argv reader to an argparse parser built from the
 #   same table.
@@ -77,7 +81,9 @@ from skewpoly.scalars import HQ, Q, QX
 #   negation, scaling, powers, parsed text, monic division, splits, leading
 #   forms) to its re-checked form, and checks that none shares its term
 #   dict with an operand or changes one, in every ring of configs/ and
-#   perfbench/rings/ and rat3; no shrink phase, as above.
+#   perfbench/rings/ and rat3; half of the draws take g from f with one
+#   sign flipped, so sums cancel in every product lane; no shrink phase,
+#   as above.
 # The command: ``pytest tests/test_scalars.py tests/test_parser.py
 # tests/test_certification_oracle.py tests/test_packed_products.py
 # tests/test_written_forms.py tests/test_kernel_oracles.py tests/test_cli.py

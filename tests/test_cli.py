@@ -504,6 +504,14 @@ class TestExitCodes:
                      "--roots", "i, 1", "t^2 + 1"]) == 1
         assert "NotARoot" in capsys.readouterr().err
 
+    def test_failed_set_validation_is_1(self, write, capsys):
+        # i and j are conjugate, so the set is not a valid evaluation set
+        assert main(["cns-search", "--ring", write("r.json", QUAT),
+                     "--sets", write("sets.txt", "i, j\n"), "t"]) == 1
+        assert capsys.readouterr().err == (
+            "skewpoly: SkewError: evaluation sets failed validation "
+            "(pairwise non-conjugacy and size > deg = 1)\n")
+
     def test_not_monic_is_1(self, write, capsys):
         assert main(["reduce", "--ring", write("r.json", QUAT),
                      "--relation", "2*t^2 + 1", "--var", "t", "t^3"]) == 1

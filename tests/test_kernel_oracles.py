@@ -3,6 +3,8 @@
 ``make_evaluation_set`` and ``gordon_motzkin_check`` group elements by
 ``conjugacy_key`` in one pass; they are held to the pairwise test they
 replaced, reduced trace and reduced norm compared as ``Fraction``s.
+``gordon_motzkin_check`` verifies roots by one linear form P*s + Q per
+conjugacy class; its verdict is held to ``formal_substitute`` per root.
 ``formal_substitute`` reads each coordinate's powers off one list; it is
 held to ``a**e`` per term.  ``divmod_by_monic`` reduces one term dict in
 place and never multiplies rho's leading monomial; it is held to the
@@ -20,9 +22,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from skewpoly.config import load_ring
-from skewpoly.errors import SkewError, VariantMismatch
+from skewpoly.errors import NotARoot, SkewError, VariantMismatch
 from skewpoly.normalize import MonicRelation, divmod_by_monic
 from skewpoly.nullstellensatz import (
+    ClassPartition,
+    ConjugacyClass,
     formal_substitute,
     gordon_motzkin_check,
     make_evaluation_set,
@@ -86,6 +90,7 @@ def reference_classes(roots) -> list:
 _FRACTIONS = st.fractions(-6, 6, max_denominator=6)
 _QUATERNIONS = st.builds(HQ.make, *[_FRACTIONS] * 4)
 _UNITS = _QUATERNIONS.filter(lambda u: not u.is_zero())
+_CENTRAL = _FRACTIONS.map(HQ.from_fraction)
 
 
 @st.composite
@@ -168,8 +173,7 @@ def root_lists(draw):
     """A product of minimal polynomials and roots drawn around its
     factors' roots (conjugates, repeats, central roots)."""
     ring = _ring(ROOT / "configs" / "quat.json")
-    bases = draw(shared_trace_bases(2)) + draw(st.lists(
-        _FRACTIONS.map(HQ.from_fraction), max_size=1))
+    bases = draw(shared_trace_bases(2)) + draw(st.lists(_CENTRAL, max_size=1))
     f = ring.one()
     for a in bases:
         f = f * minimal_polynomial(ring, a)
@@ -185,6 +189,63 @@ def test_root_classes_equal_the_pairwise_scan(case):
     assert [list(c.members) for c in got.classes] == want
     assert [(c.trace, c.norm) for c in got.classes] == [
         (c[0].reduced_trace(), c[0].reduced_norm()) for c in want]
+
+
+@st.composite
+def root_verdicts(draw):
+    """f of degree 0 to 6 with coefficients that carry denominators, half
+    of the draws h * m_1 * ... * m_k for minimal polynomials m_b of drawn
+    bases (non-central or central), so that whole classes are roots; and
+    up to ten elements around the bases: the bases, conjugates u*b*u^-1,
+    central elements, free draws (mostly non-roots) and repeats, in any
+    order."""
+    ring = _ring(ROOT / "configs" / "quat.json")
+    bases = draw(st.lists(st.one_of(_QUATERNIONS, _CENTRAL), min_size=1,
+                          max_size=2))
+    factors = draw(st.booleans())
+    free = 6 - sum(2 - b.is_central() for b in bases) if factors else 6
+    h = draw(st.lists(_QUATERNIONS, min_size=1, max_size=free + 1))
+    h[-1] = draw(_UNITS)
+    f = SkewPoly(ring, {(e,): c for e, c in enumerate(h)})
+    if factors:
+        for b in bases:
+            f = f * minimal_polynomial(ring, b)
+    roots = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["base", "conjugate", "conjugate",
+                                     "central", "free", "repeat"]))
+        a = draw(st.sampled_from(bases))
+        if kind == "conjugate":
+            u = draw(_UNITS)
+            a = u * a * u.inv()
+        elif kind == "central":
+            a = draw(_CENTRAL)
+        elif kind == "free":
+            a = draw(_QUATERNIONS)
+        elif kind == "repeat" and roots:
+            a = draw(st.sampled_from(roots))
+        roots.append(a)
+    return f, roots
+
+
+@ORACLE
+@given(case=root_verdicts())
+def test_class_forms_give_the_substitution_verdict(case):
+    """The per-class form P*s + Q against formal_substitute per root: the
+    same partition when every element is a root, else NotARoot naming the
+    first non-root."""
+    f, roots = case
+    misses = [r for r in roots if not formal_substitute(f, (r,)).is_zero()]
+    if misses:
+        with pytest.raises(NotARoot) as caught:
+            gordon_motzkin_check(f, roots)
+        assert str(caught.value) == (
+            f"{misses[0]} does not annihilate the polynomial")
+        return
+    want = ClassPartition(f.total_degree(), tuple(
+        ConjugacyClass(tuple(c), c[0].reduced_trace(), c[0].reduced_norm())
+        for c in reference_classes(roots)))
+    assert gordon_motzkin_check(f, roots) == want
 
 
 # ---------------------------------------------------------------------------

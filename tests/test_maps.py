@@ -264,6 +264,11 @@ class TestCentralFixedStream:
     def test_x_not_member(self):
         assert not in_fixed_subfield(QX, [IdentityAut(), DdxDer()], X)
 
+    def test_x_not_fixed_by_a_q_shift(self):
+        # refused by the automorphism, x -> 2x, before any derivation
+        assert not in_fixed_subfield(QX, [q_shift(2), ZeroDer()], X)
+        assert in_fixed_subfield(QX, [q_shift(2)], QX.from_int(3))
+
     def test_membership_is_exact(self):
         maps = [IdentityAut(), DdxDer()]
         for n in (0, 1, -1, 7):

@@ -774,7 +774,16 @@ class TestCheckedForms:
         polys, scalars = ((hq_polys(ring), _TABLE_SCALARS)
                           if ring.domain is HQ else
                           (table_polys(ring), table_scalars(ring.domain)))
-        f, g = data.draw(polys, "f"), data.draw(polys, "g")
+        f = data.draw(polys, "f")
+        if data.draw(st.booleans(), "cancel") and not f.is_zero():
+            # f with one sign flipped: f + g, f * g and division by g's
+            # relation see sums that cancel (cross terms a*b - b*a), in
+            # every lane
+            flip = data.draw(st.sampled_from(sorted(f.terms)), "flip")
+            g = SkewPoly(ring, {e: -v if e == flip else v
+                                for e, v in f.terms.items()})
+        else:
+            g = data.draw(polys, "g")
         c, m = data.draw(scalars, "c"), data.draw(st.integers(1, 2), "m")
         before = dict(f.terms), dict(g.terms)
         v = ring.nvars - 1

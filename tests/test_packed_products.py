@@ -16,6 +16,7 @@ import pathlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewpoly import ore
 from skewpoly.config import load_ring
 from skewpoly.maps import QDiffDer, q_shift
 from skewpoly.ore import (
@@ -147,6 +148,32 @@ def test_weyl_product_takes_strips(data, name):
     for left, right in ((f, g), (g, f)):
         assert (_weyl_product(left.terms, right.terms, ring.ddx)
                 == power_table_product(left, right))
+
+
+def test_weyl_lane_declines_many_x_digits_per_pair(monkeypatch):
+    # a strip of order 17 with x-degree 40 times c1*t + c2 of x-degree 40:
+    # 19 box cells for 36 term pairs, but 81 x-digits per cell, more than
+    # 8 per pair, so the product takes the power table
+    ring = _ring("weyl")
+
+    def strip_and_pair(poly):
+        return (SkewPoly(ring, {(k,): poly for k in range(18)}),
+                SkewPoly(ring, {(1,): poly, (0,): -poly}))
+
+    # the same shapes with x-degree 1 pack: 19 * 3 digits <= 8 * 36
+    f, g = strip_and_pair(RationalFunction((1, 2), (1,)))
+    assert _weyl_product(f.terms, g.terms, ring.ddx) is not None
+    f, g = strip_and_pair(RationalFunction(tuple(range(1, 42)), (1,)))
+    assert _weyl_product(f.terms, g.terms, ring.ddx) is None
+    lanes = []
+
+    def table(*args):
+        lanes.append("table")
+        return _table_product(*args)
+
+    monkeypatch.setattr(ore, "_table_product", table)
+    assert (f * g).terms == power_table_product(f, g)
+    assert lanes == ["table"]
 
 
 def test_weyl_lane_needs_integer_coefficients_and_plain_twists():

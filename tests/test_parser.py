@@ -763,11 +763,12 @@ def _lane_oracles(domain, soup, variable):
     def test_matches_general_path(self, monomials, space):
         text, value = _literal(domain, monomials, space)
         src = "(" + text + ")"
-        assert parser._Parser(src, ring).literal(1, ")") is not None, src
+        p = parser._Parser(src, ring)
+        assert p.units and parser._literal(p.texts, 1, ")", p.units), src
         assert (parse_expr(src, ring) == _general(src, ring)
                 == ring.constant(value)), src
-        scalar = parser._Parser(text, evaluation_context(domain, ()))
-        assert scalar.literal(0, "") is not None, text
+        texts = parser._TEXTS.findall(text) + [""]
+        assert parser._literal(texts, 0, "", domain.units), text
         assert (parse_scalar(text, domain) == _general_scalar(text, domain)
                 == value), text
 
